@@ -5,10 +5,14 @@ Each step solves, over the whole space,
     lam * F(x_next) + ||x_next - x||^(p-1) * (x_next - x) = 0,
 
 which for p = 1 is the classical proximal point step. For affine operators
-F(x) = M x + q the step reduces to a one-dimensional root-finding problem:
-with s >= 0 and x(s) = (lam*M + s*I)^{-1} (s*x - lam*q), the step is x(s*)
-at the unique root of g(s) = ||x(s) - x||^(p-1) - s, found by bracketing
-plus bisection (g is continuous and strictly decreasing past any bracket).
+F(x) = M x + q the step reduces to a one-dimensional root-finding problem
+in the shift s = ||x_next - x||^(p-1) >= 0. With
+d(s) = (lam*M + s*I)^{-1} lam*F(x) and phi(s) = ||d(s)||, the shift is the
+unique root of the secular equation g(s) = phi(s)^(p-1) - s (Moré and
+Sorensen, "Computing a trust region step", 1983): phi is strictly
+decreasing because the symmetric part of M is PSD. A Newton iteration on g,
+kept inside a bracket by bisection or doubling, finds the root, and
+x_next = (lam*M + s*I)^{-1} (s*x - lam*q) is formed by one final solve.
 """
 
 import time
@@ -17,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, solve_shifted_system
+from .linalg import as_matrix, as_vector
 
 
 class SubproblemError(RuntimeError):
@@ -92,6 +96,9 @@ class PpaTrace:
     ``step_norms[k]`` is ||x^{k+1} - x^k|| and ``residual_norms[k]`` is
     lam * ||F(x^{k+1})||. ``distances_to_solution`` covers every iterate
     (including x^0) when the operator carries a known solution.
+    ``inner_solves[k]`` is the number of secular-function evaluations in
+    step k's root search: 0 for a zero step (F(x^k) = 0), 1 for p = 1 (the
+    root s = 1 is known), and 0 for every step of a ``step_oracle`` run.
     """
 
     iterates: list = field(default_factory=list)
@@ -112,89 +119,102 @@ def _is_symmetric(mat: np.ndarray) -> bool:
     return bool(np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * max(1.0, abs(mat).max())))
 
 
-def _solve_step_root(x_of, x_k: np.ndarray, p: float):
-    """Root of g(s) = ||x_of(s) - x_k||^(p-1) - s. Returns (x, solves)."""
-    solves = 0
+_MAX_EVALUATIONS = 500
 
-    def g_of(s: float):
-        nonlocal solves
-        solves += 1
-        x_s = x_of(s)
-        return np.linalg.norm(x_s - x_k) ** (p - 1.0) - s, x_s
 
+def _secular_root(secular, p: float, s: float):
+    """Root of g(s) = phi(s)^(p-1) - s by a safeguarded Newton iteration.
+
+    ``secular(s)`` returns (phi(s), phi'(s)) and ``s`` is the starting
+    shift. A Newton step that leaves the bracket [lo, hi] known so far is
+    replaced by bisection, or by doubling while no upper end is known.
+    Returns (root, evaluations); p = 1 has the known root s = 1, counted as
+    one evaluation.
+    """
     if p == 1.0:
-        # g(s) = 1 - s whenever F(x_k) != 0, so the root is s = 1 exactly
-        x_next = x_of(1.0)
-        return x_next, 1
-
-    lo, hi = 0.0, 1.0
-    g_hi, x_hi = g_of(hi)
-    if g_hi > 0.0:
-        bracketed = False
-        for _ in range(200):
-            lo, hi = hi, 2.0 * hi
-            g_hi, x_hi = g_of(hi)
-            if g_hi <= 0.0:
-                bracketed = True
-                break
-        if not bracketed:
-            raise SubproblemError("subproblem bracketing failure: no sign change after 200 doublings")
-    if g_hi == 0.0:
-        return x_hi, solves
-
-    # invariant: g > 0 at lo (g(0+) > 0 since F(x_k) != 0), g(hi) < 0
-    best = (abs(g_hi), x_hi)
-    for _ in range(300):
-        s = 0.5 * (lo + hi)
-        g_s, x_s = g_of(s)
-        if abs(g_s) < best[0]:
-            best = (abs(g_s), x_s)
-        if abs(g_s) <= _root_tolerance(s):
-            return x_s, solves
-        if g_s > 0.0:
+        return 1.0, 1
+    lo, hi = 0.0, np.inf
+    best_s, best_g = s, np.inf
+    for evaluations in range(1, _MAX_EVALUATIONS + 1):
+        phi, dphi = secular(s)
+        power = phi ** (p - 1.0)
+        g = power - s
+        if abs(g) <= _root_tolerance(s):
+            return s, evaluations
+        if abs(g) < best_g:
+            best_s, best_g = s, abs(g)
+        if g > 0.0:
             lo = s
         else:
             hi = s
-        if hi - lo <= 1e-16 * hi:
+        if hi - lo <= 1e-16 * hi < np.inf:
             break
-    return best[1], solves
+        # the Newton step s - g/g' with power' = (p-1) phi^(p-2) phi' <= 0,
+        # arranged as a ratio of positive sums: it stays positive and keeps
+        # its relative accuracy when the root is many decades below s
+        slope = (p - 1.0) * power / phi * dphi
+        s = (power - s * slope) / (1.0 - slope)
+        if not lo < s < hi:
+            s = 2.0 * lo if hi == np.inf else 0.5 * (lo + hi)
+    if hi == np.inf:
+        raise SubproblemError(f"subproblem bracketing failure: g(s) > 0 up to s = {lo:.3e}")
+    return best_s, evaluations
 
 
 def _make_affine_stepper(mat: np.ndarray, offset: np.ndarray, cfg: PpaConfig):
-    """Per-run step function for an affine operator.
+    """Per-run step function for an affine operator: x_k -> (x_next, evaluations).
 
-    Symmetric operators are eigendecomposed once so every shifted solve in
-    the root search costs two matvecs; the result matches the direct
-    factorized solve to machine precision.
+    Symmetric operators are eigendecomposed once, lam*M = V diag(l) V^T, so
+    with w = V^T lam*F(x_k) each secular evaluation costs O(n):
+    phi^2 = sum w_i^2 / (l_i + s)^2. Other operators invert lam*M + s*I
+    (one LU factorization) per evaluation, which gives both
+    d = (lam*M + s*I)^{-1} lam*F(x_k) and phi' = -d^T (lam*M + s*I)^{-1} d / phi.
+    Each search starts from the previous step's root, which the shrinking
+    steps keep close.
     """
     lam, p = cfg.lambda_ppa, cfg.p
     lam_mat = lam * mat
     lam_offset = lam * offset
-    n = offset.shape[0]
+    root = 1.0
 
     if _is_symmetric(mat):
         eigvals, eigvecs = np.linalg.eigh(lam_mat)
 
-        def x_of_factory(x_k):
-            def x_of(s):
-                rhs = s * x_k - lam_offset
-                return eigvecs @ ((eigvecs.T @ rhs) / (eigvals + s))
+        def secular_factory(lam_f):
+            w_sq = (eigvecs.T @ lam_f) ** 2
 
-            return x_of
+            def secular(s):
+                ratio = w_sq / (eigvals + s) ** 2
+                phi = np.sqrt(ratio.sum())
+                return phi, -(ratio / (eigvals + s)).sum() / phi
+
+            return secular
+
+        def x_of(x_k, s):
+            return eigvecs @ ((eigvecs.T @ (s * x_k - lam_offset)) / (eigvals + s))
 
     else:
+        eye = np.eye(offset.shape[0])
 
-        def x_of_factory(x_k):
-            def x_of(s):
-                return np.linalg.solve(lam_mat + s * np.eye(n), s * x_k - lam_offset)
+        def secular_factory(lam_f):
+            def secular(s):
+                inverse = np.linalg.inv(lam_mat + s * eye)
+                d = inverse @ lam_f
+                phi = np.linalg.norm(d)
+                return phi, -(d @ (inverse @ d)) / phi
 
-            return x_of
+            return secular
+
+        def x_of(x_k, s):
+            return np.linalg.solve(lam_mat + s * eye, s * x_k - lam_offset)
 
     def step(x_k: np.ndarray):
-        f_k = mat @ x_k + offset
-        if np.linalg.norm(lam * f_k) == 0.0:
+        nonlocal root
+        lam_f = lam * (mat @ x_k + offset)
+        if np.linalg.norm(lam_f) == 0.0:
             return x_k.copy(), 0
-        return _solve_step_root(x_of_factory(x_k), x_k, p)
+        root, evaluations = _secular_root(secular_factory(lam_f), p, root)
+        return x_of(x_k, root), evaluations
 
     return step
 
@@ -212,24 +232,12 @@ def ppa_step_affine(op: MonotoneOperator, x_k: np.ndarray, cfg: PpaConfig) -> np
     x_k = as_vector(x_k)
     mat, offset = op.affine_parts
     lam, p = cfg.lambda_ppa, cfg.p
-
-    f_k = mat @ x_k + offset
-    if np.linalg.norm(lam * f_k) == 0.0:
-        return x_k.copy()
-
-    lam_mat = lam * mat
-    lam_offset = lam * offset
-    if _is_symmetric(mat):
-        x_of = lambda s: solve_shifted_system(lam_mat, s, s * x_k - lam_offset)
-    else:
-        n = offset.shape[0]
-        x_of = lambda s: np.linalg.solve(lam_mat + s * np.eye(n), s * x_k - lam_offset)
-    x_next, _ = _solve_step_root(x_of, x_k, p)
+    x_next, _ = _make_affine_stepper(mat, offset, cfg)(x_k)
 
     step = x_next - x_k
     step_norm = np.linalg.norm(step)
     residual = lam * (mat @ x_next + offset) + step_norm ** (p - 1.0) * step
-    bound = 1e-10 * max(1.0, np.linalg.norm(lam_offset))
+    bound = 1e-10 * max(1.0, np.linalg.norm(lam * offset))
     if np.linalg.norm(residual) > bound:
         raise SubproblemError(
             f"step optimality residual {np.linalg.norm(residual):.3e} exceeds {bound:.3e}"
@@ -288,6 +296,6 @@ def run_ppa(
     return trace
 
 
-def natural_residual(op: MonotoneOperator, x: np.ndarray, cfg: Optional[PpaConfig] = None) -> float:
+def natural_residual(op: MonotoneOperator, x: np.ndarray) -> float:
     """||F(x)||: zero exactly at solutions of the unconstrained VI."""
     return float(np.linalg.norm(op.evaluate(as_vector(x))))

@@ -4,6 +4,7 @@ import pytest
 from hoprox.ppa import (
     MonotoneOperator,
     PpaConfig,
+    _make_affine_stepper,
     affine_operator,
     natural_residual,
     ppa_step_affine,
@@ -25,6 +26,27 @@ def scalar_bisection_root(fun, lo, hi, iters=200):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def skew_operator(n, seed):
+    # M = Q^T Q + (S - S^T): monotone but not symmetric
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((n, n))
+    s = rng.standard_normal((n, n))
+    mat = q.T @ q + s - s.T
+    solution = rng.standard_normal(n)
+    return affine_operator(mat, -mat @ solution, known_solution=solution), rng.standard_normal(n)
+
+
+def reference_step(mat, offset, x_k, p, lam):
+    # dense reference: bisection on g(s) = ||x(s) - x_k||^(p-1) - s with a
+    # fresh solve for x(s) at every s; ||x(s) - x_k|| <= ||lam*F(x_k)|| / s
+    # for monotone M, so g < 0 at s = 1 + ||lam*F(x_k)||
+    n = offset.shape[0]
+    x_of = lambda s: np.linalg.solve(lam * mat + s * np.eye(n), s * x_k - lam * offset)
+    g = lambda s: np.linalg.norm(x_of(s) - x_k) ** (p - 1.0) - s
+    hi = 1.0 + np.linalg.norm(lam * (mat @ x_k + offset))
+    return x_of(scalar_bisection_root(g, 0.0, hi))
 
 
 class TestPpaStepAffine:
@@ -65,16 +87,59 @@ class TestPpaStepAffine:
         with pytest.raises(ValueError, match="affine"):
             ppa_step_affine(op, np.ones(2), PpaConfig(p=1.0, lambda_ppa=1.0, max_iters=1))
 
-    def test_nonsymmetric_monotone_operator(self):
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_nonsymmetric_monotone_operator(self, p):
         # rotation part keeps M + M^T PSD while M is asymmetric
         mat = np.array([[1.0, 2.0], [-2.0, 1.0]])
         op = affine_operator(mat, np.array([1.0, -1.0]))
-        cfg = PpaConfig(p=2.0, lambda_ppa=1.0, max_iters=10)
+        cfg = PpaConfig(p=p, lambda_ppa=1.0, max_iters=10)
         x0 = np.array([0.3, -0.4])
         out = ppa_step_affine(op, x0, cfg)
         step = out - x0
-        residual = op.evaluate(out) + np.linalg.norm(step) * step
+        residual = op.evaluate(out) + np.linalg.norm(step) ** (p - 1.0) * step
         assert np.linalg.norm(residual) <= 1e-10 * max(1.0, np.linalg.norm(op.affine_parts[1]))
+
+
+class TestStepRootSearch:
+    @pytest.mark.parametrize("lam", [0.3, 3.0])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("make_op", [gen_vi_affine, skew_operator], ids=["symmetric", "skew"])
+    def test_matches_dense_reference(self, make_op, p, lam):
+        cfg = PpaConfig(p=p, lambda_ppa=lam, max_iters=10)
+        for seed in range(3):
+            op, x0 = make_op(20, seed)
+            mat, offset = op.affine_parts
+            out = ppa_step_affine(op, x0, cfg)
+            expected = reference_step(mat, offset, x0, p, lam)
+            assert np.linalg.norm(out - expected) <= 1e-8 * max(1.0, np.linalg.norm(expected - x0))
+            step = out - x0
+            residual = lam * (mat @ out + offset) + np.linalg.norm(step) ** (p - 1.0) * step
+            assert np.linalg.norm(residual) <= 1e-10 * max(1.0, np.linalg.norm(lam * offset))
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_evaluation_count(self, p):
+        # a tenth of the 138 evaluations per step that plain bisection needed
+        op, x0 = gen_vi_affine(20, 0)
+        trace = run_ppa(op, x0, PpaConfig(p=p, lambda_ppa=1.0, max_iters=200))
+        counts = [c for c in trace.inner_solves if c > 0]
+        assert np.mean(counts) <= 13.8
+
+    def test_zero_step_counts_no_evaluation(self):
+        op, _ = gen_vi_affine(6, 0)
+        trace = run_ppa(op, op.known_solution, PpaConfig(p=2.0, lambda_ppa=1.0, max_iters=5))
+        assert trace.step_norms == [0.0]
+        assert trace.inner_solves == [0]
+
+    @pytest.mark.parametrize("make_op", [gen_vi_affine, skew_operator], ids=["symmetric", "skew"])
+    def test_search_starts_at_previous_root(self, make_op):
+        op, x0 = make_op(20, 0)
+        mat, offset = op.affine_parts
+        step = _make_affine_stepper(mat, offset, PpaConfig(p=3.0, lambda_ppa=1.0, max_iters=1))
+        x1, first = step(x0)
+        # the second search from the same point starts at the first one's root
+        x1_again, second = step(x0)
+        assert first > 1 and second == 1
+        assert np.array_equal(x1, x1_again)
 
 
 class TestRunPpa:
@@ -190,7 +255,7 @@ class TestNaturalResidual:
         k = len(trace.step_norms) - 1
         d0 = trace.distances_to_solution[0]
         bound = (1.0 / lam) * d0 ** 2 / (k + 1) + 1e-9
-        assert natural_residual(op, trace.iterates[-1], cfg) <= bound
+        assert natural_residual(op, trace.iterates[-1]) <= bound
 
 
 class TestValidation:
