@@ -19,7 +19,7 @@ from .alm import (
     run_alm,
 )
 from .bench import ExperimentConfig, RunManifest, emit_plots, read_csv, run_sweep, write_csv
-from .linalg import spectral_norm_estimate, svd_thin
+from .linalg import solve_shifted_system, spectral_norm_estimate, svd_thin
 from .operators import EntryMask, MatrixMap, power_iteration_norm
 from .ppa import (
     MonotoneOperator,
@@ -109,6 +109,7 @@ __all__ = [
     "run_sweep",
     "singular_value_threshold",
     "soft_threshold",
+    "solve_shifted_system",
     "spectral_norm_estimate",
     "svd_thin",
     "write_csv",

@@ -28,6 +28,51 @@ def as_matrix(x) -> np.ndarray:
     return m
 
 
+def solve_shifted_system(mat: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (mat + shift*I) y = rhs for a symmetric PSD ``mat``.
+
+    Uses a Cholesky factorization of the shifted matrix, with one step of
+    iterative refinement so the relative residual stays at machine level,
+    and a general-solve fallback if the factorization fails despite a
+    positive shift.
+
+    Raises
+    ------
+    ValueError
+        On dimension mismatch, an asymmetric matrix, or a singular system
+        ("singular shift": shift == 0 with ``mat`` singular).
+    """
+    mat = as_matrix(mat)
+    rhs = as_vector(rhs)
+    n = mat.shape[0]
+    if mat.shape[1] != n:
+        raise ValueError(f"matrix must be square, got {mat.shape}")
+    if rhs.shape[0] != n:
+        raise ValueError(f"rhs length {rhs.shape[0]} != matrix order {n}")
+    if shift < 0:
+        raise ValueError("shift must be nonnegative")
+    if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-10 * max(1.0, abs(mat).max())):
+        raise ValueError("matrix must be symmetric")
+
+    shifted = mat + shift * np.eye(n)
+    try:
+        lower = np.linalg.cholesky(shifted)
+        solve = lambda b: np.linalg.solve(lower.T, np.linalg.solve(lower, b))
+    except np.linalg.LinAlgError:
+        if shift == 0.0:
+            raise ValueError("singular shift: shift is zero and matrix is singular")
+        # shift > 0 makes the system PD in exact arithmetic; fall back to a
+        # general solve when rounding defeats the Cholesky.
+        solve = lambda b: np.linalg.solve(shifted, b)
+
+    y = solve(rhs)
+    # one round of iterative refinement keeps the residual near machine precision
+    residual = rhs - shifted @ y
+    if np.linalg.norm(residual) > 1e-14 * max(1.0, np.linalg.norm(rhs)):
+        y = y + solve(residual)
+    return y
+
+
 def svd_thin(mat: np.ndarray):
     """Thin SVD: returns (U, sigma, V) with mat = U @ diag(sigma) @ V.T.
 

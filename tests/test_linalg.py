@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hoprox
-from hoprox.linalg import spectral_norm_estimate, svd_thin
+from hoprox.linalg import solve_shifted_system, spectral_norm_estimate, svd_thin
 
 
 def test_import_leaves_scipy_unloaded():
@@ -20,6 +20,66 @@ def test_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def random_psd(n, rng):
+    q = rng.standard_normal((n, n))
+    return q.T @ q
+
+
+class TestSolveShiftedSystem:
+    def test_identity_shift_one(self):
+        y = solve_shifted_system(np.eye(2), 1.0, np.array([2.0, 4.0]))
+        assert np.allclose(y, [1.0, 2.0], atol=1e-14)
+
+    def test_scalar_zero_matrix(self):
+        y = solve_shifted_system(np.zeros((1, 1)), 0.5, np.array([1.0]))
+        assert np.allclose(y, [2.0], atol=1e-14)
+
+    def test_residual_random_psd(self):
+        rng = np.random.default_rng(7)
+        mat = random_psd(5, rng)
+        rhs = rng.standard_normal(5)
+        y = solve_shifted_system(mat, 0.3, rhs)
+        residual = (mat + 0.3 * np.eye(5)) @ y - rhs
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_residual_property(self, seed):
+        rng = np.random.default_rng(seed)
+        n = rng.integers(1, 12)
+        mat = random_psd(n, rng)
+        shift = float(rng.uniform(0.01, 5.0))
+        rhs = rng.standard_normal(n) * rng.uniform(0.1, 100.0)
+        y = solve_shifted_system(mat, shift, rhs)
+        residual = (mat + shift * np.eye(n)) @ y - rhs
+        assert np.linalg.norm(residual) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
+
+    def test_zero_shift_nonsingular(self):
+        rng = np.random.default_rng(3)
+        mat = random_psd(4, rng) + np.eye(4)
+        rhs = rng.standard_normal(4)
+        y = solve_shifted_system(mat, 0.0, rhs)
+        assert np.linalg.norm(mat @ y - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
+
+    def test_singular_shift_error(self):
+        singular = np.array([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="singular shift"):
+            solve_shifted_system(singular, 0.0, np.array([1.0, 1.0]))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            solve_shifted_system(np.eye(2), 1.0, np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError):
+            solve_shifted_system(np.ones((2, 3)), 1.0, np.array([1.0, 2.0, 3.0]))
+
+    def test_asymmetric_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            solve_shifted_system(np.array([[0.0, 1.0], [-1.0, 0.0]]), 1.0, np.ones(2))
+
+    def test_negative_shift_rejected(self):
+        with pytest.raises(ValueError):
+            solve_shifted_system(np.eye(2), -0.1, np.ones(2))
 
 
 class TestSvdThin:
