@@ -119,14 +119,17 @@ def alm_x_update(
     multiplier: np.ndarray,
     x_start: np.ndarray,
     cfg: AlmConfig,
+    curvature_hint: float = 1.0,
 ):
     """Solve the penalized primal subproblem, warm-started at ``x_start``.
 
-    Returns (x_next, SubsolverReport). Raises SubsolverStalled when the
-    inner solve cannot reach ``cfg.eps_sub`` within ``cfg.max_inner``.
+    ``curvature_hint`` is where the subsolver's first curvature search
+    starts (see ``minimize_composite``). Returns (x_next, SubsolverReport).
+    Raises SubsolverStalled when the inner solve cannot reach
+    ``cfg.eps_sub`` within ``cfg.max_inner``.
     """
     oracle = penalty_oracle(prob, multiplier, cfg)
-    report = minimize_composite(oracle, prob.f, x_start, cfg.eps_sub, cfg.max_inner)
+    report = minimize_composite(oracle, prob.f, x_start, cfg.eps_sub, cfg.max_inner, curvature_hint)
     if not report.converged:
         raise SubsolverStalled(
             f"x-update stalled: grad map norm {report.final_grad_map_norm:.3e} "
@@ -170,6 +173,13 @@ def run_alm(
     A tolerance already met at the starting point terminates with an empty
     record list. Inner-solver stalls are reported via ``trace.status``
     rather than raised.
+
+    Each x-update starts its first curvature search at the curvature the
+    previous one accepted in its first iteration, which gives the same
+    iterates as a search from 1 whenever the subsolver's upper-bound test
+    passes at every power of two above the smallest one that passes. An
+    x-update with no inner iteration leaves x unchanged, so its record
+    reuses the previous objective value.
     """
     x = as_vector(x0).copy()
     multiplier = as_vector(multiplier0).copy()
@@ -181,10 +191,11 @@ def run_alm(
         return trace
 
     cumulative_inner = 0
+    curvature_hint = 1.0
     for k in range(cfg.max_outer):
         t0 = time.perf_counter()
         try:
-            x, report = alm_x_update(prob, multiplier, x, cfg)
+            x, report = alm_x_update(prob, multiplier, x, cfg, curvature_hint)
         except SubsolverStalled as stall:
             trace.status = "subsolver_stalled"
             trace.reports.append(stall.report)
@@ -195,6 +206,11 @@ def run_alm(
 
         residual_norm = float(np.linalg.norm(z))
         cumulative_inner += report.iterations
+        curvature_hint = report.first_L_accepted
+        if report.iterations == 0 and trace.records:
+            objective = trace.records[-1].objective
+        else:
+            objective = float(prob.f.value(x))
         trace.records.append(
             OuterRecord(
                 iteration=k,
@@ -202,7 +218,7 @@ def run_alm(
                 multiplier_step_norm=float(np.linalg.norm(new_multiplier - multiplier)),
                 inner_iterations=report.iterations,
                 cumulative_inner=cumulative_inner,
-                objective=float(prob.f.value(x)),
+                objective=objective,
                 wall_ms=elapsed_ms,
             )
         )

@@ -66,7 +66,8 @@ class EntryMask:
         return out
 
     def norm_estimate(self, tol: float = 1e-9) -> float:
-        return power_iteration_norm(self, tol=tol)
+        """Exactly 1: A^T A is a 0/1 diagonal with at least one 1."""
+        return 1.0
 
 
 def power_iteration_norm(op, tol: float = 1e-9, max_iters: int = 50_000) -> float:

@@ -87,13 +87,25 @@ def gradient_map(oracle: PenaltyGradientOracle, f: ProxFunction, z: np.ndarray) 
 
 @dataclass
 class SubsolverReport:
-    """Outcome of one composite solve."""
+    """Outcome of one composite solve.
+
+    ``first_L_accepted`` is the curvature accepted in iteration 1, or the
+    search's starting point (the hint on its power-of-two grid) when the
+    start already met the tolerance. Passed back as ``curvature_hint``, it
+    starts the next solve's first search where this one ended.
+    """
 
     solution: np.ndarray
     iterations: int
     final_grad_map_norm: float
     final_L_estimate: float
     converged: bool
+    first_L_accepted: float
+
+
+def _grid_start(hint: float) -> float:
+    """The largest power of two <= hint, within [1, _L_CEIL]: a point of the cold search's grid."""
+    return math.ldexp(1.0, math.frexp(min(max(hint, 1.0), _L_CEIL))[1] - 1)
 
 
 def minimize_composite(
@@ -102,6 +114,7 @@ def minimize_composite(
     z0: np.ndarray,
     eps_sub: float,
     max_iters: int,
+    curvature_hint: float = 1.0,
 ) -> SubsolverReport:
     """Minimize psi + f until ||G(z)|| <= eps_sub.
 
@@ -113,56 +126,89 @@ def minimize_composite(
     accumulate, so the curvature estimate turns honest near the solution.
     Non-convergence within ``max_iters`` is reported via the ``converged``
     flag, not raised.
+
+    Iteration 1 is special: with nothing accumulated yet, a = 1/L and the
+    extrapolated point y is the start x for every trial L. It therefore
+    reuses the residual and gradient of the entry check, and at L = 1 also
+    its prox x - G(x), so its trials cost one prox and one ``apply`` each
+    and the L = 1 trial costs no prox at all. Its search starts at
+    ``curvature_hint`` (taken down to a power of two, at least 1) and is
+    two-sided: if the hint passes the test, L halves while the half still
+    passes, stopping at 1; if it fails, L doubles as usual. This finds the
+    same smallest passing power of two as the cold search 1, 2, 4, ...,
+    and hence bitwise the same iterates, whenever the test passes at every
+    power of two above that value; the default hint 1 is the cold search.
+    Later iterations start at half the last accepted L and only double.
     """
     if eps_sub <= 0:
         raise ValueError("eps_sub must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+    if not (math.isfinite(curvature_hint) and curvature_hint > 0):
+        raise ValueError("curvature_hint must be positive and finite")
 
     eps_acc = eps_sub ** 2 / 8.0
     x = as_vector(z0).copy()
     v = x.copy()
     big_a = 0.0
-    L = 1.0
-
-    def grad_map_norm(point, residual):
-        grad = oracle.gradient_at_residual(residual)
-        return float(np.linalg.norm(point - f.prox(point - grad, 1.0)))
+    L = _grid_start(curvature_hint)
 
     r_x = oracle.residual(x)
-    g_norm = grad_map_norm(x, r_x)
+    grad_x = oracle.gradient_at_residual(r_x)
+    prox_x = f.prox(x - grad_x, 1.0)
+    g_norm = float(np.linalg.norm(x - prox_x))
     if g_norm <= eps_sub:
-        return SubsolverReport(x, 0, g_norm, L, True)
+        return SubsolverReport(x, 0, g_norm, 1.0, True, L)
+    psi_x = oracle.value_at_residual(r_x)
 
-    for it in range(1, max_iters + 1):
-        while True:
-            a = (1.0 + math.sqrt(1.0 + 4.0 * L * big_a)) / (2.0 * L)
-            a_new = big_a + a
-            tau = a / a_new
+    def attempt(L):
+        """The trial step at curvature L from the current (x, v, big_a) and its test."""
+        a = (1.0 + math.sqrt(1.0 + 4.0 * L * big_a)) / (2.0 * L)
+        a_new = big_a + a
+        tau = a / a_new
+        if big_a == 0.0:
+            # tau = 1, so y = 1*v + 0*x = x bitwise: reuse the entry check's oracles
+            y, psi_y, grad_y = x, psi_x, grad_x
+            x_trial = prox_x if L == 1.0 else f.prox(y - grad_y / L, 1.0 / L)
+        else:
             y = tau * v + (1.0 - tau) * x
             r_y = oracle.residual(y)
             psi_y = oracle.value_at_residual(r_y)
             grad_y = oracle.gradient_at_residual(r_y)
             x_trial = f.prox(y - grad_y / L, 1.0 / L)
-            dx = x_trial - y
-            r_trial = oracle.residual(x_trial)
-            psi_trial = oracle.value_at_residual(r_trial)
-            upper = psi_y + grad_y @ dx + 0.5 * L * (dx @ dx) + 0.5 * eps_acc * tau
-            if np.isfinite(psi_trial) and psi_trial <= upper:
-                break
+        dx = x_trial - y
+        r_trial = oracle.residual(x_trial)
+        psi_trial = oracle.value_at_residual(r_trial)
+        upper = psi_y + grad_y @ dx + 0.5 * L * (dx @ dx) + 0.5 * eps_acc * tau
+        passed = bool(np.isfinite(psi_trial) and psi_trial <= upper)
+        return passed, (y, x_trial, r_trial, a_new, tau)
+
+    for it in range(1, max_iters + 1):
+        passed, step = attempt(L)
+        if passed and it == 1:
+            while L > 1.0:
+                lower_passed, lower = attempt(0.5 * L)
+                if not lower_passed:
+                    break
+                L, step = 0.5 * L, lower
+        while not passed:
             L *= 2.0
             if L > _L_CEIL:
                 raise RuntimeError("curvature backtracking diverged (L overflow)")
+            passed, step = attempt(L)
+        if it == 1:
+            first_L = L
 
+        y, x_trial, r_trial, a_new, tau = step
         v = v + (x_trial - y) / tau
         x = x_trial
         r_x = r_trial
         big_a = a_new
         L = max(0.5 * L, _L_FLOOR)
 
-        g_norm = grad_map_norm(x, r_x)
+        g_norm = float(np.linalg.norm(x - f.prox(x - oracle.gradient_at_residual(r_x), 1.0)))
         if g_norm <= eps_sub:
             logger.debug("composite solve converged in %d iterations (L=%.3e)", it, L)
-            return SubsolverReport(x, it, g_norm, L, True)
+            return SubsolverReport(x, it, g_norm, L, True, first_L)
 
-    return SubsolverReport(x, max_iters, g_norm, L, False)
+    return SubsolverReport(x, max_iters, g_norm, L, False, first_L)

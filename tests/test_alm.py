@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hoprox.alm
 from hoprox.alm import (
     AlmConfig,
     CompositeProblem,
@@ -11,9 +12,9 @@ from hoprox.alm import (
     run_alm,
 )
 from hoprox.operators import MatrixMap
-from hoprox.problems import bp_composite, gen_bp
-from hoprox.prox import l1_norm, zero_function
-from hoprox.subsolver import PenaltyGradientOracle, gradient_map
+from hoprox.problems import bp_composite, gen_bp, gen_mc, mc_composite
+from hoprox.prox import ProxFunction, l1_norm, zero_function
+from hoprox.subsolver import PenaltyGradientOracle, gradient_map, minimize_composite
 
 
 def tiny_bp_problem():
@@ -161,6 +162,56 @@ class TestRunAlm:
             assert rec.cumulative_inner == cumulative
         assert len(trace.iterates) == len(trace.records) + 1
         assert len(trace.multipliers) == len(trace.records) + 1
+
+
+def mc_cell(p, max_outer):
+    """An alm-mc benchmark cell (seed 0, eps_sub = 0.1) cut at ``max_outer``."""
+    prob = mc_composite(gen_mc(50, 50, 0.1, 0))
+    cfg = AlmConfig(p=p, beta=5.0, eps=1e-3, eps_sub=0.1, max_outer=max_outer, max_inner=50_000)
+    return prob, cfg
+
+
+def comparable(trace):
+    rows = [(r.iteration, r.primal_residual, r.multiplier_step_norm, r.inner_iterations,
+             r.cumulative_inner, r.objective) for r in trace.records]
+    return trace.status, rows, [x.tobytes() for x in trace.iterates], [m.tobytes() for m in trace.multipliers]
+
+
+class TestCurvatureHintInAlm:
+    def test_records_match_cold_search(self, monkeypatch):
+        prob, cfg = mc_cell(2.0, 40)
+        hinted = run_alm(prob, np.zeros(2500), np.zeros(250), cfg)
+
+        def cold(oracle, f, z0, eps_sub, max_iters, curvature_hint=1.0):
+            return minimize_composite(oracle, f, z0, eps_sub, max_iters, curvature_hint=1.0)
+
+        monkeypatch.setattr(hoprox.alm, "minimize_composite", cold)
+        reference = run_alm(prob, np.zeros(2500), np.zeros(250), cfg)
+        assert comparable(hinted) == comparable(reference)
+
+    def test_objective_of_unmoved_iterate(self):
+        # x-updates with no inner iteration reuse the previous objective
+        # instead of evaluating f (an SVD) again at the same point
+        prob, cfg = mc_cell(1.0, 20)
+        evaluated = []
+        counted = ProxFunction(lambda x: evaluated.append(x) or prob.f.value(x), prob.f.prox)
+        trace = run_alm(CompositeProblem(counted, prob.a_map, prob.b), np.zeros(2500), np.zeros(250), cfg)
+        moved = [k == 0 or rec.inner_iterations > 0 for k, rec in enumerate(trace.records)]
+        assert not all(moved)
+        assert len(evaluated) == sum(moved)
+        for k, rec in enumerate(trace.records):
+            assert rec.objective == prob.f.value(trace.iterates[k + 1])
+
+    def test_prox_call_count(self):
+        # 656 prox calls (SVDs) before the entry check's prox was reused as
+        # the L = 1 trial and the first search started at the previous
+        # x-update's curvature; 435 after
+        prob, cfg = mc_cell(2.0, 60)
+        calls = []
+        counted = ProxFunction(prob.f.value, lambda v, t: calls.append(t) or prob.f.prox(v, t))
+        trace = run_alm(CompositeProblem(counted, prob.a_map, prob.b), np.zeros(2500), np.zeros(250), cfg)
+        assert trace.outer_iterations == 60
+        assert len(calls) <= 0.75 * 656
 
 
 class TestDualProxOracle:

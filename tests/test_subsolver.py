@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hoprox.linalg import spectral_norm_estimate
-from hoprox.problems import gen_bp
-from hoprox.prox import l1_norm, zero_function
+from hoprox.problems import gen_bp, gen_mc, mc_composite
+from hoprox.prox import ProxFunction, l1_norm, zero_function
 from hoprox.subsolver import (
     PenaltyGradientOracle,
     gradient_map,
@@ -184,11 +184,73 @@ class TestMinimizeComposite:
             minimize_composite(oracle, zero_function(), np.zeros(2), 0.0, 10)
         with pytest.raises(ValueError):
             minimize_composite(oracle, zero_function(), np.zeros(2), 1e-6, 0)
+        for hint in (0.0, -1.0, np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError):
+                minimize_composite(oracle, zero_function(), np.zeros(2), 1e-6, 10, curvature_hint=hint)
 
     def test_already_converged_start(self):
         oracle = PenaltyGradientOracle(np.eye(2), np.zeros(2), np.zeros(2), 1.0, 2.0)
-        report = minimize_composite(oracle, zero_function(), np.zeros(2), 1e-8, 10)
+        report = minimize_composite(oracle, zero_function(), np.zeros(2), 1e-8, 10, curvature_hint=12.0)
         assert report.converged and report.iterations == 0
+        # the hint, taken down to a power of two, passes on to the next solve
+        assert report.final_L_estimate == 1.0 and report.first_L_accepted == 8.0
+
+
+def hint_case(kind, p):
+    """Oracle, f and start of a benchmark-scale subproblem with a nonzero multiplier."""
+    rng = np.random.default_rng(7)
+    if kind == "bp":
+        inst = gen_bp(100, 500, 0.2, 0)
+        oracle = PenaltyGradientOracle(inst.a, inst.b, rng.standard_normal(100), 2.0, p)
+        return oracle, l1_norm(), np.zeros(500)
+    prob = mc_composite(gen_mc(50, 50, 0.1, 0))
+    oracle = PenaltyGradientOracle(prob.a_map, prob.b, rng.standard_normal(prob.b.size), 5.0, p)
+    return oracle, prob.f, np.zeros(2500)
+
+
+class TestCurvatureHint:
+    @pytest.mark.parametrize("kind,p", [("bp", 1.0), ("bp", 2.0), ("bp", 3.0), ("mc", 1.0), ("mc", 2.0)])
+    def test_hint_leaves_report_unchanged(self, kind, p):
+        oracle, f, z0 = hint_case(kind, p)
+        cold = minimize_composite(oracle, f, z0, 0.1, 20_000, curvature_hint=1.0)
+        assert cold.converged and cold.iterations >= 1
+        for hint in (2.0, 8.0, 1024.0):
+            warm = minimize_composite(oracle, f, z0, 0.1, 20_000, curvature_hint=hint)
+            assert warm.solution.tobytes() == cold.solution.tobytes()
+            assert warm.iterations == cold.iterations
+            assert warm.final_grad_map_norm == cold.final_grad_map_norm
+            assert warm.final_L_estimate == cold.final_L_estimate
+            assert warm.first_L_accepted == cold.first_L_accepted
+
+    @pytest.mark.parametrize(
+        "hint,trial_ls",
+        [
+            (1.0, [2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]),
+            (128.0, [128.0, 64.0]),
+            (1024.0, [1024.0, 512.0, 256.0, 128.0, 64.0]),
+        ],
+        ids=["cold", "hint-at-accepted", "hint-above"],
+    )
+    def test_first_iteration_prox_calls(self, hint, trial_ls):
+        # iteration 1 of this case accepts L = 128. The entry check's prox is
+        # the L = 1 trial, so the cold search calls the prox from L = 2 on;
+        # a hinted search tests the hint, then halves until the half fails.
+        oracle, f, z0 = hint_case("bp", 2.0)
+        scales = []
+        counted = ProxFunction(f.value, lambda v, t: scales.append(t) or f.prox(v, t))
+        report = minimize_composite(oracle, counted, z0, 0.1, 1, curvature_hint=hint)
+        assert report.first_L_accepted == 128.0
+        assert scales == [1.0] + [1.0 / L for L in trial_ls] + [1.0]
+
+    def test_descent_stops_at_one(self):
+        # psi has curvature 0.01, so the test passes at every L used here; the
+        # cold search accepts L = 1 in iteration 1, and so must a hinted one
+        oracle = PenaltyGradientOracle(0.1 * np.eye(3), np.array([1.0, -2.0, 0.5]), np.zeros(3), 1.0, 1.0)
+        cold = minimize_composite(oracle, zero_function(), np.zeros(3), 1e-6, 10_000)
+        warm = minimize_composite(oracle, zero_function(), np.zeros(3), 1e-6, 10_000, curvature_hint=8.0)
+        assert cold.converged and cold.first_L_accepted == warm.first_L_accepted == 1.0
+        assert warm.solution.tobytes() == cold.solution.tobytes()
+        assert warm.iterations == cold.iterations
 
 
 def test_iteration_bound_diagnostic():
