@@ -120,16 +120,19 @@ def alm_x_update(
     x_start: np.ndarray,
     cfg: AlmConfig,
     curvature_hint: float = 1.0,
+    residual: Optional[np.ndarray] = None,
 ):
     """Solve the penalized primal subproblem, warm-started at ``x_start``.
 
     ``curvature_hint`` is where the subsolver's first curvature search
-    starts (see ``minimize_composite``). Returns (x_next, SubsolverReport).
+    starts, and ``residual``, if known, is ``A x_start - b`` (see
+    ``minimize_composite``). Returns (x_next, SubsolverReport); the report's
+    ``residual`` is ``A x_next - b``.
     Raises SubsolverStalled when the inner solve cannot reach
     ``cfg.eps_sub`` within ``cfg.max_inner``.
     """
     oracle = penalty_oracle(prob, multiplier, cfg)
-    report = minimize_composite(oracle, prob.f, x_start, cfg.eps_sub, cfg.max_inner, curvature_hint)
+    report = minimize_composite(oracle, prob.f, x_start, cfg.eps_sub, cfg.max_inner, curvature_hint, residual)
     if not report.converged:
         raise SubsolverStalled(
             f"x-update stalled: grad map norm {report.final_grad_map_norm:.3e} "
@@ -179,13 +182,16 @@ def run_alm(
     iterates as a search from 1 whenever the subsolver's upper-bound test
     passes at every power of two above the smallest one that passes. An
     x-update with no inner iteration leaves x unchanged, so its record
-    reuses the previous objective value.
+    reuses the previous objective value. The residual ``Ax - b`` is computed
+    once per iterate: each x-update returns it for the multiplier step and
+    the next x-update's entry check.
     """
     x = as_vector(x0).copy()
     multiplier = as_vector(multiplier0).copy()
     trace = AlmTrace(iterates=[x.copy()], multipliers=[multiplier.copy()])
 
-    residual_norm = float(np.linalg.norm(prob.a_map.apply(x) - prob.b))
+    z = prob.a_map.apply(x) - prob.b
+    residual_norm = float(np.linalg.norm(z))
     if residual_norm <= cfg.eps:
         trace.status = "converged"
         return trace
@@ -195,12 +201,12 @@ def run_alm(
     for k in range(cfg.max_outer):
         t0 = time.perf_counter()
         try:
-            x, report = alm_x_update(prob, multiplier, x, cfg, curvature_hint)
+            x, report = alm_x_update(prob, multiplier, x, cfg, curvature_hint, z)
         except SubsolverStalled as stall:
             trace.status = "subsolver_stalled"
             trace.reports.append(stall.report)
             return trace
-        z = prob.a_map.apply(x) - prob.b
+        z = report.residual
         new_multiplier = multiplier_update(multiplier, z, cfg)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
 

@@ -7,7 +7,7 @@ the solvers never branch on the representation.
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, spectral_norm_estimate
+from .linalg import as_matrix, spectral_norm_estimate
 
 
 class MatrixMap:
@@ -35,7 +35,8 @@ class EntryMask:
 
     ``apply`` picks the observed entries in index order; ``adjoint`` scatters
     them back with zeros elsewhere. The operator norm is exactly 1 whenever
-    the index set is nonempty.
+    the index set is nonempty. Inputs are checked for shape only: finiteness
+    is the caller's to validate, once, at a solver's entry.
     """
 
     def __init__(self, flat_indices: np.ndarray, matrix_shape: tuple[int, int]):
@@ -52,15 +53,15 @@ class EntryMask:
         self.shape = (idx.size, size)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = as_vector(x)
-        if x.shape[0] != self.shape[1]:
-            raise ValueError(f"input length {x.shape[0]} != {self.shape[1]}")
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.shape[1],):
+            raise ValueError(f"input shape {x.shape} != ({self.shape[1]},)")
         return x[self.indices]
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        y = as_vector(y)
-        if y.shape[0] != self.shape[0]:
-            raise ValueError(f"input length {y.shape[0]} != {self.shape[0]}")
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.shape[0],):
+            raise ValueError(f"input shape {y.shape} != ({self.shape[0]},)")
         out = np.zeros(self.shape[1])
         out[self.indices] = y
         return out

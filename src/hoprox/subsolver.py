@@ -27,7 +27,11 @@ _L_CEIL = 1e60
 
 
 class PenaltyGradientOracle:
-    """Value/gradient oracle for the shifted power penalty of ``Ax - b``."""
+    """Value/gradient oracle for the shifted power penalty of ``Ax - b``.
+
+    The ``*_at_residual`` methods take the residual ``r = Ax - b`` as a 1-d
+    float64 array, as ``residual`` returns it.
+    """
 
     def __init__(self, a_map, b: np.ndarray, multiplier: np.ndarray, beta: float, p: float):
         if beta <= 0:
@@ -47,11 +51,24 @@ class PenaltyGradientOracle:
         return self.a_map.apply(x) - self.b
 
     def value_at_residual(self, r: np.ndarray) -> float:
-        power = 1.0 + 1.0 / self.p
-        return float(self.multiplier @ r + self._beta_root / power * np.linalg.norm(r) ** power)
+        return self._value(r, math.sqrt(r @ r))
 
     def gradient_at_residual(self, r: np.ndarray) -> np.ndarray:
         return self.a_map.adjoint(self.multiplier + self._beta_root * norm_power_gradient(r, self.p))
+
+    def value_and_gradient_at_residual(self, r: np.ndarray) -> tuple[float, np.ndarray]:
+        """Both of the above for a 1-d float64 ``r``, from one norm of ``r``.
+
+        ``math.sqrt(r @ r)`` is how ``np.linalg.norm`` computes a 1-d real
+        norm, so the pair is bitwise that of the two separate calls.
+        """
+        norm = math.sqrt(r @ r)
+        direction = r * norm ** (1.0 / self.p - 1.0) if norm else np.zeros_like(r)
+        return self._value(r, norm), self.a_map.adjoint(self.multiplier + self._beta_root * direction)
+
+    def _value(self, r: np.ndarray, norm: float) -> float:
+        power = 1.0 + 1.0 / self.p
+        return float(self.multiplier @ r + self._beta_root / power * norm ** power)
 
     def value(self, x: np.ndarray) -> float:
         return self.value_at_residual(self.residual(x))
@@ -93,6 +110,8 @@ class SubsolverReport:
     search's starting point (the hint on its power-of-two grid) when the
     start already met the tolerance. Passed back as ``curvature_hint``, it
     starts the next solve's first search where this one ended.
+    ``residual`` is ``A @ solution - b`` as the solve computed it: the last
+    accepted trial's residual, or the entry residual when no iteration ran.
     """
 
     solution: np.ndarray
@@ -101,6 +120,7 @@ class SubsolverReport:
     final_L_estimate: float
     converged: bool
     first_L_accepted: float
+    residual: np.ndarray
 
 
 def _grid_start(hint: float) -> float:
@@ -115,6 +135,7 @@ def minimize_composite(
     eps_sub: float,
     max_iters: int,
     curvature_hint: float = 1.0,
+    residual: np.ndarray | None = None,
 ) -> SubsolverReport:
     """Minimize psi + f until ||G(z)|| <= eps_sub.
 
@@ -139,6 +160,11 @@ def minimize_composite(
     and hence bitwise the same iterates, whenever the test passes at every
     power of two above that value; the default hint 1 is the cold search.
     Later iterations start at half the last accepted L and only double.
+
+    ``residual``, when given, must be ``A z0 - b`` (``oracle.residual(z0)``);
+    the entry check then uses it instead of applying A again. Inputs are
+    validated here, once: the loop hands only its own finite vectors to the
+    oracles.
     """
     if eps_sub <= 0:
         raise ValueError("eps_sub must be positive")
@@ -153,13 +179,18 @@ def minimize_composite(
     big_a = 0.0
     L = _grid_start(curvature_hint)
 
-    r_x = oracle.residual(x)
-    grad_x = oracle.gradient_at_residual(r_x)
+    if residual is None:
+        r_x = oracle.residual(x)
+    else:
+        r_x = as_vector(residual)
+        if r_x.shape != oracle.b.shape:
+            raise ValueError(f"residual shape {r_x.shape} != {oracle.b.shape}")
+    psi_x, grad_x = oracle.value_and_gradient_at_residual(r_x)
     prox_x = f.prox(x - grad_x, 1.0)
-    g_norm = float(np.linalg.norm(x - prox_x))
+    d = x - prox_x
+    g_norm = math.sqrt(d @ d)
     if g_norm <= eps_sub:
-        return SubsolverReport(x, 0, g_norm, 1.0, True, L)
-    psi_x = oracle.value_at_residual(r_x)
+        return SubsolverReport(x, 0, g_norm, 1.0, True, L, r_x)
 
     def attempt(L):
         """The trial step at curvature L from the current (x, v, big_a) and its test."""
@@ -172,16 +203,14 @@ def minimize_composite(
             x_trial = prox_x if L == 1.0 else f.prox(y - grad_y / L, 1.0 / L)
         else:
             y = tau * v + (1.0 - tau) * x
-            r_y = oracle.residual(y)
-            psi_y = oracle.value_at_residual(r_y)
-            grad_y = oracle.gradient_at_residual(r_y)
+            psi_y, grad_y = oracle.value_and_gradient_at_residual(oracle.residual(y))
             x_trial = f.prox(y - grad_y / L, 1.0 / L)
         dx = x_trial - y
         r_trial = oracle.residual(x_trial)
         psi_trial = oracle.value_at_residual(r_trial)
         upper = psi_y + grad_y @ dx + 0.5 * L * (dx @ dx) + 0.5 * eps_acc * tau
-        passed = bool(np.isfinite(psi_trial) and psi_trial <= upper)
-        return passed, (y, x_trial, r_trial, a_new, tau)
+        passed = math.isfinite(psi_trial) and bool(psi_trial <= upper)
+        return passed, (x_trial, dx, r_trial, a_new, tau)
 
     for it in range(1, max_iters + 1):
         passed, step = attempt(L)
@@ -199,16 +228,15 @@ def minimize_composite(
         if it == 1:
             first_L = L
 
-        y, x_trial, r_trial, a_new, tau = step
-        v = v + (x_trial - y) / tau
-        x = x_trial
-        r_x = r_trial
-        big_a = a_new
+        x, dx, r_x, big_a, tau = step
+        v = v + dx / tau
         L = max(0.5 * L, _L_FLOOR)
 
-        g_norm = float(np.linalg.norm(x - f.prox(x - oracle.gradient_at_residual(r_x), 1.0)))
+        _, grad = oracle.value_and_gradient_at_residual(r_x)
+        d = x - f.prox(x - grad, 1.0)
+        g_norm = math.sqrt(d @ d)
         if g_norm <= eps_sub:
             logger.debug("composite solve converged in %d iterations (L=%.3e)", it, L)
-            return SubsolverReport(x, it, g_norm, L, True, first_L)
+            return SubsolverReport(x, it, g_norm, L, True, first_L, r_x)
 
-    return SubsolverReport(x, max_iters, g_norm, L, False, first_L)
+    return SubsolverReport(x, max_iters, g_norm, L, False, first_L, r_x)

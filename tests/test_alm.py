@@ -182,8 +182,8 @@ class TestCurvatureHintInAlm:
         prob, cfg = mc_cell(2.0, 40)
         hinted = run_alm(prob, np.zeros(2500), np.zeros(250), cfg)
 
-        def cold(oracle, f, z0, eps_sub, max_iters, curvature_hint=1.0):
-            return minimize_composite(oracle, f, z0, eps_sub, max_iters, curvature_hint=1.0)
+        def cold(oracle, f, z0, eps_sub, max_iters, curvature_hint=1.0, residual=None):
+            return minimize_composite(oracle, f, z0, eps_sub, max_iters, curvature_hint=1.0, residual=residual)
 
         monkeypatch.setattr(hoprox.alm, "minimize_composite", cold)
         reference = run_alm(prob, np.zeros(2500), np.zeros(250), cfg)
@@ -212,6 +212,55 @@ class TestCurvatureHintInAlm:
         trace = run_alm(CompositeProblem(counted, prob.a_map, prob.b), np.zeros(2500), np.zeros(250), cfg)
         assert trace.outer_iterations == 60
         assert len(calls) <= 0.75 * 656
+
+
+class CountingMap:
+    """Delegates to a linear map and counts its ``apply`` calls."""
+
+    def __init__(self, inner):
+        self.inner, self.shape, self.applies = inner, inner.shape, 0
+
+    def apply(self, x):
+        self.applies += 1
+        return self.inner.apply(x)
+
+    def adjoint(self, y):
+        return self.inner.adjoint(y)
+
+    def norm_estimate(self, tol=1e-9):
+        return self.inner.norm_estimate(tol)
+
+
+class TestResidualHandoff:
+    def test_apply_count(self):
+        # 3,467 applies for these 51 outer steps when run_alm recomputed
+        # A x - b after each x-update and each x-update's entry check
+        # recomputed it again; the x-update now returns it and the next
+        # one takes it, 2 applies fewer per outer step
+        prob = bp_composite(gen_bp(100, 500, 0.2, 0))
+        counted = CountingMap(prob.a_map)
+        cfg = AlmConfig(p=1.0, beta=2.0, eps=1e-3, eps_sub=0.1, max_outer=500, max_inner=50_000)
+        trace = run_alm(CompositeProblem(prob.f, counted, prob.b), np.zeros(500), np.zeros(100), cfg)
+        assert trace.converged and trace.outer_iterations == 51
+        assert counted.applies == 3467 - 2 * 51
+
+    def test_reports_carry_the_iterates_residual(self):
+        prob, cfg = mc_cell(1.0, 20)
+        trace = run_alm(prob, np.zeros(2500), np.zeros(250), cfg)
+        assert any(rep.iterations == 0 for rep in trace.reports)
+        assert any(rep.iterations > 0 for rep in trace.reports)
+        for k, rep in enumerate(trace.reports):
+            expected = prob.a_map.apply(trace.iterates[k + 1]) - prob.b
+            assert rep.residual.tobytes() == expected.tobytes()
+            assert trace.records[k].primal_residual == np.linalg.norm(expected)
+
+    def test_non_finite_start_rejected(self):
+        prob, cfg = tiny_bp_problem(), base_config()
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                run_alm(prob, np.array([0.0, bad]), np.zeros(1), cfg)
+            with pytest.raises(ValueError):
+                run_alm(prob, np.zeros(2), np.array([bad]), cfg)
 
 
 class TestDualProxOracle:

@@ -1,7 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hoprox.linalg import spectral_norm_estimate
+from hoprox.operators import EntryMask
 from hoprox.problems import gen_bp, gen_mc, mc_composite
 from hoprox.prox import ProxFunction, l1_norm, zero_function
 from hoprox.subsolver import (
@@ -94,6 +100,30 @@ class TestPenaltyGradient:
 
     def test_holder_constant_first_order(self):
         assert np.isclose(holder_constant(1.0, 2.0, 10.0), 2.0 * 100.0)
+
+
+class TestFusedOracle:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("kind", ["bp", "mc"])
+    def test_matches_separate_calls_bitwise(self, kind, p):
+        oracle, _, _ = hint_case(kind, p)
+        rng = np.random.default_rng(11)
+        for r in (rng.standard_normal(oracle.b.size), 1e-3 * rng.standard_normal(oracle.b.size),
+                  np.zeros(oracle.b.size)):
+            value, grad = oracle.value_and_gradient_at_residual(r)
+            assert type(value) is float
+            assert value == oracle.value_at_residual(r)
+            assert grad.tobytes() == oracle.gradient_at_residual(r).tobytes()
+            # and the value as written with np.linalg.norm
+            power = 1.0 + 1.0 / p
+            reference = float(oracle.multiplier @ r + oracle._beta_root / power * np.linalg.norm(r) ** power)
+            assert value == reference
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 600), elements=st.floats(-1e150, 1e150)))
+    def test_sqrt_of_dot_is_numpy_norm(self, v):
+        # the fused oracle's bitwise claim rests on this identity
+        assert math.sqrt(v @ v) == np.linalg.norm(v)
 
 
 class TestGradientMap:
@@ -196,6 +226,37 @@ class TestMinimizeComposite:
         assert report.final_L_estimate == 1.0 and report.first_L_accepted == 8.0
 
 
+class TestEntryValidation:
+    def test_mask_rejects_wrong_shapes(self):
+        mask = EntryMask(np.array([0, 3, 5]), (2, 3))
+        assert mask.apply(np.arange(6.0)).tolist() == [0.0, 3.0, 5.0]
+        for bad in (np.zeros(5), np.zeros(7), np.zeros((2, 3)), np.zeros(3)):
+            with pytest.raises(ValueError):
+                mask.apply(bad)
+        for bad in (np.zeros(2), np.zeros(4), np.zeros((3, 1)), np.zeros(6)):
+            with pytest.raises(ValueError):
+                mask.adjoint(bad)
+
+    def test_non_finite_start_rejected(self):
+        oracle = PenaltyGradientOracle(np.eye(2), np.ones(2), np.zeros(2), 1.0, 1.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                minimize_composite(oracle, l1_norm(), np.array([0.0, bad]), 1e-6, 10)
+            with pytest.raises(ValueError):
+                minimize_composite(oracle, l1_norm(), np.zeros(2), 1e-6, 10, residual=np.array([bad, 0.0]))
+
+    def test_residual_of_wrong_shape_rejected(self):
+        oracle = PenaltyGradientOracle(np.ones((2, 3)), np.ones(2), np.zeros(2), 1.0, 1.0)
+        for bad in (np.zeros(3), np.zeros(1), np.zeros((2, 1))):
+            with pytest.raises(ValueError):
+                minimize_composite(oracle, l1_norm(), np.zeros(3), 1e-6, 10, residual=bad)
+
+
+def report_bytes(report):
+    return (report.solution.tobytes(), report.iterations, report.final_grad_map_norm,
+            report.final_L_estimate, report.converged, report.first_L_accepted, report.residual.tobytes())
+
+
 def hint_case(kind, p):
     """Oracle, f and start of a benchmark-scale subproblem with a nonzero multiplier."""
     rng = np.random.default_rng(7)
@@ -258,3 +319,33 @@ def test_iteration_bound_diagnostic():
     loose = iteration_bound(2.0, holder_coeff=10.0, eps=1e-1, dist=5.0)
     tight = iteration_bound(2.0, holder_coeff=10.0, eps=1e-3, dist=5.0)
     assert 0 < loose < tight < np.inf
+
+
+class TestResidualHandoff:
+    @pytest.mark.parametrize("kind,p", [("bp", 1.0), ("bp", 2.0), ("mc", 1.0), ("mc", 2.0)])
+    def test_given_residual_leaves_report_unchanged(self, kind, p):
+        oracle, f, z0 = hint_case(kind, p)
+        z0 = z0 + np.random.default_rng(3).standard_normal(z0.size)
+        computed = minimize_composite(oracle, f, z0, 0.1, 20_000)
+        handed = minimize_composite(oracle, f, z0, 0.1, 20_000, residual=oracle.residual(z0))
+        assert computed.converged and computed.iterations >= 1
+        assert report_bytes(handed) == report_bytes(computed)
+
+    @pytest.mark.parametrize("kind,p", [("bp", 1.0), ("bp", 3.0), ("mc", 2.0)])
+    def test_report_residual_is_that_of_solution(self, kind, p):
+        oracle, f, z0 = hint_case(kind, p)
+        moved = minimize_composite(oracle, f, z0, 0.1, 20_000)
+        assert moved.iterations >= 1
+        expected = oracle.a_map.apply(moved.solution) - oracle.b
+        assert moved.residual.tobytes() == expected.tobytes()
+        # restarted at its own solution, the solve stops at entry
+        still = minimize_composite(oracle, f, moved.solution, 0.1, 20_000)
+        assert still.iterations == 0
+        assert still.residual.tobytes() == expected.tobytes()
+
+    def test_capped_solve_residual(self):
+        inst = gen_bp(10, 30, 0.3, 1)
+        oracle = PenaltyGradientOracle(inst.a, inst.b, np.zeros(10), 2.0, 1.0)
+        report = minimize_composite(oracle, l1_norm(), np.zeros(30), 1e-12, 3)
+        assert not report.converged
+        assert report.residual.tobytes() == (inst.a @ report.solution - inst.b).tobytes()
