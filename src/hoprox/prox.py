@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import svd_thin
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,8 @@ def singular_value_threshold(mat: np.ndarray, t: float) -> np.ndarray:
     """Shrink the singular values of ``mat`` by t: the nuclear-norm prox."""
     if t < 0:
         raise ValueError("threshold must be nonnegative")
-    u, sigma, vt = np.linalg.svd(as_matrix(mat), full_matrices=False)
-    return (u * np.maximum(sigma - t, 0.0)) @ vt
+    u, sigma, v = svd_thin(mat)
+    return (u * np.maximum(sigma - t, 0.0)) @ v.T
 
 
 def l1_norm() -> ProxFunction:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import as_vector
 from .operators import MatrixMap
-from .prox import ProxFunction, norm_power_gradient
+from .prox import ProxFunction
 
 logger = logging.getLogger(__name__)
 
@@ -54,13 +54,14 @@ class PenaltyGradientOracle:
         return self._value(r, math.sqrt(r @ r))
 
     def gradient_at_residual(self, r: np.ndarray) -> np.ndarray:
-        return self.a_map.adjoint(self.multiplier + self._beta_root * norm_power_gradient(r, self.p))
+        return self.value_and_gradient_at_residual(r)[1]
 
     def value_and_gradient_at_residual(self, r: np.ndarray) -> tuple[float, np.ndarray]:
-        """Both of the above for a 1-d float64 ``r``, from one norm of ``r``.
+        """Value and gradient for a 1-d float64 ``r``, from one norm of ``r``.
 
-        ``math.sqrt(r @ r)`` is how ``np.linalg.norm`` computes a 1-d real
-        norm, so the pair is bitwise that of the two separate calls.
+        The gradient is ``A^T(mu + beta^(1/p) * norm_power_gradient(r, p))``
+        written out: ``math.sqrt(r @ r)`` is how ``np.linalg.norm`` computes
+        a 1-d real norm, so it is bitwise that expression.
         """
         norm = math.sqrt(r @ r)
         direction = r * norm ** (1.0 / self.p - 1.0) if norm else np.zeros_like(r)
@@ -232,7 +233,7 @@ def minimize_composite(
         v = v + dx / tau
         L = max(0.5 * L, _L_FLOOR)
 
-        _, grad = oracle.value_and_gradient_at_residual(r_x)
+        grad = oracle.gradient_at_residual(r_x)
         d = x - f.prox(x - grad, 1.0)
         g_norm = math.sqrt(d @ d)
         if g_norm <= eps_sub:
