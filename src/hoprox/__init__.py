@@ -20,7 +20,7 @@ from .alm import (
 )
 from .bench import ExperimentConfig, RunManifest, emit_plots, read_csv, run_sweep, write_csv
 from .linalg import solve_shifted_system, spectral_norm_estimate, svd_thin
-from .operators import EntryMask, MatrixMap, power_iteration_norm
+from .operators import EntryMask, MatrixMap
 from .ppa import (
     MonotoneOperator,
     PpaConfig,
@@ -34,7 +34,6 @@ from .ppa import (
 from .problems import (
     BpInstance,
     McInstance,
-    apply_mask_operator,
     bp_composite,
     dump_instance,
     gen_bp,
@@ -82,7 +81,6 @@ __all__ = [
     "SubsolverStalled",
     "affine_operator",
     "alm_x_update",
-    "apply_mask_operator",
     "bp_composite",
     "dual_prox_oracle",
     "dump_instance",
@@ -101,7 +99,6 @@ __all__ = [
     "natural_residual",
     "norm_power_gradient",
     "nuclear_norm_on_vectors",
-    "power_iteration_norm",
     "ppa_step_affine",
     "read_csv",
     "run_alm",

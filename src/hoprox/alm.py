@@ -93,6 +93,10 @@ class AlmTrace:
     ``records`` holds the serializable per-iteration rows; ``iterates``,
     ``multipliers`` and ``reports`` keep the in-memory history for
     invariant checks and are not serialized.
+
+    Each array is held once and shared, so treat them all as read-only:
+    ``iterates[k + 1]`` is ``reports[k].solution``, and it is
+    ``iterates[k]`` itself when x-update k made no inner iteration.
     """
 
     records: list = field(default_factory=list)
@@ -185,10 +189,14 @@ def run_alm(
     reuses the previous objective value. The residual ``Ax - b`` is computed
     once per iterate: each x-update returns it for the multiplier step and
     the next x-update's entry check.
+
+    ``x0`` and ``multiplier0`` are copied once; every later iterate and
+    multiplier is stored as computed, shared with the reports (see
+    ``AlmTrace``).
     """
     x = as_vector(x0).copy()
     multiplier = as_vector(multiplier0).copy()
-    trace = AlmTrace(iterates=[x.copy()], multipliers=[multiplier.copy()])
+    trace = AlmTrace(iterates=[x], multipliers=[multiplier])
 
     z = prob.a_map.apply(x) - prob.b
     residual_norm = float(np.linalg.norm(z))
@@ -228,8 +236,8 @@ def run_alm(
                 wall_ms=elapsed_ms,
             )
         )
-        trace.iterates.append(x.copy())
-        trace.multipliers.append(new_multiplier.copy())
+        trace.iterates.append(x)
+        trace.multipliers.append(new_multiplier)
         trace.reports.append(report)
         multiplier = new_multiplier
         if residual_norm <= cfg.eps:

@@ -3,10 +3,11 @@
 Each sweep cell (seed, p, beta, eps_sub) produces one CSV with the fixed
 header ``iter,r_k,dual_step_norm,inner_iters,cum_inner,objective,wall_ms``.
 A JSON manifest written after all cells records the resolved config, the
-RNG algorithm, and per-run artifact paths, and suffices to regenerate every
-CSV byte-for-byte. Wall-clock timing is inherently non-reproducible, so
-persisted CSVs carry a zeroed wall_ms column; measured timings live in the
-manifest's metadata instead.
+RNG algorithm, per-run artifact paths and, for ALM runs, the cell's total
+inner iterations, prox calls and curvature trials, and suffices to
+regenerate every CSV byte-for-byte. Wall-clock timing is inherently
+non-reproducible, so persisted CSVs carry a zeroed wall_ms column; measured
+timings live in the manifest's metadata instead.
 """
 
 import itertools
@@ -240,6 +241,10 @@ def run_sweep(cfg: ExperimentConfig) -> RunManifest:
                 entry["final_residual"] = (
                     trace.records[-1].primal_residual if trace.records else 0.0
                 )
+                # work of every x-update, a stalled last one included
+                entry["inner_iterations"] = sum(rep.iterations for rep in trace.reports)
+                entry["prox_calls"] = sum(rep.prox_calls for rep in trace.reports)
+                entry["trials"] = sum(rep.trials for rep in trace.reports)
             else:
                 entry["status"] = "ok"
                 entry["outer_iterations"] = len(trace.step_norms)

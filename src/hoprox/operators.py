@@ -70,30 +70,3 @@ class EntryMask:
         """Exactly 1: A^T A is a 0/1 diagonal with at least one 1."""
         return 1.0
 
-
-def power_iteration_norm(op, tol: float = 1e-9, max_iters: int = 50_000) -> float:
-    """Operator-norm estimate of a linear map via power iteration on A^T A.
-
-    Same deterministic all-ones start as ``spectral_norm_estimate``, but
-    phrased in terms of apply/adjoint so it also covers matrix-free maps.
-    """
-    n = op.shape[1]
-    v = np.ones(n) / np.sqrt(n)
-    estimate = 0.0
-    basis_idx = 0
-    for _ in range(max_iters):
-        w = op.adjoint(op.apply(v))
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            if basis_idx >= n:
-                return estimate
-            v = np.zeros(n)
-            v[basis_idx] = 1.0
-            basis_idx += 1
-            continue
-        new_estimate = np.sqrt(norm_w)
-        v = w / norm_w
-        if abs(new_estimate - estimate) <= 0.01 * tol * new_estimate:
-            return new_estimate
-        estimate = new_estimate
-    return estimate

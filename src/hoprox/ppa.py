@@ -257,6 +257,10 @@ def run_ppa(
     operators the caller must supply ``step_oracle(op, x, cfg) -> x_next``
     producing exact steps. Stops after ``cfg.max_iters`` steps or when a
     step norm falls to ``cfg.step_tol``.
+
+    ``x0`` and each ``step_oracle`` output are copied once, so the caller
+    may reuse its arrays; the built-in solver's steps are new arrays and
+    are stored as returned.
     """
     x = as_vector(x0)
     x_star = op.known_solution
@@ -265,7 +269,7 @@ def run_ppa(
         trace.distances_to_solution = [float(np.linalg.norm(x - x_star))]
 
     if step_oracle is not None:
-        stepper = lambda point: (as_vector(step_oracle(op, point, cfg)), 0)
+        stepper = lambda point: (as_vector(np.array(step_oracle(op, point, cfg), dtype=float)), 0)
     elif op.domain_projection is not None:
         raise NotImplementedError(
             "constrained domains need a caller-supplied step_oracle; "
@@ -283,7 +287,7 @@ def run_ppa(
         elapsed_ms = (time.perf_counter() - t0) * 1e3
 
         step_norm = float(np.linalg.norm(x_next - x))
-        trace.iterates.append(x_next.copy())
+        trace.iterates.append(x_next)
         trace.step_norms.append(step_norm)
         trace.residual_norms.append(float(cfg.lambda_ppa * np.linalg.norm(op.evaluate(x_next))))
         trace.inner_solves.append(solves)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alm import CompositeProblem
-from .linalg import as_matrix
 from .operators import EntryMask, MatrixMap
 from .ppa import MonotoneOperator, affine_operator
 from .prox import ProxFunction, l1_norm, singular_value_threshold
@@ -95,29 +94,6 @@ def gen_mc(m: int, n: int, density: float, seed: int) -> McInstance:
         density=density,
         seed=seed,
     )
-
-
-def apply_mask_operator(inst: McInstance, data, mode: str):
-    """Select (``forward``) or scatter (``adjoint``) the observed entries.
-
-    Forward maps an (m, n) matrix to the observed-value vector in row-major
-    index order; adjoint scatters a value vector back into an (m, n) matrix
-    with zeros elsewhere.
-    """
-    m, n = inst.shape
-    if mode == "forward":
-        mat = as_matrix(data)
-        if mat.shape != (m, n):
-            raise ValueError(f"expected shape {(m, n)}, got {mat.shape}")
-        return mat.ravel()[inst.observed_indices]
-    if mode == "adjoint":
-        vec = np.asarray(data, dtype=float)
-        if vec.shape != inst.observed_indices.shape:
-            raise ValueError(f"expected {inst.observed_indices.size} values, got {vec.shape}")
-        out = np.zeros(m * n)
-        out[inst.observed_indices] = vec
-        return out.reshape(m, n)
-    raise ValueError(f"mode must be 'forward' or 'adjoint', got {mode!r}")
 
 
 def nuclear_norm_on_vectors(rows: int, cols: int) -> ProxFunction:

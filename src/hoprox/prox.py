@@ -16,7 +16,12 @@ from .linalg import svd_thin
 
 @dataclass(frozen=True)
 class ProxFunction:
-    """A closed proper convex function given by value and prox oracles."""
+    """A closed proper convex function given by value and prox oracles.
+
+    ``prox`` must return a new array, never its input or an array it keeps:
+    the subsolver takes the output as its next iterate without copying it
+    and hands it on in its reports and the ALM trace, read-only.
+    """
 
     value: Callable[[np.ndarray], float]
     prox: Callable[[np.ndarray, float], np.ndarray]

@@ -113,6 +113,13 @@ class SubsolverReport:
     starts the next solve's first search where this one ended.
     ``residual`` is ``A @ solution - b`` as the solve computed it: the last
     accepted trial's residual, or the entry residual when no iteration ran.
+    ``prox_calls`` counts every ``f.prox`` call of the solve and ``trials``
+    every curvature trial, the L = 1 trial of iteration 1 included although
+    it reuses the entry prox.
+
+    ``solution`` and ``residual`` are the solver's own arrays, not copies:
+    when no iteration ran, ``solution`` is ``z0`` itself and ``residual``
+    the one passed in, if any. Treat them as read-only.
     """
 
     solution: np.ndarray
@@ -122,6 +129,8 @@ class SubsolverReport:
     converged: bool
     first_L_accepted: float
     residual: np.ndarray
+    prox_calls: int
+    trials: int
 
 
 def _grid_start(hint: float) -> float:
@@ -166,6 +175,12 @@ def minimize_composite(
     the entry check then uses it instead of applying A again. Inputs are
     validated here, once: the loop hands only its own finite vectors to the
     oracles.
+
+    Nothing is copied: the loop only rebinds its iterates and never writes
+    into an array, so a solve with no inner iteration returns ``z0`` (as a
+    float64 vector) as its ``solution``, and the caller must not write into
+    ``z0`` or the report's arrays afterwards. ``f.prox`` must return a new
+    array, since its output becomes the next iterate.
     """
     if eps_sub <= 0:
         raise ValueError("eps_sub must be positive")
@@ -175,10 +190,15 @@ def minimize_composite(
         raise ValueError("curvature_hint must be positive and finite")
 
     eps_acc = eps_sub ** 2 / 8.0
-    x = as_vector(z0).copy()
-    v = x.copy()
+    x = v = as_vector(z0)
     big_a = 0.0
     L = _grid_start(curvature_hint)
+    prox_calls = trials = 0
+
+    def prox(point, scale):
+        nonlocal prox_calls
+        prox_calls += 1
+        return f.prox(point, scale)
 
     if residual is None:
         r_x = oracle.residual(x)
@@ -187,25 +207,27 @@ def minimize_composite(
         if r_x.shape != oracle.b.shape:
             raise ValueError(f"residual shape {r_x.shape} != {oracle.b.shape}")
     psi_x, grad_x = oracle.value_and_gradient_at_residual(r_x)
-    prox_x = f.prox(x - grad_x, 1.0)
+    prox_x = prox(x - grad_x, 1.0)
     d = x - prox_x
     g_norm = math.sqrt(d @ d)
     if g_norm <= eps_sub:
-        return SubsolverReport(x, 0, g_norm, 1.0, True, L, r_x)
+        return SubsolverReport(x, 0, g_norm, 1.0, True, L, r_x, prox_calls, trials)
 
     def attempt(L):
         """The trial step at curvature L from the current (x, v, big_a) and its test."""
+        nonlocal trials
+        trials += 1
         a = (1.0 + math.sqrt(1.0 + 4.0 * L * big_a)) / (2.0 * L)
         a_new = big_a + a
         tau = a / a_new
         if big_a == 0.0:
             # tau = 1, so y = 1*v + 0*x = x bitwise: reuse the entry check's oracles
             y, psi_y, grad_y = x, psi_x, grad_x
-            x_trial = prox_x if L == 1.0 else f.prox(y - grad_y / L, 1.0 / L)
+            x_trial = prox_x if L == 1.0 else prox(y - grad_y / L, 1.0 / L)
         else:
             y = tau * v + (1.0 - tau) * x
             psi_y, grad_y = oracle.value_and_gradient_at_residual(oracle.residual(y))
-            x_trial = f.prox(y - grad_y / L, 1.0 / L)
+            x_trial = prox(y - grad_y / L, 1.0 / L)
         dx = x_trial - y
         r_trial = oracle.residual(x_trial)
         psi_trial = oracle.value_at_residual(r_trial)
@@ -234,10 +256,10 @@ def minimize_composite(
         L = max(0.5 * L, _L_FLOOR)
 
         grad = oracle.gradient_at_residual(r_x)
-        d = x - f.prox(x - grad, 1.0)
+        d = x - prox(x - grad, 1.0)
         g_norm = math.sqrt(d @ d)
         if g_norm <= eps_sub:
             logger.debug("composite solve converged in %d iterations (L=%.3e)", it, L)
-            return SubsolverReport(x, it, g_norm, L, True, first_L, r_x)
+            return SubsolverReport(x, it, g_norm, L, True, first_L, r_x, prox_calls, trials)
 
-    return SubsolverReport(x, max_iters, g_norm, L, False, first_L, r_x)
+    return SubsolverReport(x, max_iters, g_norm, L, False, first_L, r_x, prox_calls, trials)

@@ -1,8 +1,9 @@
 """Acceptance suite: each numbered criterion at its stated tolerance.
 
-Every test prints one `[PASS]`/`[FAIL]` line (run with ``pytest -s`` to see
-them live). Expensive run batteries are shared through module-scoped
-fixtures; the runtime budgets are asserted on the batteries themselves.
+Every criterion test prints one `[PASS]`/`[FAIL]` line (run with ``pytest -s``
+to see them live). Expensive run batteries are shared through module-scoped
+fixtures; the runtime budgets are asserted on the batteries themselves. The
+last test pins the oracle counts that the subsolver reports on the batteries.
 """
 
 import time
@@ -330,3 +331,14 @@ def test_criterion_10_reproducibility(tmp_path):
         for run in manifest.runs:
             ok = ok and (first / run["csv"]).read_bytes() == (second / run["csv"]).read_bytes()
     report(10, "rerunning a manifest reproduces every CSV byte-for-byte", ok)
+
+
+def test_battery_prox_call_totals(bp_battery, mc_battery):
+    # The BP and MC batteries are the alm-bp and alm-mc benchmark grids, and
+    # these totals are the prox calls the benchmark's tracer counts on them:
+    # the reports' own counts must agree with it.
+    _, bp_traces, _ = bp_battery
+    _, mc_traces, _ = mc_battery
+    bp_calls = sum(rep.prox_calls for _, _, trace in bp_traces for rep in trace.reports)
+    mc_calls = sum(rep.prox_calls for _, _, trace in mc_traces for rep in trace.reports)
+    assert (bp_calls, mc_calls) == (44_222, 16_152)

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -261,6 +264,39 @@ class TestResidualHandoff:
                 run_alm(prob, np.array([0.0, bad]), np.zeros(1), cfg)
             with pytest.raises(ValueError):
                 run_alm(prob, np.zeros(2), np.array([bad]), cfg)
+
+
+class TestSingleCopy:
+    """The trace holds each iterate, multiplier and residual once."""
+
+    def test_iterates_are_the_reports_solutions(self):
+        prob, cfg = mc_cell(1.0, 60)
+        trace = run_alm(prob, np.zeros(2500), np.zeros(250), cfg)
+        assert trace.outer_iterations == 60
+        assert any(rep.iterations == 0 for rep in trace.reports)
+        for k, rep in enumerate(trace.reports):
+            assert trace.iterates[k + 1] is rep.solution
+            if rep.iterations == 0:
+                # an x-update that does not move hands back its start array
+                assert trace.iterates[k + 1] is trace.iterates[k]
+
+    def test_trace_memory_is_its_distinct_arrays(self):
+        # a second copy of each iterate would put this near 2x; the 6 % the
+        # trace holds beyond its arrays are the records and reports themselves
+        prob, cfg = mc_cell(1.0, 60)
+        run_alm(prob, np.zeros(2500), np.zeros(250), dataclasses.replace(cfg, max_outer=1))
+        x0, multiplier0 = np.zeros(2500), np.zeros(250)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = run_alm(prob, x0, multiplier0, cfg)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        arrays = trace.iterates + trace.multipliers
+        arrays += [a for rep in trace.reports for a in (rep.solution, rep.residual)]
+        distinct = {a.tobytes(): a.nbytes for a in arrays}
+        assert held <= 1.1 * sum(distinct.values())
 
 
 class TestDualProxOracle:

@@ -1,7 +1,7 @@
 import re
 import struct
 import zlib
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -19,7 +19,8 @@ from hoprox.bench import (
     write_csv,
 )
 from hoprox.ppa import PpaConfig, run_ppa
-from hoprox.problems import gen_vi_affine
+from hoprox.problems import bp_composite, gen_vi_affine
+from hoprox.prox import ProxFunction
 
 
 def make_trace():
@@ -179,6 +180,27 @@ class TestRunSweep:
             run_sweep(tiny_bp_config(tmp_path, betas=[-1.0]))
         with pytest.raises(ValueError):
             run_sweep(tiny_bp_config(tmp_path, p_values=[0.5]))
+
+    def test_manifest_oracle_totals(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted_bp(inst):
+            prob = bp_composite(inst)
+            counted = ProxFunction(prob.f.value, lambda v, t: calls.append(t) or prob.f.prox(v, t))
+            return replace(prob, f=counted)
+
+        monkeypatch.setattr(bench, "bp_composite", counted_bp)
+        manifest = run_sweep(tiny_bp_config(tmp_path))
+        assert sum(run["prox_calls"] for run in manifest.runs) == len(calls)
+        for run in manifest.runs:
+            outer, inner = run["outer_iterations"], run["inner_iterations"]
+            assert run["status"] == "converged" and inner > 0
+            assert inner == read_csv(tmp_path / run["csv"])[-1].cumulative_inner
+            # each x-update calls the prox at entry and once per iteration to
+            # stop; the other calls are trials, at most one per x-update
+            # reusing the entry prox as its L = 1 trial
+            prox_trials = run["prox_calls"] - outer - inner
+            assert prox_trials <= run["trials"] <= prox_trials + outer
 
     def test_cell_failure_recorded_and_sweep_continues(self, tmp_path, monkeypatch):
         calls = {"n": 0}

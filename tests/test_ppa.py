@@ -218,6 +218,16 @@ class TestRunPpa:
         trace = run_ppa(op, np.array([1.0]), cfg, step_oracle=oracle)
         assert np.allclose([x[0] for x in trace.iterates], [1.0, 0.5, 0.25, 0.125, 0.0625])
 
+    def test_step_oracle_may_reuse_its_output(self):
+        # the oracle writes every step into one buffer; run_ppa copies each once
+        op = MonotoneOperator(evaluate=lambda x: x)
+        buffer = np.empty(1)
+        oracle = lambda _, x, cfg: np.divide(x, 1.0 + cfg.lambda_ppa, out=buffer)
+        cfg = PpaConfig(p=1.0, lambda_ppa=1.0, max_iters=4)
+        trace = run_ppa(op, np.array([1.0]), cfg, step_oracle=oracle)
+        assert [x[0] for x in trace.iterates] == [1.0, 0.5, 0.25, 0.125, 0.0625]
+        assert trace.step_norms == [0.5, 0.25, 0.125, 0.0625]
+
     def test_non_affine_without_oracle_rejected(self):
         op = MonotoneOperator(evaluate=lambda x: x)
         with pytest.raises(ValueError, match="step_oracle"):

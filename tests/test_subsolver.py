@@ -304,6 +304,9 @@ class TestCurvatureHint:
         report = minimize_composite(oracle, counted, z0, 0.1, 1, curvature_hint=hint)
         assert report.first_L_accepted == 128.0
         assert scales == [1.0] + [1.0 / L for L in trial_ls] + [1.0]
+        # the reused L = 1 trial is a trial all the same
+        assert report.prox_calls == len(scales)
+        assert report.trials == len(trial_ls) + (hint == 1.0)
 
     def test_descent_stops_at_one(self):
         # psi has curvature 0.01, so the test passes at every L used here; the
@@ -321,6 +324,40 @@ def test_iteration_bound_diagnostic():
     loose = iteration_bound(2.0, holder_coeff=10.0, eps=1e-1, dist=5.0)
     tight = iteration_bound(2.0, holder_coeff=10.0, eps=1e-3, dist=5.0)
     assert 0 < loose < tight < np.inf
+
+
+def counted_solve(oracle, f, z0, max_iters, curvature_hint=1.0):
+    """Solve with eps_sub = 0.1, counting f.prox calls and curvature trials.
+
+    Each trial evaluates the penalty at its trial point with
+    ``value_at_residual``, and nothing else in the solver calls it.
+    """
+    prox_calls, trials = [], []
+    counted = ProxFunction(f.value, lambda v, t: prox_calls.append(t) or f.prox(v, t))
+    value = oracle.value_at_residual
+    oracle.value_at_residual = lambda r: trials.append(r) or value(r)
+    report = minimize_composite(oracle, counted, z0, 0.1, max_iters, curvature_hint)
+    return report, len(prox_calls), len(trials)
+
+
+class TestReportCounts:
+    @pytest.mark.parametrize(
+        "kind,p,hint", [("bp", 1.0, 1.0), ("bp", 2.0, 1024.0), ("mc", 1.0, 1.0), ("mc", 2.0, 8.0)]
+    )
+    def test_counts_match_counting_wrappers(self, kind, p, hint):
+        oracle, f, z0 = hint_case(kind, p)
+        report, prox_calls, trials = counted_solve(oracle, f, z0, 20_000, hint)
+        assert report.converged and report.iterations >= 2
+        assert (report.prox_calls, report.trials) == (prox_calls, trials)
+        # one prox per trial, bar a reused L = 1 trial, plus the entry and
+        # one stopping check per iteration
+        assert trials + 1 + report.iterations - prox_calls in (0, 1)
+
+    def test_converged_start_counts_the_entry_prox(self):
+        oracle = PenaltyGradientOracle(np.eye(2), np.zeros(2), np.zeros(2), 1.0, 2.0)
+        report, prox_calls, trials = counted_solve(oracle, zero_function(), np.zeros(2), 10)
+        assert report.iterations == 0
+        assert (report.prox_calls, report.trials) == (prox_calls, trials) == (1, 0)
 
 
 class TestResidualHandoff:
