@@ -29,12 +29,6 @@ RNG_ALGORITHM = "numpy default_rng / PCG64"
 
 KINDS = ("bp", "mc", "vi-affine")
 
-DIM_DEFAULTS = {
-    "bp": dict(m=100, n=500, density=0.2),
-    "mc": dict(m=50, n=50, density=0.1),
-    "vi-affine": dict(m=20, n=20, density=1.0),
-}
-
 
 @dataclass
 class ExperimentConfig:

@@ -9,24 +9,28 @@ and a JSON manifest that reproduces every CSV byte-for-byte.
 import argparse
 import sys
 
-from .bench import DIM_DEFAULTS, ExperimentConfig, emit_plots, run_sweep, sweep_failed
+from .bench import ExperimentConfig, emit_plots, run_sweep, sweep_failed
+
+# Defaults of the options that differ between problem kinds; the options
+# parse to None and take these once the kind is known, so ``sweep --kind K``
+# and the ``K`` subcommand resolve to the same config.
+KIND_DEFAULTS = {
+    "bp": dict(m=100, n=500, density=0.2, beta=[2.0], eps=1e-4, max_outer=1000),
+    "mc": dict(m=50, n=50, density=0.1, beta=[5.0], eps=1e-4, max_outer=1000),
+    "vi-affine": dict(m=20, n=20, density=1.0, beta=[2.0], eps=0.0, max_outer=200),
+}
 
 
-def _add_common(parser, kind):
-    dims = DIM_DEFAULTS[kind]
-    parser.add_argument("--m", type=int, default=dims["m"], help="rows of A / matrix")
-    parser.add_argument("--n", type=int, default=dims["n"], help="columns of A / matrix, or VI dimension")
-    parser.add_argument("--density", type=float, default=dims["density"], help="nonzero density of the ground truth")
+def _add_common(parser):
+    parser.add_argument("--m", type=int, help="rows of A / matrix")
+    parser.add_argument("--n", type=int, help="columns of A / matrix, or VI dimension")
+    parser.add_argument("--density", type=float, help="nonzero density of the ground truth")
     parser.add_argument("--seed", type=int, nargs="+", default=[0], help="instance seeds")
     parser.add_argument("--p", type=float, nargs="+", default=[1.0, 2.0, 3.0], help="solver orders")
-    parser.add_argument(
-        "--beta", type=float, nargs="+", default=[5.0 if kind == "mc" else 2.0], help="penalty parameters"
-    )
+    parser.add_argument("--beta", type=float, nargs="+", help="penalty parameters")
     parser.add_argument("--eps-sub", type=float, nargs="+", default=[0.1], help="subproblem tolerances")
-    parser.add_argument(
-        "--eps", type=float, default=0.0 if kind == "vi-affine" else 1e-4, help="primal residual tolerance"
-    )
-    parser.add_argument("--max-outer", type=int, default=200 if kind == "vi-affine" else 1000)
+    parser.add_argument("--eps", type=float, help="primal residual tolerance")
+    parser.add_argument("--max-outer", type=int)
     parser.add_argument("--max-inner", type=int, default=50_000)
     parser.add_argument("--lam", type=float, default=1.0, help="proximal parameter for VI runs")
     parser.add_argument("--out", default="runs", help="output directory")
@@ -64,13 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("mc", "matrix completion: min ||X||_* s.t. observed entries match"),
         ("vi", "affine monotone VI solved by the high-order proximal iteration"),
     ):
-        cmd = sub.add_parser(kind, help=help_text)
-        _add_common(cmd, "vi-affine" if kind == "vi" else kind)
+        _add_common(sub.add_parser(kind, help=help_text))
 
     sweep = sub.add_parser("sweep", help="generic sweep over any problem kind")
-    sweep.add_argument("--kind", choices=["bp", "mc", "vi-affine"], default="bp")
-    # dims default to the bp family; callers override for other kinds
-    _add_common(sweep, "bp")
+    sweep.add_argument("--kind", choices=list(KIND_DEFAULTS), default="bp")
+    _add_common(sweep)
     return parser
 
 
@@ -85,12 +87,9 @@ def resolve_config(argv) -> ExperimentConfig:
         kind = "vi-affine"
     else:
         kind = args.command
-    if args.command == "sweep" and kind != "bp":
-        defaults = DIM_DEFAULTS[kind]
-        # only replace dims the user left at the bp defaults
-        bp_dims = DIM_DEFAULTS["bp"]
-        if args.m == bp_dims["m"] and args.n == bp_dims["n"] and args.density == bp_dims["density"]:
-            args.m, args.n, args.density = defaults["m"], defaults["n"], defaults["density"]
+    for name, default in KIND_DEFAULTS[kind].items():
+        if getattr(args, name) is None:
+            setattr(args, name, list(default) if isinstance(default, list) else default)
 
     cfg = _config_from(args, kind)
     try:

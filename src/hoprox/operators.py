@@ -49,7 +49,6 @@ class EntryMask:
         if np.unique(idx).size != idx.size:
             raise ValueError("mask indices must be distinct")
         self.indices = idx
-        self.matrix_shape = matrix_shape
         self.shape = (idx.size, size)
 
     def apply(self, x: np.ndarray) -> np.ndarray:

@@ -34,34 +34,28 @@ class MonotoneOperator:
 
     ``affine_parts`` holds (M, q) when F(x) = M x + q, enabling the exact
     affine step solver. ``known_solution`` is a point with F(x*) = 0, used
-    by tests that track distance to the solution. ``domain_projection``
-    declares a constrained domain via its projection map; the built-in
-    solvers handle only the whole-space case and reject operators that set
-    it (a caller-supplied step oracle may still honor it).
+    by tests that track distance to the solution.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     affine_parts: Optional[tuple[np.ndarray, np.ndarray]] = None
     known_solution: Optional[np.ndarray] = None
-    domain_projection: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 def affine_operator(
     mat: np.ndarray,
     offset: np.ndarray,
     known_solution: Optional[np.ndarray] = None,
-    validate: bool = True,
 ) -> MonotoneOperator:
     """Build F(x) = mat @ x + offset, checking that mat + mat.T is PSD."""
     mat = as_matrix(mat)
     offset = as_vector(offset)
     if mat.shape[0] != mat.shape[1] or mat.shape[0] != offset.shape[0]:
         raise ValueError("affine operator needs a square matrix and matching offset")
-    if validate:
-        sym = 0.5 * (mat + mat.T)
-        min_eig = float(np.linalg.eigvalsh(sym)[0])
-        if min_eig < -1e-10 * max(1.0, abs(mat).max()):
-            raise ValueError(f"operator is not monotone: min eigenvalue {min_eig:.3e}")
+    sym = 0.5 * (mat + mat.T)
+    min_eig = float(np.linalg.eigvalsh(sym)[0])
+    if min_eig < -1e-10 * max(1.0, abs(mat).max()):
+        raise ValueError(f"operator is not monotone: min eigenvalue {min_eig:.3e}")
     return MonotoneOperator(
         evaluate=lambda x: mat @ x + offset,
         affine_parts=(mat, offset),
@@ -227,8 +221,6 @@ def ppa_step_affine(op: MonotoneOperator, x_k: np.ndarray, cfg: PpaConfig) -> np
     """
     if op.affine_parts is None:
         raise ValueError("operator has no affine parts")
-    if op.domain_projection is not None:
-        raise NotImplementedError("only the whole-space domain is implemented")
     x_k = as_vector(x_k)
     mat, offset = op.affine_parts
     lam, p = cfg.lambda_ppa, cfg.p
@@ -254,8 +246,8 @@ def run_ppa(
     """Iterate the high-order proximal step from x0.
 
     Affine operators use the built-in exact subproblem solver; for other
-    operators the caller must supply ``step_oracle(op, x, cfg) -> x_next``
-    producing exact steps. Stops after ``cfg.max_iters`` steps or when a
+    operators, or a constrained domain, the caller must supply
+    ``step_oracle(op, x, cfg) -> x_next`` producing exact steps. Stops after ``cfg.max_iters`` steps or when a
     step norm falls to ``cfg.step_tol``.
 
     ``x0`` and each ``step_oracle`` output are copied once, so the caller
@@ -270,11 +262,6 @@ def run_ppa(
 
     if step_oracle is not None:
         stepper = lambda point: (as_vector(np.array(step_oracle(op, point, cfg), dtype=float)), 0)
-    elif op.domain_projection is not None:
-        raise NotImplementedError(
-            "constrained domains need a caller-supplied step_oracle; "
-            "the built-in solver covers only the whole space"
-        )
     elif op.affine_parts is not None:
         mat, offset = op.affine_parts
         stepper = _make_affine_stepper(mat, offset, cfg)
@@ -298,8 +285,3 @@ def run_ppa(
         if step_norm <= cfg.step_tol:
             break
     return trace
-
-
-def natural_residual(op: MonotoneOperator, x: np.ndarray) -> float:
-    """||F(x)||: zero exactly at solutions of the unconstrained VI."""
-    return float(np.linalg.norm(op.evaluate(as_vector(x))))

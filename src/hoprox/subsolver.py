@@ -83,17 +83,6 @@ def holder_constant(p: float, beta: float, a_norm: float) -> float:
     return ((p + 1.0) * 2.0 ** (p - 2.0)) ** (1.0 / p) * beta ** (1.0 / p) * a_norm ** (1.0 + 1.0 / p)
 
 
-def iteration_bound(p: float, holder_coeff: float, eps: float, dist: float) -> float:
-    """Worst-case iteration count for an eps-accurate composite solve.
-
-    Diagnostic only: ``dist`` (distance from start to a solution) is unknown
-    a priori, and the constant reflects our L0/slack conventions.
-    """
-    return (2.0 ** ((3.0 * p + 5.0) / (2.0 * p)) * holder_coeff / eps) ** (
-        2.0 * p / (p + 3.0)
-    ) * dist ** ((p + 1.0) / (p + 3.0))
-
-
 def gradient_map(oracle: PenaltyGradientOracle, f: ProxFunction, z: np.ndarray) -> np.ndarray:
     """G(z) = z - prox_f(z - grad_psi(z)) at unit prox scale.
 

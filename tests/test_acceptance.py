@@ -11,13 +11,15 @@ import time
 import numpy as np
 import pytest
 
-from hoprox.alm import AlmConfig, alm_x_update, dual_prox_oracle, multiplier_update, run_alm
+from hoprox.alm import AlmConfig, alm_x_update, multiplier_update, run_alm
 from hoprox.bench import ExperimentConfig, RunManifest, run_sweep
 from hoprox.linalg import spectral_norm_estimate
 from hoprox.ppa import PpaConfig, run_ppa
 from hoprox.problems import bp_composite, gen_bp, gen_mc, gen_vi_affine, mc_composite
 from hoprox.prox import l1_norm
 from hoprox.subsolver import PenaltyGradientOracle, gradient_map, holder_constant, minimize_composite
+
+from dual_oracle import dual_prox_oracle
 
 P_ORDERS = (1.0, 2.0, 3.0)
 

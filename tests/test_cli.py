@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from hoprox.bench import ExperimentConfig
 from hoprox.cli import main, resolve_config
 from hoprox.problems import gen_bp, load_instance
 
@@ -37,6 +39,18 @@ class TestResolveConfig:
     def test_sweep_explicit_dims_kept(self):
         cfg = resolve_config(["sweep", "--kind", "mc", "--m", "8", "--n", "9", "--density", "0.3", "--out", "x"])
         assert (cfg.m, cfg.n, cfg.density) == (8, 9, 0.3)
+
+    @pytest.mark.parametrize("kind,command", [("bp", "bp"), ("mc", "mc"), ("vi-affine", "vi")])
+    def test_sweep_kind_matches_subcommand(self, kind, command):
+        swept = resolve_config(["sweep", "--kind", kind, "--out", "x"])
+        direct = resolve_config([command, "--out", "x"])
+        for f in dataclasses.fields(ExperimentConfig):
+            assert getattr(swept, f.name) == getattr(direct, f.name), f.name
+
+    def test_sweep_keeps_bp_sized_dims_for_mc(self):
+        cfg = resolve_config(["sweep", "--kind", "mc", "--m", "100", "--n", "500", "--density", "0.2", "--out", "x"])
+        assert (cfg.m, cfg.n, cfg.density) == (100, 500, 0.2)
+        assert cfg.betas == [5.0]
 
     def test_invalid_config_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

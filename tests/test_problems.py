@@ -110,14 +110,21 @@ class TestMaskOperator:
         inst = gen_mc(5, 6, 0.2, seed=0)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((5, 6))
-        masked = apply_mask_operator(inst, apply_mask_operator(inst, x, "forward"), "adjoint")
+        forward = apply_mask_operator(inst, x, "forward")
+        masked = apply_mask_operator(inst, forward, "adjoint")
         pattern = np.zeros(30)
         pattern[inst.observed_indices] = 1.0
         assert np.array_equal(masked, x * pattern.reshape(5, 6))
+        # the library's mask on the same instance gives the same bits
+        mask = mc_composite(inst).a_map
+        assert mask.apply(x.ravel()).tobytes() == forward.tobytes()
+        assert mask.adjoint(forward).tobytes() == masked.ravel().tobytes()
 
     def test_forward_of_zero(self):
         inst = gen_mc(4, 4, 0.25, seed=1)
-        assert np.array_equal(apply_mask_operator(inst, np.zeros((4, 4)), "forward"), np.zeros(4))
+        forward = apply_mask_operator(inst, np.zeros((4, 4)), "forward")
+        assert np.array_equal(forward, np.zeros(4))
+        assert mc_composite(inst).a_map.apply(np.zeros(16)).tobytes() == forward.tobytes()
 
     def test_bad_mode_rejected(self):
         inst = gen_mc(4, 4, 0.25, seed=1)

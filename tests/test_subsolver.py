@@ -14,7 +14,6 @@ from hoprox.subsolver import (
     PenaltyGradientOracle,
     gradient_map,
     holder_constant,
-    iteration_bound,
     minimize_composite,
 )
 
@@ -317,13 +316,6 @@ class TestCurvatureHint:
         assert cold.converged and cold.first_L_accepted == warm.first_L_accepted == 1.0
         assert warm.solution.tobytes() == cold.solution.tobytes()
         assert warm.iterations == cold.iterations
-
-
-def test_iteration_bound_diagnostic():
-    # sanity only: positive, finite, monotone in the accuracy demand
-    loose = iteration_bound(2.0, holder_coeff=10.0, eps=1e-1, dist=5.0)
-    tight = iteration_bound(2.0, holder_coeff=10.0, eps=1e-3, dist=5.0)
-    assert 0 < loose < tight < np.inf
 
 
 def counted_solve(oracle, f, z0, max_iters, curvature_hint=1.0):
