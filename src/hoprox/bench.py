@@ -63,6 +63,8 @@ class ExperimentConfig:
             raise ValueError("betas and eps_subs must be positive")
         if self.kind != "vi-affine" and self.eps == 0:
             raise ValueError("eps must be positive for ALM runs")
+        if self.kind == "vi-affine" and self.dump_instances:
+            raise ValueError("--dump-instance writes bp and mc instances only, not vi-affine")
 
 
 @dataclass
@@ -201,7 +203,7 @@ def run_sweep(cfg: ExperimentConfig) -> RunManifest:
 
     for seed in cfg.seeds:
         instance = _make_instance(cfg, seed)
-        if cfg.dump_instances and cfg.kind != "vi-affine":
+        if cfg.dump_instances:
             dump_instance(instance, out / f"{cfg.kind}_seed{seed}.instance.txt")
 
         if cfg.kind == "vi-affine":

@@ -15,6 +15,7 @@ kept inside a bracket by bisection or doubling, finds the root, and
 x_next = (lam*M + s*I)^{-1} (s*x - lam*q) is formed by one final solve.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -32,8 +33,10 @@ class SubproblemError(RuntimeError):
 class MonotoneOperator:
     """Evaluation oracle for the operator F of a monotone VI.
 
-    ``affine_parts`` holds (M, q) when F(x) = M x + q, enabling the exact
-    affine step solver. ``known_solution`` is a point with F(x*) = 0, used
+    ``evaluate`` returns F(x) as a 1-d float64 array. ``affine_parts``
+    holds (M, q) when F(x) = M x + q, enabling the exact affine step solver;
+    ``evaluate`` must then compute ``M @ x + q``, because the built-in step
+    takes F(x_k) from it. ``known_solution`` is a point with F(x*) = 0, used
     by tests that track distance to the solution.
     """
 
@@ -93,6 +96,8 @@ class PpaTrace:
     ``inner_solves[k]`` is the number of secular-function evaluations in
     step k's root search: 0 for a zero step (F(x^k) = 0), 1 for p = 1 (the
     root s = 1 is known), and 0 for every step of a ``step_oracle`` run.
+    ``wall_ms[k]`` times step k's solve alone; every evaluation of F falls
+    outside it.
     """
 
     iterates: list = field(default_factory=list)
@@ -122,11 +127,8 @@ def _secular_root(secular, p: float, s: float):
     ``secular(s)`` returns (phi(s), phi'(s)) and ``s`` is the starting
     shift. A Newton step that leaves the bracket [lo, hi] known so far is
     replaced by bisection, or by doubling while no upper end is known.
-    Returns (root, evaluations); p = 1 has the known root s = 1, counted as
-    one evaluation.
+    Returns (root, evaluations) for p > 1.
     """
-    if p == 1.0:
-        return 1.0, 1
     lo, hi = 0.0, np.inf
     best_s, best_g = s, np.inf
     for evaluations in range(1, _MAX_EVALUATIONS + 1):
@@ -156,7 +158,7 @@ def _secular_root(secular, p: float, s: float):
 
 
 def _make_affine_stepper(mat: np.ndarray, offset: np.ndarray, cfg: PpaConfig):
-    """Per-run step function for an affine operator: x_k -> (x_next, evaluations).
+    """Per-run step function for an affine operator: (x_k, F(x_k)) -> (x_next, evaluations).
 
     Symmetric operators are eigendecomposed once, lam*M = V diag(l) V^T, so
     with w = V^T lam*F(x_k) each secular evaluation costs O(n):
@@ -164,7 +166,8 @@ def _make_affine_stepper(mat: np.ndarray, offset: np.ndarray, cfg: PpaConfig):
     (one LU factorization) per evaluation, which gives both
     d = (lam*M + s*I)^{-1} lam*F(x_k) and phi' = -d^T (lam*M + s*I)^{-1} d / phi.
     Each search starts from the previous step's root, which the shrinking
-    steps keep close.
+    steps keep close. At p = 1 the root s = 1 is known and counted as one
+    evaluation.
     """
     lam, p = cfg.lambda_ppa, cfg.p
     lam_mat = lam * mat
@@ -178,9 +181,10 @@ def _make_affine_stepper(mat: np.ndarray, offset: np.ndarray, cfg: PpaConfig):
             w_sq = (eigvecs.T @ lam_f) ** 2
 
             def secular(s):
-                ratio = w_sq / (eigvals + s) ** 2
-                phi = np.sqrt(ratio.sum())
-                return phi, -(ratio / (eigvals + s)).sum() / phi
+                shifted = eigvals + s
+                ratio = w_sq / shifted ** 2
+                phi = math.sqrt(ratio.sum())
+                return phi, -(ratio / shifted).sum() / phi
 
             return secular
 
@@ -194,7 +198,7 @@ def _make_affine_stepper(mat: np.ndarray, offset: np.ndarray, cfg: PpaConfig):
             def secular(s):
                 inverse = np.linalg.inv(lam_mat + s * eye)
                 d = inverse @ lam_f
-                phi = np.linalg.norm(d)
+                phi = math.sqrt(d @ d)
                 return phi, -(d @ (inverse @ d)) / phi
 
             return secular
@@ -202,11 +206,13 @@ def _make_affine_stepper(mat: np.ndarray, offset: np.ndarray, cfg: PpaConfig):
         def x_of(x_k, s):
             return np.linalg.solve(lam_mat + s * eye, s * x_k - lam_offset)
 
-    def step(x_k: np.ndarray):
+    def step(x_k: np.ndarray, f_k: np.ndarray):
         nonlocal root
-        lam_f = lam * (mat @ x_k + offset)
-        if np.linalg.norm(lam_f) == 0.0:
+        lam_f = lam * f_k
+        if lam_f @ lam_f == 0.0:
             return x_k.copy(), 0
+        if p == 1.0:
+            return x_of(x_k, 1.0), 1
         root, evaluations = _secular_root(secular_factory(lam_f), p, root)
         return x_of(x_k, root), evaluations
 
@@ -224,7 +230,7 @@ def ppa_step_affine(op: MonotoneOperator, x_k: np.ndarray, cfg: PpaConfig) -> np
     x_k = as_vector(x_k)
     mat, offset = op.affine_parts
     lam, p = cfg.lambda_ppa, cfg.p
-    x_next, _ = _make_affine_stepper(mat, offset, cfg)(x_k)
+    x_next, _ = _make_affine_stepper(mat, offset, cfg)(x_k, mat @ x_k + offset)
 
     step = x_next - x_k
     step_norm = np.linalg.norm(step)
@@ -250,37 +256,46 @@ def run_ppa(
     ``step_oracle(op, x, cfg) -> x_next`` producing exact steps. Stops after ``cfg.max_iters`` steps or when a
     step norm falls to ``cfg.step_tol``.
 
+    F is evaluated once per iterate, x0 included: F(x^{k+1}) gives the
+    residual of step k and is handed to step k + 1.
+
     ``x0`` and each ``step_oracle`` output are copied once, so the caller
     may reuse its arrays; the built-in solver's steps are new arrays and
     are stored as returned.
     """
     x = as_vector(x0)
+    lam = cfg.lambda_ppa
     x_star = op.known_solution
     trace = PpaTrace(iterates=[x.copy()])
     if x_star is not None:
-        trace.distances_to_solution = [float(np.linalg.norm(x - x_star))]
+        error = x - x_star
+        trace.distances_to_solution = [math.sqrt(error @ error)]
 
     if step_oracle is not None:
-        stepper = lambda point: (as_vector(np.array(step_oracle(op, point, cfg), dtype=float)), 0)
+        stepper = lambda point, _: (as_vector(np.array(step_oracle(op, point, cfg), dtype=float)), 0)
     elif op.affine_parts is not None:
         mat, offset = op.affine_parts
         stepper = _make_affine_stepper(mat, offset, cfg)
     else:
         raise ValueError("non-affine operator requires a step_oracle")
 
+    f = op.evaluate(x)
     for _ in range(cfg.max_iters):
         t0 = time.perf_counter()
-        x_next, solves = stepper(x)
+        x_next, solves = stepper(x, f)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
 
-        step_norm = float(np.linalg.norm(x_next - x))
+        f = op.evaluate(x_next)
+        step = x_next - x
+        step_norm = math.sqrt(step @ step)
         trace.iterates.append(x_next)
         trace.step_norms.append(step_norm)
-        trace.residual_norms.append(float(cfg.lambda_ppa * np.linalg.norm(op.evaluate(x_next))))
+        trace.residual_norms.append(lam * math.sqrt(f @ f))
         trace.inner_solves.append(solves)
         trace.wall_ms.append(elapsed_ms)
         if x_star is not None:
-            trace.distances_to_solution.append(float(np.linalg.norm(x_next - x_star)))
+            error = x_next - x_star
+            trace.distances_to_solution.append(math.sqrt(error @ error))
         x = x_next
         if step_norm <= cfg.step_tol:
             break

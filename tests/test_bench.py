@@ -168,6 +168,12 @@ class TestRunSweep:
             rows = read_csv(tmp_path / run["csv"])
             assert len(rows) == 20
 
+    def test_vi_dump_instance_rejected(self, tmp_path):
+        cfg = tiny_bp_config(tmp_path, kind="vi-affine", eps=0.0, dump_instances=True)
+        with pytest.raises(ValueError, match="dump-instance"):
+            run_sweep(cfg)
+        assert not any(tmp_path.iterdir())
+
     def test_empty_axis_rejected(self, tmp_path):
         cfg = tiny_bp_config(tmp_path, p_values=[])
         with pytest.raises(ValueError, match="p_values"):

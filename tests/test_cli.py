@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +60,13 @@ class TestResolveConfig:
         with pytest.raises(SystemExit) as err:
             resolve_config(["bp", "--eps", "-1", "--out", "x"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["vi"], ["sweep", "--kind", "vi-affine"]])
+    def test_vi_dump_instance_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            resolve_config([*argv, "--dump-instance", "--out", "x"])
+        assert err.value.code == 2
+        assert "--dump-instance" in capsys.readouterr().err
 
     def test_missing_command_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -114,3 +125,13 @@ class TestMain:
         assert code == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["runs"][0]["status"] == "converged"
+
+    def test_module_entry_point(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "hoprox", "vi", "--n", "4", "--p", "1", "--max-outer", "2", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "manifest.json").exists()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -134,11 +136,23 @@ class TestStepRootSearch:
         op, x0 = make_op(20, 0)
         mat, offset = op.affine_parts
         step = _make_affine_stepper(mat, offset, PpaConfig(p=3.0, lambda_ppa=1.0, max_iters=1))
-        x1, first = step(x0)
+        x1, first = step(x0, mat @ x0 + offset)
         # the second search from the same point starts at the first one's root
-        x1_again, second = step(x0)
+        x1_again, second = step(x0, mat @ x0 + offset)
         assert first > 1 and second == 1
         assert np.array_equal(x1, x1_again)
+
+    @pytest.mark.parametrize("make_op", [gen_vi_affine, skew_operator], ids=["symmetric", "skew"])
+    def test_step_takes_f_from_caller(self, make_op):
+        op, x0 = make_op(20, 0)
+        mat, offset = op.affine_parts
+        for p in (1.0, 2.0, 3.0):
+            cfg = PpaConfig(p=p, lambda_ppa=1.0, max_iters=1)
+            # a zero F is a zero step whatever x0 is, so the handed value is used
+            x_same, evaluations = _make_affine_stepper(mat, offset, cfg)(x0, np.zeros_like(x0))
+            assert np.array_equal(x_same, x0) and evaluations == 0
+            x1, _ = _make_affine_stepper(mat, offset, cfg)(x0, mat @ x0 + offset)
+            assert np.array_equal(x1, ppa_step_affine(op, x0, cfg))
 
 
 class TestRunPpa:
@@ -226,6 +240,23 @@ class TestRunPpa:
         trace = run_ppa(op, np.array([1.0]), cfg, step_oracle=oracle)
         assert [x[0] for x in trace.iterates] == [1.0, 0.5, 0.25, 0.125, 0.0625]
         assert trace.step_norms == [0.5, 0.25, 0.125, 0.0625]
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("make_op", [gen_vi_affine, skew_operator], ids=["symmetric", "skew"])
+    def test_one_evaluation_per_iterate(self, make_op, p):
+        op, x0 = make_op(20, 0)
+        calls = []
+        counted = dataclasses.replace(op, evaluate=lambda x: calls.append(1) or op.evaluate(x))
+        cfg = PpaConfig(p=p, lambda_ppa=0.7, max_iters=60)
+        trace = run_ppa(counted, x0, cfg)
+        assert len(calls) == len(trace.step_norms) + 1
+        if p == 1.0:
+            assert set(trace.inner_solves) == {1}
+        # the loop's norms are bitwise the np.linalg.norm of its own iterates
+        x = trace.iterates
+        assert trace.step_norms == [float(np.linalg.norm(b - a)) for a, b in zip(x, x[1:])]
+        assert trace.residual_norms == [float(cfg.lambda_ppa * np.linalg.norm(op.evaluate(b))) for b in x[1:]]
+        assert trace.distances_to_solution == [float(np.linalg.norm(a - op.known_solution)) for a in x]
 
     def test_non_affine_without_oracle_rejected(self):
         op = MonotoneOperator(evaluate=lambda x: x)

@@ -123,7 +123,7 @@ class TestFusedOracle:
     @settings(max_examples=300, deadline=None)
     @given(hnp.arrays(np.float64, st.integers(0, 600), elements=st.floats(-1e150, 1e150)))
     def test_sqrt_of_dot_is_numpy_norm(self, v):
-        # the fused oracle's bitwise claim rests on this identity
+        # the fused oracle's and the PPA loop's bitwise claims rest on this identity
         assert math.sqrt(v @ v) == np.linalg.norm(v)
 
 
