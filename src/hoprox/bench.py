@@ -55,6 +55,11 @@ class ExperimentConfig:
         for name in ("seeds", "p_values", "betas", "eps_subs"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
+        for name in ("n",) if self.kind == "vi-affine" else ("m", "n"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.kind != "vi-affine" and not 0 < self.density <= 1:
+            raise ValueError(f"density must be in (0, 1], got {self.density}")
         if self.eps < 0 or self.max_outer < 1 or self.max_inner < 1:
             raise ValueError("eps must be nonnegative and iteration caps positive")
         if any(p < 1 for p in self.p_values):
@@ -142,20 +147,10 @@ def read_csv(path) -> list:
 
 
 def _zero_wall(trace):
-    """Copy of the trace with wall times zeroed, for reproducible artifacts."""
+    """Copy of the trace, sharing its arrays, with wall times zeroed for reproducible artifacts."""
     if isinstance(trace, AlmTrace):
-        zeroed = AlmTrace(
-            records=[replace(rec, wall_ms=0.0) for rec in trace.records],
-            status=trace.status,
-        )
-        return zeroed
-    zeroed = PpaTrace(
-        step_norms=list(trace.step_norms),
-        residual_norms=list(trace.residual_norms),
-        inner_solves=list(trace.inner_solves),
-        wall_ms=[0.0] * len(trace.wall_ms),
-    )
-    return zeroed
+        return replace(trace, records=[replace(rec, wall_ms=0.0) for rec in trace.records])
+    return replace(trace, wall_ms=[0.0] * len(trace.wall_ms))
 
 
 def _run_id(kind: str, seed, p, beta, eps_sub) -> str:
@@ -407,7 +402,7 @@ def emit_plots(manifest: RunManifest, out_dir=None) -> Path:
     if missing:
         raise FileNotFoundError(f"manifest references missing CSVs: {missing}")
 
-    panel_keys = sorted({(r["beta"], r["eps_sub"]) for r in runs}, key=lambda k: (str(k[0]), str(k[1])))
+    panel_keys = sorted({(r["beta"], r["eps_sub"]) for r in runs})
     multi_seed = len({r["seed"] for r in runs}) > 1
     panels = []
     for beta, eps_sub in panel_keys:

@@ -7,7 +7,6 @@ and a JSON manifest that reproduces every CSV byte-for-byte.
 """
 
 import argparse
-import sys
 
 from .bench import ExperimentConfig, emit_plots, run_sweep, sweep_failed
 
@@ -109,7 +108,3 @@ def main(argv=None) -> int:
     if sweep_failed(manifest):
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

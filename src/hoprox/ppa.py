@@ -219,30 +219,6 @@ def _make_affine_stepper(mat: np.ndarray, offset: np.ndarray, cfg: PpaConfig):
     return step
 
 
-def ppa_step_affine(op: MonotoneOperator, x_k: np.ndarray, cfg: PpaConfig) -> np.ndarray:
-    """One exact high-order proximal step for an affine monotone operator.
-
-    The returned point satisfies the step optimality equation with residual
-    at most 1e-10 * max(1, ||lam*q||); a violation raises SubproblemError.
-    """
-    if op.affine_parts is None:
-        raise ValueError("operator has no affine parts")
-    x_k = as_vector(x_k)
-    mat, offset = op.affine_parts
-    lam, p = cfg.lambda_ppa, cfg.p
-    x_next, _ = _make_affine_stepper(mat, offset, cfg)(x_k, mat @ x_k + offset)
-
-    step = x_next - x_k
-    step_norm = np.linalg.norm(step)
-    residual = lam * (mat @ x_next + offset) + step_norm ** (p - 1.0) * step
-    bound = 1e-10 * max(1.0, np.linalg.norm(lam * offset))
-    if np.linalg.norm(residual) > bound:
-        raise SubproblemError(
-            f"step optimality residual {np.linalg.norm(residual):.3e} exceeds {bound:.3e}"
-        )
-    return x_next
-
-
 def run_ppa(
     op: MonotoneOperator,
     x0: np.ndarray,

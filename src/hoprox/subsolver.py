@@ -10,7 +10,6 @@ local curvature, so it needs no smoothness constants up front. Termination
 uses the unit-scale gradient map G(x) = x - prox_f(x - grad_psi(x)).
 """
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -19,8 +18,6 @@ import numpy as np
 from .linalg import as_vector
 from .operators import MatrixMap
 from .prox import ProxFunction
-
-logger = logging.getLogger(__name__)
 
 _L_FLOOR = 1e-12
 _L_CEIL = 1e60
@@ -248,7 +245,6 @@ def minimize_composite(
         d = x - prox(x - grad, 1.0)
         g_norm = math.sqrt(d @ d)
         if g_norm <= eps_sub:
-            logger.debug("composite solve converged in %d iterations (L=%.3e)", it, L)
             return SubsolverReport(x, it, g_norm, L, True, first_L, r_x, prox_calls, trials)
 
     return SubsolverReport(x, max_iters, g_norm, L, False, first_L, r_x, prox_calls, trials)

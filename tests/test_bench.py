@@ -1,3 +1,4 @@
+import ast
 import re
 import struct
 import zlib
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import hoprox.bench as bench
-from hoprox.alm import AlmTrace, OuterRecord
+from hoprox.alm import AlmConfig, AlmTrace, OuterRecord, run_alm
 from hoprox.bench import (
     CSV_HEADER,
     ExperimentConfig,
@@ -19,7 +20,7 @@ from hoprox.bench import (
     write_csv,
 )
 from hoprox.ppa import PpaConfig, run_ppa
-from hoprox.problems import bp_composite, gen_vi_affine
+from hoprox.problems import bp_composite, gen_bp, gen_vi_affine
 from hoprox.prox import ProxFunction
 
 
@@ -122,6 +123,44 @@ class TestWriteCsv:
             read_csv(path)
 
 
+def assert_only_wall_zeroed(trace, tmp_path):
+    """The CSV of _zero_wall(trace) is trace's CSV with every wall_ms written as 0."""
+    write_csv(trace, tmp_path / "raw.csv")
+    write_csv(bench._zero_wall(trace), tmp_path / "zeroed.csv")
+    raw = (tmp_path / "raw.csv").read_text().splitlines()
+    zeroed = (tmp_path / "zeroed.csv").read_text().splitlines()
+    assert len(zeroed) == len(raw) > 1 and zeroed[0] == raw[0]
+    for before, after in zip(raw[1:], zeroed[1:]):
+        assert after.rsplit(",", 1) == [before.rsplit(",", 1)[0], "0"]
+
+
+class TestZeroWall:
+    def test_alm_trace(self, tmp_path):
+        inst = gen_bp(5, 20, 0.2, 0)
+        cfg = AlmConfig(p=2.0, beta=2.0, eps=1e-3, eps_sub=0.01, max_outer=300, max_inner=20_000)
+        trace = run_alm(bp_composite(inst), np.zeros(20), np.zeros(5), cfg)
+        walls = [rec.wall_ms for rec in trace.records]
+        zeroed = bench._zero_wall(trace)
+        assert all(rec.wall_ms == 0.0 for rec in zeroed.records)
+        assert zeroed.records == [replace(rec, wall_ms=0.0) for rec in trace.records]
+        assert zeroed.status == trace.status
+        # the input keeps its measured timings
+        assert [rec.wall_ms for rec in trace.records] == walls and sum(walls) > 0
+        assert_only_wall_zeroed(trace, tmp_path)
+
+    def test_ppa_trace(self, tmp_path):
+        op, x0 = gen_vi_affine(8, 0)
+        trace = run_ppa(op, x0, PpaConfig(p=2.0, lambda_ppa=1.0, max_iters=10))
+        walls = list(trace.wall_ms)
+        zeroed = bench._zero_wall(trace)
+        assert zeroed.wall_ms == [0.0] * 10
+        assert zeroed.step_norms == trace.step_norms
+        assert zeroed.residual_norms == trace.residual_norms
+        assert zeroed.inner_solves == trace.inner_solves
+        assert trace.wall_ms == walls and sum(walls) > 0
+        assert_only_wall_zeroed(trace, tmp_path)
+
+
 class TestRunSweep:
     def test_bp_sweep_artifacts(self, tmp_path):
         manifest = run_sweep(tiny_bp_config(tmp_path))
@@ -187,6 +226,37 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(tiny_bp_config(tmp_path, p_values=[0.5]))
 
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            (dict(n=0), "n"),
+            (dict(m=0), "m"),
+            (dict(density=0.0), "density"),
+            (dict(density=1.5), "density"),
+            (dict(kind="mc", m=0), "m"),
+            (dict(kind="mc", n=-1), "n"),
+            (dict(kind="vi-affine", n=0, eps=0.0), "n"),
+        ],
+    )
+    def test_bad_dimensions_rejected_before_output(self, tmp_path, overrides, field):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            run_sweep(tiny_bp_config(out, **overrides))
+        assert not out.exists()
+
+    def test_vi_ignores_m_and_density(self, tmp_path):
+        tiny_bp_config(tmp_path, kind="vi-affine", m=0, density=0.0, eps=0.0).validate()
+
+    @pytest.mark.parametrize(
+        "overrides", [dict(), dict(kind="vi-affine", n=6, eps=0.0, max_outer=10)], ids=["bp", "vi"]
+    )
+    def test_csv_wall_column_is_zero(self, tmp_path, overrides):
+        manifest = run_sweep(tiny_bp_config(tmp_path, **overrides))
+        for run in manifest.runs:
+            rows = (tmp_path / run["csv"]).read_text().splitlines()[1:]
+            assert rows and all(row.endswith(",0") for row in rows)
+            assert run["wall_ms_measured"] > 0
+
     def test_manifest_oracle_totals(self, tmp_path, monkeypatch):
         calls = []
 
@@ -235,6 +305,13 @@ class TestEmitPlots:
             assert script.count(beta) == 1
         for run in manifest.runs:
             assert script.count(run["csv"]) == 1
+
+    def test_panels_in_numeric_order(self, tmp_path):
+        cfg = tiny_bp_config(tmp_path, betas=[0.5, 2.0, 5.0, 10.0], p_values=[1.0])
+        script = emit_plots(run_sweep(cfg)).read_text()
+        panels = ast.literal_eval(re.search(r"^PANELS = (.*)$", script, re.M)[1])
+        titles = [title for title, _ in panels]
+        assert titles == [f"beta={beta}, eps_sub=0.01" for beta in ("0.5", "2", "5", "10")]
 
     def test_single_run_single_panel(self, tmp_path):
         cfg = tiny_bp_config(tmp_path, p_values=[2.0])

@@ -68,6 +68,17 @@ class TestResolveConfig:
         assert err.value.code == 2
         assert "--dump-instance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,field", [(["mc", "--m", "0"], "m"), (["vi", "--n", "0"], "n"), (["bp", "--density", "0"], "density")]
+    )
+    def test_bad_dimension_is_usage_error(self, argv, field, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--out", str(out)])
+        assert err.value.code == 2
+        assert f"{field} must" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_command_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             resolve_config([])

@@ -8,7 +8,6 @@ from hoprox.ppa import (
     PpaConfig,
     _make_affine_stepper,
     affine_operator,
-    ppa_step_affine,
     run_ppa,
 )
 from hoprox.problems import gen_vi_affine
@@ -39,6 +38,18 @@ def skew_operator(n, seed):
     return affine_operator(mat, -mat @ solution, known_solution=solution), rng.standard_normal(n)
 
 
+def one_step(op, x_k, cfg):
+    # one run_ppa step, checked against the step optimality equation
+    # lam*F(x+) + ||x+ - x_k||^(p-1) (x+ - x_k) = 0
+    x_next = run_ppa(op, x_k, dataclasses.replace(cfg, max_iters=1)).iterates[1]
+    mat, offset = op.affine_parts
+    lam, p = cfg.lambda_ppa, cfg.p
+    step = x_next - x_k
+    residual = lam * (mat @ x_next + offset) + np.linalg.norm(step) ** (p - 1.0) * step
+    assert np.linalg.norm(residual) <= 1e-10 * max(1.0, np.linalg.norm(lam * offset))
+    return x_next
+
+
 def reference_step(mat, offset, x_k, p, lam):
     # dense reference: bisection on g(s) = ||x(s) - x_k||^(p-1) - s with a
     # fresh solve for x(s) at every s; ||x(s) - x_k|| <= ||lam*F(x_k)|| / s
@@ -54,13 +65,13 @@ class TestPpaStepAffine:
     def test_scalar_first_order(self):
         # x + (x - 1) = 0  ->  x = 1/2
         cfg = PpaConfig(p=1.0, lambda_ppa=1.0, max_iters=10)
-        out = ppa_step_affine(scalar_identity_op(), np.array([1.0]), cfg)
+        out = one_step(scalar_identity_op(), np.array([1.0]), cfg)
         assert np.allclose(out, [0.5], atol=1e-12)
 
     def test_scalar_second_order_frozen(self):
         # x + |x-1|(x-1) = 0 on (0,1):  x - (1-x)^2 = 0  ->  x = (3 - sqrt 5)/2
         cfg = PpaConfig(p=2.0, lambda_ppa=1.0, max_iters=10)
-        out = ppa_step_affine(scalar_identity_op(), np.array([1.0]), cfg)
+        out = one_step(scalar_identity_op(), np.array([1.0]), cfg)
         root = scalar_bisection_root(lambda x: x - (1.0 - x) ** 2, 0.0, 1.0)
         assert abs(root - (3.0 - np.sqrt(5.0)) / 2.0) < 1e-12
         assert abs(out[0] - root) < 1e-9
@@ -69,7 +80,7 @@ class TestPpaStepAffine:
     def test_zero_step_at_solution(self, p):
         op, _ = gen_vi_affine(6, 0)
         cfg = PpaConfig(p=p, lambda_ppa=0.7, max_iters=10)
-        out = ppa_step_affine(op, op.known_solution, cfg)
+        out = one_step(op, op.known_solution, cfg)
         assert np.array_equal(out, op.known_solution)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
@@ -78,15 +89,10 @@ class TestPpaStepAffine:
         mat, offset = op.affine_parts
         lam = 0.5
         cfg = PpaConfig(p=p, lambda_ppa=lam, max_iters=10)
-        out = ppa_step_affine(op, x0, cfg)
+        out = one_step(op, x0, cfg)
         step = out - x0
         residual = lam * (mat @ out + offset) + np.linalg.norm(step) ** (p - 1.0) * step
         assert np.linalg.norm(residual) <= 1e-10 * max(1.0, np.linalg.norm(lam * offset))
-
-    def test_non_affine_rejected(self):
-        op = MonotoneOperator(evaluate=lambda x: x)
-        with pytest.raises(ValueError, match="affine"):
-            ppa_step_affine(op, np.ones(2), PpaConfig(p=1.0, lambda_ppa=1.0, max_iters=1))
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_nonsymmetric_monotone_operator(self, p):
@@ -95,7 +101,7 @@ class TestPpaStepAffine:
         op = affine_operator(mat, np.array([1.0, -1.0]))
         cfg = PpaConfig(p=p, lambda_ppa=1.0, max_iters=10)
         x0 = np.array([0.3, -0.4])
-        out = ppa_step_affine(op, x0, cfg)
+        out = one_step(op, x0, cfg)
         step = out - x0
         residual = op.evaluate(out) + np.linalg.norm(step) ** (p - 1.0) * step
         assert np.linalg.norm(residual) <= 1e-10 * max(1.0, np.linalg.norm(op.affine_parts[1]))
@@ -110,7 +116,7 @@ class TestStepRootSearch:
         for seed in range(3):
             op, x0 = make_op(20, seed)
             mat, offset = op.affine_parts
-            out = ppa_step_affine(op, x0, cfg)
+            out = one_step(op, x0, cfg)
             expected = reference_step(mat, offset, x0, p, lam)
             assert np.linalg.norm(out - expected) <= 1e-8 * max(1.0, np.linalg.norm(expected - x0))
             step = out - x0
@@ -152,7 +158,7 @@ class TestStepRootSearch:
             x_same, evaluations = _make_affine_stepper(mat, offset, cfg)(x0, np.zeros_like(x0))
             assert np.array_equal(x_same, x0) and evaluations == 0
             x1, _ = _make_affine_stepper(mat, offset, cfg)(x0, mat @ x0 + offset)
-            assert np.array_equal(x1, ppa_step_affine(op, x0, cfg))
+            assert np.array_equal(x1, one_step(op, x0, cfg))
 
 
 class TestRunPpa:
