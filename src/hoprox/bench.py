@@ -4,10 +4,10 @@ Each sweep cell (seed, p, beta, eps_sub) produces one CSV with the fixed
 header ``iter,r_k,dual_step_norm,inner_iters,cum_inner,objective,wall_ms``.
 A JSON manifest written after all cells records the resolved config, the
 RNG algorithm, per-run artifact paths and, for ALM runs, the cell's total
-inner iterations, prox calls and curvature trials, and suffices to
-regenerate every CSV byte-for-byte. Wall-clock timing is inherently
-non-reproducible, so persisted CSVs carry a zeroed wall_ms column; measured
-timings live in the manifest's metadata instead.
+inner iterations, prox calls, curvature trials and certified stops, and
+suffices to regenerate every CSV byte-for-byte. Wall-clock timing is
+inherently non-reproducible, so persisted CSVs carry a zeroed wall_ms
+column; measured timings live in the manifest's metadata instead.
 """
 
 import itertools
@@ -58,8 +58,13 @@ class ExperimentConfig:
         for name in ("n",) if self.kind == "vi-affine" else ("m", "n"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.kind != "vi-affine" and not 0 < self.density <= 1:
-            raise ValueError(f"density must be in (0, 1], got {self.density}")
+        if self.kind != "vi-affine":
+            if not 0 < self.density <= 1:
+                raise ValueError(f"density must be in (0, 1], got {self.density}")
+            # the generators' sample count: nonzeros (bp) or observed entries (mc)
+            size = self.n if self.kind == "bp" else self.m * self.n
+            if int(round(self.density * size)) < 1:
+                raise ValueError(f"density must leave at least one sample, but round({self.density} * {size}) = 0")
         if self.eps < 0 or self.max_outer < 1 or self.max_inner < 1:
             raise ValueError("eps must be nonnegative and iteration caps positive")
         if any(p < 1 for p in self.p_values):
@@ -236,6 +241,7 @@ def run_sweep(cfg: ExperimentConfig) -> RunManifest:
                 entry["inner_iterations"] = sum(rep.iterations for rep in trace.reports)
                 entry["prox_calls"] = sum(rep.prox_calls for rep in trace.reports)
                 entry["trials"] = sum(rep.trials for rep in trace.reports)
+                entry["certified"] = sum(rep.certified for rep in trace.reports)
             else:
                 entry["status"] = "ok"
                 entry["outer_iterations"] = len(trace.step_norms)

@@ -236,6 +236,9 @@ class TestRunSweep:
             (dict(kind="mc", m=0), "m"),
             (dict(kind="mc", n=-1), "n"),
             (dict(kind="vi-affine", n=0, eps=0.0), "n"),
+            (dict(density=0.02), "density"),
+            (dict(density=0.025), "density"),
+            (dict(kind="mc", m=2, n=2, density=0.1), "density"),
         ],
     )
     def test_bad_dimensions_rejected_before_output(self, tmp_path, overrides, field):
@@ -243,6 +246,15 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=f"^{field} must"):
             run_sweep(tiny_bp_config(out, **overrides))
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides", [dict(density=0.03), dict(kind="mc", m=2, n=2, density=0.15)], ids=["bp", "mc"]
+    )
+    def test_density_of_one_sample_accepted(self, tmp_path, overrides):
+        # 0.03 * 20 and 0.15 * 4 round to one sample (0.025 * 20 rounds to 0)
+        cfg = tiny_bp_config(tmp_path, **overrides)
+        cfg.validate()
+        bench._make_instance(cfg, 0)
 
     def test_vi_ignores_m_and_density(self, tmp_path):
         tiny_bp_config(tmp_path, kind="vi-affine", m=0, density=0.0, eps=0.0).validate()
@@ -273,9 +285,9 @@ class TestRunSweep:
             assert run["status"] == "converged" and inner > 0
             assert inner == read_csv(tmp_path / run["csv"])[-1].cumulative_inner
             # each x-update calls the prox at entry and once per iteration to
-            # stop; the other calls are trials, at most one per x-update
-            # reusing the entry prox as its L = 1 trial
-            prox_trials = run["prox_calls"] - outer - inner
+            # stop, bar a certified stop; the other calls are trials, at most
+            # one per x-update reusing the entry prox as its L = 1 trial
+            prox_trials = run["prox_calls"] - outer - inner + run["certified"]
             assert prox_trials <= run["trials"] <= prox_trials + outer
 
     def test_cell_failure_recorded_and_sweep_continues(self, tmp_path, monkeypatch):

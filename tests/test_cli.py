@@ -69,7 +69,13 @@ class TestResolveConfig:
         assert "--dump-instance" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv,field", [(["mc", "--m", "0"], "m"), (["vi", "--n", "0"], "n"), (["bp", "--density", "0"], "density")]
+        "argv,field",
+        [
+            (["mc", "--m", "0"], "m"),
+            (["vi", "--n", "0"], "n"),
+            (["bp", "--density", "0"], "density"),
+            (["mc", "--m", "2", "--n", "2", "--density", "0.1"], "density"),
+        ],
     )
     def test_bad_dimension_is_usage_error(self, argv, field, tmp_path, capsys):
         out = tmp_path / "out"

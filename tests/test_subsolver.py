@@ -8,7 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from hoprox.linalg import spectral_norm_estimate
 from hoprox.operators import EntryMask
-from hoprox.problems import gen_bp, gen_mc, mc_composite
+from hoprox.alm import AlmConfig, CompositeProblem, run_alm
+from hoprox.problems import gen_bp, gen_mc, mc_composite, nuclear_norm_on_vectors
 from hoprox.prox import ProxFunction, l1_norm, norm_power_gradient, zero_function
 from hoprox.subsolver import (
     PenaltyGradientOracle,
@@ -342,8 +343,8 @@ class TestReportCounts:
         assert report.converged and report.iterations >= 2
         assert (report.prox_calls, report.trials) == (prox_calls, trials)
         # one prox per trial, bar a reused L = 1 trial, plus the entry and
-        # one stopping check per iteration
-        assert trials + 1 + report.iterations - prox_calls in (0, 1)
+        # one stopping check per iteration, bar a certified stop
+        assert trials + 1 + report.iterations - report.certified - prox_calls in (0, 1)
 
     def test_converged_start_counts_the_entry_prox(self):
         oracle = PenaltyGradientOracle(np.eye(2), np.zeros(2), np.zeros(2), 1.0, 2.0)
@@ -380,3 +381,87 @@ class TestResidualHandoff:
         report = minimize_composite(oracle, l1_norm(), np.zeros(30), 1e-12, 3)
         assert not report.converged
         assert report.residual.tobytes() == (inst.a @ report.solution - inst.b).tobytes()
+
+
+def accepted_step(oracle, f, y, L):
+    """The trial x+ = prox_{f/L}(y - grad_psi(y)/L) and its certificate u = grad_psi(x+) + s.
+
+    s = -(L (x+ - y) + grad_psi(y)) is the subgradient of f at x+ that the
+    prox's optimality condition supplies.
+    """
+    grad_y = oracle.gradient(y)
+    x_next = f.prox(y - grad_y / L, 1.0 / L)
+    s = -(L * (x_next - y) + grad_y)
+    return x_next, oracle.gradient(x_next) + s
+
+
+class TestStoppingCertificate:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["l1", "nuclear"]),
+        p=st.sampled_from([1.0, 2.0, 3.0]),
+        log_l=st.floats(-3.0, 4.0),
+        y=hnp.arrays(np.float64, 12, elements=st.floats(-10.0, 10.0)),
+        multiplier=hnp.arrays(np.float64, 6, elements=st.floats(-10.0, 10.0)),
+    )
+    def test_bounds_the_gradient_map(self, kind, p, log_l, y, multiplier):
+        # x+ = prox_f(x+ + s) and prox_f is nonexpansive, so
+        # ||G(x+)|| = ||prox_f(x+ + s) - prox_f(x+ - grad_psi(x+))|| <= ||u||
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((6, 12))
+        oracle = PenaltyGradientOracle(a, rng.standard_normal(6), multiplier, 2.0, p)
+        f = l1_norm() if kind == "l1" else nuclear_norm_on_vectors(3, 4)
+        L = 10.0 ** log_l
+        x_next, u = accepted_step(oracle, f, y, L)
+        exact = np.linalg.norm(gradient_map(oracle, f, x_next))
+        rounding = 1e-12 * (1.0 + L * np.linalg.norm(y) + np.linalg.norm(oracle.gradient(y)))
+        assert exact <= np.linalg.norm(u) + rounding
+
+    @pytest.mark.parametrize(
+        "kind,p,eps_sub", [("bp", 1.0, 0.1), ("mc", 1.0, 0.1), ("mc", 2.0, 0.1), ("mc", 1.0, 0.01)]
+    )
+    def test_certified_stops_are_sound(self, kind, p, eps_sub):
+        oracle, f, z0 = hint_case(kind, p)
+        prob = CompositeProblem(f, oracle.a_map, oracle.b)
+        cfg = AlmConfig(p=p, beta=oracle.beta, eps=1e-3, eps_sub=eps_sub, max_outer=60, max_inner=50_000)
+        trace = run_alm(prob, z0, np.zeros_like(prob.b), cfg)
+        certified = 0
+        for k, report in enumerate(trace.reports):
+            if report.certified:
+                certified += 1
+                at_k = PenaltyGradientOracle(prob.a_map, prob.b, trace.multipliers[k], cfg.beta, p)
+                exact = np.linalg.norm(gradient_map(at_k, f, report.solution))
+                assert report.converged and report.iterations >= 1
+                assert exact <= report.final_grad_map_norm <= (1.0 - 1e-6) * eps_sub
+        assert certified >= 1
+
+    def quadratic_case(self):
+        # psi = ||0.1 x - b||^2 / 2 has curvature 0.01, so from x0 = 0 iteration
+        # 1 accepts L = 1 whatever eps_sub is: x1 = x0 - grad_psi(x0)
+        oracle = PenaltyGradientOracle(0.1 * np.eye(3), np.array([1.0, -2.0, 0.5]), np.zeros(3), 1.0, 1.0)
+        x0 = np.zeros(3)
+        grad_0 = oracle.gradient(x0)
+        x1 = x0 - grad_0
+        u = oracle.gradient(x1) - grad_0 - 1.0 * (x1 - x0)
+        return oracle, x0, math.sqrt(u @ u)
+
+    @pytest.mark.parametrize("margin,certified", [(2e-6, True), (5e-7, False)])
+    def test_margin_below_eps_sub(self, margin, certified):
+        # ||u|| = (1 - margin) eps_sub: certified only below (1 - 1e-6) eps_sub,
+        # otherwise the exact test decides
+        oracle, x0, u_norm = self.quadratic_case()
+        eps_sub = u_norm / (1.0 - margin)
+        report = minimize_composite(oracle, zero_function(), x0, eps_sub, 1)
+        assert report.converged and report.iterations == 1
+        assert report.certified == certified
+        exact = np.linalg.norm(gradient_map(oracle, zero_function(), report.solution))
+        assert report.final_grad_map_norm == (u_norm if certified else exact)
+        assert report.prox_calls == 1 + (not certified)
+
+    def test_equals_exact_norm_when_f_is_zero(self):
+        # with f = 0, s = 0 and u is grad_psi(x) = G(x), up to rounding
+        oracle, x0, _ = self.quadratic_case()
+        report = minimize_composite(oracle, zero_function(), x0, 1e-4, 50_000)
+        assert report.converged and report.certified
+        exact = np.linalg.norm(gradient_map(oracle, zero_function(), report.solution))
+        assert report.final_grad_map_norm == pytest.approx(exact, rel=1e-9)
