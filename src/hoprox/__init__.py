@@ -10,7 +10,7 @@ Public API: the names in ``__all__``. Helpers stay importable from their own
 modules (``hoprox.alm``, ``hoprox.prox``, ...).
 """
 
-from .alm import AlmConfig, AlmTrace, CompositeProblem, OuterRecord, SubsolverStalled, run_alm
+from .alm import AlmConfig, AlmTrace, CompositeProblem, OuterRecord, run_alm
 from .bench import ExperimentConfig, emit_plots, run_sweep
 from .linalg import solve_shifted_system
 from .operators import EntryMask, MatrixMap
@@ -34,7 +34,6 @@ __all__ = [
     "ProxFunction",
     "SubproblemError",
     "SubsolverReport",
-    "SubsolverStalled",
     "affine_operator",
     "bp_composite",
     "emit_plots",

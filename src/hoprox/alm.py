@@ -13,21 +13,12 @@ so the primal residual ||Ax - b|| is the stopping quantity.
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .linalg import as_vector
 from .prox import ProxFunction, norm_power_gradient
-from .subsolver import PenaltyGradientOracle, SubsolverReport, minimize_composite
-
-
-class SubsolverStalled(RuntimeError):
-    """The inner composite solve hit its iteration cap before reaching eps_sub."""
-
-    def __init__(self, message: str, report: SubsolverReport):
-        super().__init__(message)
-        self.report = report
+from .subsolver import PenaltyGradientOracle, minimize_composite
 
 
 @dataclass(frozen=True)
@@ -55,12 +46,12 @@ class AlmConfig:
     max_inner: int
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("order p must be >= 1")
-        if self.beta <= 0 or self.eps <= 0 or self.eps_sub <= 0:
-            raise ValueError("beta, eps and eps_sub must be positive")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError("iteration caps must be at least 1")
+        # the checks are written so that NaN fails them
+        if not self.p >= 1:
+            raise ValueError(f"p must be >= 1, got {self.p}")
+        for name in ("beta", "eps", "eps_sub", "max_outer", "max_inner"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass
@@ -104,34 +95,6 @@ class AlmTrace:
         return len(self.records)
 
 
-def alm_x_update(
-    prob: CompositeProblem,
-    multiplier: np.ndarray,
-    x_start: np.ndarray,
-    cfg: AlmConfig,
-    curvature_hint: float = 1.0,
-    residual: Optional[np.ndarray] = None,
-):
-    """Solve the penalized primal subproblem, warm-started at ``x_start``.
-
-    ``curvature_hint`` is where the subsolver's first curvature search
-    starts, and ``residual``, if known, is ``A x_start - b`` (see
-    ``minimize_composite``). Returns (x_next, SubsolverReport); the report's
-    ``residual`` is ``A x_next - b``.
-    Raises SubsolverStalled when the inner solve cannot reach
-    ``cfg.eps_sub`` within ``cfg.max_inner``.
-    """
-    oracle = PenaltyGradientOracle(prob.a_map, prob.b, multiplier, cfg.beta, cfg.p)
-    report = minimize_composite(oracle, prob.f, x_start, cfg.eps_sub, cfg.max_inner, curvature_hint, residual)
-    if not report.converged:
-        raise SubsolverStalled(
-            f"x-update stalled: grad map norm {report.final_grad_map_norm:.3e} "
-            f"> {cfg.eps_sub:.3e} after {report.iterations} inner iterations",
-            report,
-        )
-    return report.solution, report
-
-
 def multiplier_update(multiplier: np.ndarray, residual: np.ndarray, cfg: AlmConfig) -> np.ndarray:
     """Ascend the multiplier along the norm-power gradient of the residual.
 
@@ -152,9 +115,10 @@ def run_alm(
 ) -> AlmTrace:
     """Alternate x-updates and multiplier steps until ||Ax - b|| <= eps.
 
-    A tolerance already met at the starting point terminates with an empty
-    record list. Inner-solver stalls are reported via ``trace.status``
-    rather than raised.
+    Each x-update is one ``minimize_composite`` call on the penalty of the
+    current multiplier, warm-started at x. A solve that does not converge
+    ends the run with status ``subsolver_stalled``, its report last in
+    ``trace.reports``. A tolerance met at x0 ends it with no record.
 
     Each x-update starts its first curvature search at the curvature the
     previous one accepted in its first iteration, which gives the same
@@ -162,8 +126,8 @@ def run_alm(
     passes at every power of two above the smallest one that passes. An
     x-update with no inner iteration leaves x unchanged, so its record
     reuses the previous objective value. The residual ``Ax - b`` is computed
-    once per iterate: each x-update returns it for the multiplier step and
-    the next x-update's entry check.
+    once per iterate: each solve's report carries it to the multiplier step
+    and the next solve's entry check.
 
     ``x0`` and ``multiplier0`` are copied once; every later iterate and
     multiplier is stored as computed, shared with the reports (see
@@ -183,13 +147,13 @@ def run_alm(
     curvature_hint = 1.0
     for k in range(cfg.max_outer):
         t0 = time.perf_counter()
-        try:
-            x, report = alm_x_update(prob, multiplier, x, cfg, curvature_hint, z)
-        except SubsolverStalled as stall:
+        oracle = PenaltyGradientOracle(prob.a_map, prob.b, multiplier, cfg.beta, cfg.p)
+        report = minimize_composite(oracle, prob.f, x, cfg.eps_sub, cfg.max_inner, curvature_hint, z)
+        trace.reports.append(report)
+        if not report.converged:
             trace.status = "subsolver_stalled"
-            trace.reports.append(stall.report)
             return trace
-        z = report.residual
+        x, z = report.solution, report.residual
         new_multiplier = multiplier_update(multiplier, z, cfg)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
 
@@ -213,7 +177,6 @@ def run_alm(
         )
         trace.iterates.append(x)
         trace.multipliers.append(new_multiplier)
-        trace.reports.append(report)
         multiplier = new_multiplier
         if residual_norm <= cfg.eps:
             trace.status = "converged"

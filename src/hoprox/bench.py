@@ -65,16 +65,11 @@ class ExperimentConfig:
             size = self.n if self.kind == "bp" else self.m * self.n
             if int(round(self.density * size)) < 1:
                 raise ValueError(f"density must leave at least one sample, but round({self.density} * {size}) = 0")
-        if self.eps < 0 or self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError("eps must be nonnegative and iteration caps positive")
-        if any(p < 1 for p in self.p_values):
-            raise ValueError("every order p must be >= 1")
-        if any(b <= 0 for b in self.betas) or any(e <= 0 for e in self.eps_subs):
-            raise ValueError("betas and eps_subs must be positive")
-        if self.kind != "vi-affine" and self.eps == 0:
-            raise ValueError("eps must be positive for ALM runs")
         if self.kind == "vi-affine" and self.dump_instances:
             raise ValueError("--dump-instance writes bp and mc instances only, not vi-affine")
+        # the solver configs check p, beta, eps_sub, eps, lambda_ppa and the caps
+        for cell in _grid(self):
+            _solver_config(self, *cell)
 
 
 @dataclass
@@ -164,19 +159,29 @@ def _run_id(kind: str, seed, p, beta, eps_sub) -> str:
     return f"{kind}_seed{seed}_p{p:g}_beta{beta:g}_esub{eps_sub:g}"
 
 
+def _grid(cfg: ExperimentConfig) -> list:
+    """The (p, beta, eps_sub) cells run on each seed; vi-affine cells have no beta or eps_sub."""
+    if cfg.kind == "vi-affine":
+        return [(p, None, None) for p in cfg.p_values]
+    return list(itertools.product(cfg.p_values, cfg.betas, cfg.eps_subs))
+
+
+def _solver_config(cfg: ExperimentConfig, p, beta, eps_sub):
+    """The PpaConfig (vi-affine) or AlmConfig of one cell; raises ValueError on a bad value."""
+    if cfg.kind == "vi-affine":
+        return PpaConfig(p=p, lambda_ppa=cfg.lambda_ppa, max_iters=cfg.max_outer, step_tol=cfg.eps)
+    return AlmConfig(p, beta, cfg.eps, eps_sub, cfg.max_outer, cfg.max_inner)
+
+
 def run_cell(cfg: ExperimentConfig, instance, seed, p, beta, eps_sub):
     """Execute one sweep cell and return its trace."""
+    solver_cfg = _solver_config(cfg, p, beta, eps_sub)
     if cfg.kind == "vi-affine":
         op, x0 = instance
-        ppa_cfg = PpaConfig(p=p, lambda_ppa=cfg.lambda_ppa, max_iters=cfg.max_outer, step_tol=cfg.eps)
-        return run_ppa(op, x0, ppa_cfg)
+        return run_ppa(op, x0, solver_cfg)
     prob = bp_composite(instance) if cfg.kind == "bp" else mc_composite(instance)
-    alm_cfg = AlmConfig(
-        p=p, beta=beta, eps=cfg.eps, eps_sub=eps_sub, max_outer=cfg.max_outer, max_inner=cfg.max_inner
-    )
-    x0 = np.zeros(prob.a_map.shape[1])
-    lam0 = np.zeros(prob.a_map.shape[0])
-    return run_alm(prob, x0, lam0, alm_cfg)
+    rows, cols = prob.a_map.shape
+    return run_alm(prob, np.zeros(cols), np.zeros(rows), solver_cfg)
 
 
 def _make_instance(cfg: ExperimentConfig, seed):
@@ -206,12 +211,7 @@ def run_sweep(cfg: ExperimentConfig) -> RunManifest:
         if cfg.dump_instances:
             dump_instance(instance, out / f"{cfg.kind}_seed{seed}.instance.txt")
 
-        if cfg.kind == "vi-affine":
-            grid = [(p, None, None) for p in cfg.p_values]
-        else:
-            grid = list(itertools.product(cfg.p_values, cfg.betas, cfg.eps_subs))
-
-        for p, beta, eps_sub in grid:
+        for p, beta, eps_sub in _grid(cfg):
             run_id = _run_id(cfg.kind, seed, p, beta, eps_sub)
             csv_name = f"{run_id}.csv"
             entry = {

@@ -76,14 +76,15 @@ class PpaConfig:
     step_tol: float = 0.0
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("order p must be >= 1")
-        if self.lambda_ppa <= 0:
-            raise ValueError("lambda_ppa must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.step_tol < 0:
-            raise ValueError("step_tol must be nonnegative")
+        # the checks are written so that NaN fails them
+        if not self.p >= 1:
+            raise ValueError(f"p must be >= 1, got {self.p}")
+        if not self.lambda_ppa > 0:
+            raise ValueError(f"lambda_ppa must be positive, got {self.lambda_ppa}")
+        if not self.max_iters >= 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if not self.step_tol >= 0:
+            raise ValueError(f"step_tol must be nonnegative, got {self.step_tol}")
 
 
 @dataclass

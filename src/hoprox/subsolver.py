@@ -22,9 +22,9 @@ from .prox import ProxFunction
 
 _L_FLOOR = 1e-12
 _L_CEIL = 1e60
-# a certified stop needs ||u|| below eps_sub by this factor, so that rounding
-# in u cannot accept a stop that the exact test would reject
-_CERTIFICATE_MARGIN = 1.0 - 1e-6
+# a certified stop needs ||u|| <= (1 - _MARGIN) eps_sub and a rounding bound
+# on u of at most _MARGIN eps_sub (see minimize_composite)
+_MARGIN = 1e-6
 
 
 class PenaltyGradientOracle:
@@ -35,10 +35,10 @@ class PenaltyGradientOracle:
     """
 
     def __init__(self, a_map, b: np.ndarray, multiplier: np.ndarray, beta: float, p: float):
-        if beta <= 0:
-            raise ValueError("beta must be positive")
-        if p < 1:
-            raise ValueError("order p must be >= 1")
+        if not beta > 0:
+            raise ValueError(f"beta must be positive, got {beta}")
+        if not p >= 1:
+            raise ValueError(f"p must be >= 1, got {p}")
         self.a_map = MatrixMap(a_map) if isinstance(a_map, np.ndarray) else a_map
         self.b = as_vector(b)
         self.multiplier = as_vector(multiplier)
@@ -71,9 +71,6 @@ class PenaltyGradientOracle:
     def _value(self, r: np.ndarray, norm: float) -> float:
         power = 1.0 + 1.0 / self.p
         return float(self.multiplier @ r + self._beta_root / power * norm ** power)
-
-    def value(self, x: np.ndarray) -> float:
-        return self.value_at_residual(self.residual(x))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.gradient_at_residual(self.residual(x))
@@ -173,15 +170,15 @@ def minimize_composite(
     s = -(L (x - y) + grad_psi(y)) in the subdifferential of f at x, so
     x = prox_f(x + s), and nonexpansiveness of prox_f gives
     ||G(x)|| <= ||u|| with u = grad_psi(x) + s, for any convex f and psi.
-    If ||u|| <= (1 - 1e-6) eps_sub, the solve stops there with
-    ``final_grad_map_norm`` = ||u|| and ``certified`` set; otherwise the
-    exact test runs as before. The margin keeps rounding in u from accepting
-    a stop that the exact test would reject while eps_sub is far above the
-    rounding in both norms, so the stop decisions, and with them every
-    iterate, are those of the exact test. u is formed only after a short
-    step, L ||x - y|| <= 2 eps_sub with L as accepted: since
-    ||u|| >= L ||x - y|| - ||grad_psi(x) - grad_psi(y)||, a long step
-    rarely certifies, and the gate spares its vector work.
+    The solve stops there, with ``final_grad_map_norm`` = ||u|| and
+    ``certified`` set, when ||u|| <= (1 - 1e-6) eps_sub and the rounding
+    bound delta = 2^-52 (L ||y - grad_psi(y)/L|| + ||grad_psi(x)|| +
+    ||grad_psi(y)||) on u is at most 1e-6 eps_sub; otherwise the exact test
+    runs. delta is chiefly L times the ulp of the prox input: without it, a
+    step that rounds to nothing at large L certifies on rounding alone.
+    u is formed only after a short step, L ||x - y|| <= 2 eps_sub with L as
+    accepted: since ||u|| >= L ||x - y|| - ||grad_psi(x) - grad_psi(y)||, a
+    long step rarely certifies, and the gate spares its vector work.
 
     ``residual``, when given, must be ``A z0 - b`` (``oracle.residual(z0)``);
     the entry check then uses it instead of applying A again. Inputs are
@@ -194,10 +191,10 @@ def minimize_composite(
     ``z0`` or the report's arrays afterwards. ``f.prox`` must return a new
     array, since its output becomes the next iterate.
     """
-    if eps_sub <= 0:
-        raise ValueError("eps_sub must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+    if not eps_sub > 0:
+        raise ValueError(f"eps_sub must be positive, got {eps_sub}")
+    if not max_iters >= 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     if not (math.isfinite(curvature_hint) and curvature_hint > 0):
         raise ValueError("curvature_hint must be positive and finite")
 
@@ -246,7 +243,7 @@ def minimize_composite(
         psi_trial = oracle.value_at_residual(r_trial)
         upper = psi_y + grad_y @ dx + 0.5 * L * dx_sq + 0.5 * eps_acc * tau
         passed = math.isfinite(psi_trial) and bool(psi_trial <= upper)
-        return passed, (x_trial, dx, dx_sq, grad_y, r_trial, a_new, tau)
+        return passed, (x_trial, y, dx, dx_sq, grad_y, r_trial, a_new, tau)
 
     for it in range(1, max_iters + 1):
         passed, step = attempt(L)
@@ -264,7 +261,7 @@ def minimize_composite(
         if it == 1:
             first_L = L
 
-        x, dx, dx_sq, grad_y, r_x, big_a, tau = step
+        x, y, dx, dx_sq, grad_y, r_x, big_a, tau = step
         v = v + dx / tau
         grad = oracle.gradient_at_residual(r_x)
         # the certificate ||G(x)|| <= ||u||, u = grad + s with s = -(L dx + grad_y)
@@ -272,7 +269,10 @@ def minimize_composite(
         if L * math.sqrt(dx_sq) <= 2.0 * eps_sub:
             u = grad - grad_y - L * dx
             g_norm = math.sqrt(u @ u)
-            certified = g_norm <= _CERTIFICATE_MARGIN * eps_sub
+            if g_norm <= (1.0 - _MARGIN) * eps_sub:
+                w = y - grad_y / L
+                norms = L * math.sqrt(w @ w) + math.sqrt(grad @ grad) + math.sqrt(grad_y @ grad_y)
+                certified = 2.0 ** -52 * norms <= _MARGIN * eps_sub
         L = max(0.5 * L, _L_FLOOR)
         if not certified:
             d = x - prox(x - grad, 1.0)

@@ -5,14 +5,7 @@ import numpy as np
 import pytest
 
 import hoprox.alm
-from hoprox.alm import (
-    AlmConfig,
-    CompositeProblem,
-    SubsolverStalled,
-    alm_x_update,
-    multiplier_update,
-    run_alm,
-)
+from hoprox.alm import AlmConfig, CompositeProblem, multiplier_update, run_alm
 from hoprox.operators import MatrixMap
 from hoprox.problems import bp_composite, gen_bp, gen_mc, mc_composite
 from hoprox.prox import ProxFunction, l1_norm, zero_function
@@ -73,31 +66,22 @@ class TestMultiplierUpdate:
 
 
 class TestAlmXUpdate:
+    # an x-update is one subsolver call on the penalty of the current multiplier
     def test_gradient_map_certificate(self):
         prob = tiny_bp_problem()
-        cfg = base_config(p=2.0, beta=2.0, eps_sub=1e-8)
-        x1, report = alm_x_update(prob, np.zeros(1), np.zeros(2), cfg)
-        assert report.converged
         oracle = PenaltyGradientOracle(prob.a_map, prob.b, np.zeros(1), 2.0, 2.0)
-        assert np.linalg.norm(gradient_map(oracle, prob.f, x1)) <= 1e-8
+        report = minimize_composite(oracle, prob.f, np.zeros(2), 1e-8, 100_000)
+        assert report.converged
+        assert np.linalg.norm(gradient_map(oracle, prob.f, report.solution)) <= 1e-8
 
     def test_large_penalty_forces_feasibility(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((2, 3))
         b = rng.standard_normal(2)
-        prob = CompositeProblem(f=zero_function(), a_map=MatrixMap(a), b=b)
-        cfg = base_config(p=1.0, beta=1e6, eps_sub=1e-6, max_inner=200_000)
-        x1, report = alm_x_update(prob, np.zeros(2), np.zeros(3), cfg)
+        oracle = PenaltyGradientOracle(MatrixMap(a), b, np.zeros(2), 1e6, 1.0)
+        report = minimize_composite(oracle, zero_function(), np.zeros(3), 1e-6, 200_000)
         assert report.converged
-        assert np.linalg.norm(a @ x1 - b) <= 1e-3
-
-    def test_stall_raises_with_report(self):
-        inst = gen_bp(5, 20, 0.2, 0)
-        prob = bp_composite(inst)
-        cfg = base_config(p=1.0, eps_sub=1e-12, max_inner=2)
-        with pytest.raises(SubsolverStalled) as err:
-            alm_x_update(prob, np.zeros(5), np.zeros(20), cfg)
-        assert err.value.report.iterations == 2
+        assert np.linalg.norm(a @ report.solution - b) <= 1e-3
 
 
 class TestRunAlm:
@@ -125,6 +109,10 @@ class TestRunAlm:
         trace = run_alm(prob, np.zeros(20), np.zeros(5), cfg)
         assert trace.status == "subsolver_stalled"
         assert not trace.converged
+        # the stalled first x-update leaves its report and no record
+        assert trace.outer_iterations == 0
+        [stalled] = trace.reports
+        assert not stalled.converged and stalled.iterations == 2
 
     def test_max_outer_reported(self):
         inst = gen_bp(5, 20, 0.2, 0)
@@ -316,8 +304,10 @@ class TestDualProxOracle:
         inst = gen_bp(2, 4, 0.5, 3)
         prob = bp_composite(inst)
         cfg = base_config(p=p, beta=1.0, eps_sub=1e-8, max_inner=200_000)
-        x1, _ = alm_x_update(prob, np.zeros(2), np.zeros(4), cfg)
-        lam1 = multiplier_update(np.zeros(2), prob.a_map.apply(x1) - prob.b, cfg)
+        oracle = PenaltyGradientOracle(prob.a_map, prob.b, np.zeros(2), cfg.beta, p)
+        report = minimize_composite(oracle, prob.f, np.zeros(4), cfg.eps_sub, cfg.max_inner)
+        assert report.converged
+        lam1 = multiplier_update(np.zeros(2), prob.a_map.apply(report.solution) - prob.b, cfg)
         u = dual_prox_oracle(prob, np.zeros(2), cfg)
         assert np.linalg.norm(lam1 - u) <= 2e-3
 
@@ -349,6 +339,11 @@ class TestValidation:
             base_config(max_outer=0)
         with pytest.raises(ValueError):
             base_config(max_inner=0)
+
+    @pytest.mark.parametrize("field", ["p", "beta", "eps", "eps_sub"])
+    def test_config_rejects_nan(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            base_config(**{field: float("nan")})
 
     def test_adjoint_consistency_probe(self):
         inst = gen_bp(6, 15, 0.3, 4)

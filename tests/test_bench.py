@@ -248,6 +248,27 @@ class TestRunSweep:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            (dict(p_values=[1.0, float("nan")]), "p"),
+            (dict(betas=[float("nan")]), "beta"),
+            (dict(eps_subs=[0.1, float("nan")]), "eps_sub"),
+            (dict(eps=float("nan")), "eps"),
+            (dict(eps=0.0), "eps"),
+            (dict(max_inner=0), "max_inner"),
+            (dict(kind="vi-affine", eps=0.0, lambda_ppa=0.0), "lambda_ppa"),
+            (dict(kind="vi-affine", eps=0.0, p_values=[float("nan")]), "p"),
+            (dict(kind="vi-affine", eps=float("nan")), "step_tol"),
+        ],
+    )
+    def test_bad_solver_values_rejected_before_output(self, tmp_path, overrides, field):
+        # every grid cell's solver config is built, as run_cell builds it
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            run_sweep(tiny_bp_config(out, **overrides))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "overrides", [dict(density=0.03), dict(kind="mc", m=2, n=2, density=0.15)], ids=["bp", "mc"]
     )
     def test_density_of_one_sample_accepted(self, tmp_path, overrides):

@@ -85,6 +85,25 @@ class TestResolveConfig:
         assert f"{field} must" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["vi", "--lam", "0"], "lambda_ppa"),
+            (["vi", "--p", "nan"], "p"),
+            (["bp", "--eps", "nan"], "eps"),
+            (["bp", "--beta", "2", "nan"], "beta"),
+            (["mc", "--eps-sub", "nan"], "eps_sub"),
+            (["sweep", "--kind", "mc", "--p", "1", "nan"], "p"),
+        ],
+    )
+    def test_bad_solver_value_is_usage_error(self, argv, field, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--out", str(out)])
+        assert err.value.code == 2
+        assert f"error: {field} must" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_command_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             resolve_config([])

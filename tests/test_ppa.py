@@ -293,6 +293,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             PpaConfig(p=1.0, lambda_ppa=1.0, max_iters=10, step_tol=-1.0)
 
+    @pytest.mark.parametrize("field", ["p", "lambda_ppa", "step_tol"])
+    def test_config_rejects_nan(self, field):
+        params = dict(p=2.0, lambda_ppa=1.0, max_iters=10, step_tol=0.0)
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            PpaConfig(**{**params, field: float("nan")})
+
     def test_affine_operator_monotonicity_check(self):
         with pytest.raises(ValueError, match="monotone"):
             affine_operator(-np.eye(3), np.zeros(3))

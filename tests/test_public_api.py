@@ -2,8 +2,9 @@
 
 ``__all__`` must list exactly the public names ``hoprox`` binds, and every
 ``hp.<name>`` that the benchmark harness or the README uses must be in it.
-Every other module-level function or class must serve the library or the
-benchmark, or be listed below with the reason it stays.
+Every other module-level function or class, and every method of a class,
+must serve the library or the benchmark, or be listed below with the
+reason it stays.
 """
 
 import ast
@@ -25,6 +26,13 @@ KEPT_WITHOUT_CALLER = {
     "zero_function": "the f = 0 ProxFunction",
 }
 
+# methods, as Class.method, that neither src/hoprox nor perfbench calls
+METHODS_KEPT_WITHOUT_CALLER = {
+    "MatrixMap.norm_estimate": "spectral norm of A, forwarded by the benchmark tracer; goes with ROADMAP item 4",
+    "EntryMask.norm_estimate": "spectral norm of A, forwarded by the benchmark tracer; goes with ROADMAP item 4",
+    "RunManifest.load": "reader of the library's own manifest format (criterion 10 reruns a manifest)",
+}
+
 
 def test_all_is_the_public_names_bound():
     bound = {
@@ -43,27 +51,47 @@ def test_names_used_by_benchmark_and_readme_are_exported():
     assert used <= set(hoprox.__all__), sorted(used - set(hoprox.__all__))
 
 
-def _referenced_names(tree):
-    # names loaded, attributes read, names imported, and strings (getattr and
-    # monkeypatch targets); definitions themselves do not count
-    refs = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            refs.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
-        elif isinstance(node, ast.alias):
-            refs.add(node.name)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            refs.add(node.value)
-    return refs
+def _names_read(node):
+    """Names loaded, attributes read, names imported, and strings (getattr
+    and monkeypatch targets) anywhere in ``node``.
+
+    Definitions do not count, nor do a function's references to its own
+    name; a forwarding assignment ``self.x = inner.x`` reads nothing.
+    """
+    if (
+        isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Attribute)
+        and isinstance(node.value, ast.Attribute)
+        and node.targets[0].attr == node.value.attr
+    ):
+        return set()
+    names = set()
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        names.add(node.id)
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        names.add(node.attr)
+    elif isinstance(node, ast.alias):
+        names.add(node.name)
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        names.add(node.value)
+    for child in ast.iter_child_nodes(node):
+        names |= _names_read(child)
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        names.discard(node.name)
+    return names
+
+
+def _library_trees():
+    """The modules of src/hoprox, and the parsed trees of those and of perfbench."""
+    modules = sorted((REPO / "src" / "hoprox").glob("*.py"))
+    sources = modules + sorted((REPO / "perfbench").glob("*.py"))
+    return modules, {path: ast.parse(path.read_text()) for path in sources}
 
 
 def test_no_library_code_without_a_caller():
-    modules = sorted((REPO / "src" / "hoprox").glob("*.py"))
-    sources = modules + sorted((REPO / "perfbench").glob("*.py"))
-    trees = {path: ast.parse(path.read_text()) for path in sources}
-    referenced = set().union(*map(_referenced_names, trees.values()))
+    modules, trees = _library_trees()
+    referenced = set().union(*map(_names_read, trees.values()))
     defined = {
         node.name
         for path in modules
@@ -72,3 +100,23 @@ def test_no_library_code_without_a_caller():
     }
     without_caller = defined - set(hoprox.__all__) - referenced
     assert without_caller == set(KEPT_WITHOUT_CALLER), sorted(without_caller ^ set(KEPT_WITHOUT_CALLER))
+
+
+def _methods(tree):
+    """(Class.method, method) for every method of a module-level class; dunders excluded."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if not (item.name.startswith("__") and item.name.endswith("__")):
+                        yield f"{node.name}.{item.name}", item.name
+
+
+def test_no_method_without_a_caller():
+    modules, trees = _library_trees()
+    read = set().union(*map(_names_read, trees.values()))
+    without_caller = {
+        qualified for path in modules for qualified, name in _methods(trees[path]) if name not in read
+    }
+    kept = set(METHODS_KEPT_WITHOUT_CALLER)
+    assert without_caller == kept, sorted(without_caller ^ kept)

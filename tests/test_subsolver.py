@@ -79,7 +79,7 @@ class TestPenaltyGradient:
         x = rng.standard_normal(5)
         r = a @ x - b
         expected = lam @ r + 5.0 ** (1 / 3) / (4 / 3) * np.linalg.norm(r) ** (4 / 3)
-        assert np.isclose(oracle.value(x), expected, rtol=1e-12)
+        assert np.isclose(oracle.value_at_residual(oracle.residual(x)), expected, rtol=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     def test_holder_continuity(self, p):
@@ -97,6 +97,11 @@ class TestPenaltyGradient:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             PenaltyGradientOracle(np.eye(3), np.ones(3), np.ones(2), 1.0, 1.0)
+
+    @pytest.mark.parametrize("beta,p", [(np.nan, 1.0), (0.0, 1.0), (1.0, np.nan), (1.0, 0.5)])
+    def test_bad_beta_or_p_rejected(self, beta, p):
+        with pytest.raises(ValueError, match="^(beta|p) must"):
+            PenaltyGradientOracle(np.eye(2), np.ones(2), np.ones(2), beta, p)
 
     def test_holder_constant_first_order(self):
         assert np.isclose(holder_constant(1.0, 2.0, 10.0), 2.0 * 100.0)
@@ -177,7 +182,7 @@ class TestMinimizeComposite:
         report = minimize_composite(oracle, f, np.zeros(4), 1e-8, 100_000)
         assert report.converged
         x_ref = reference_prox_gradient(inst.a, inst.b, np.zeros(2), 1.0, p, np.zeros(4), 20_000)
-        obj = lambda x: oracle.value(x) + f.value(x)
+        obj = lambda x: oracle.value_at_residual(oracle.residual(x)) + f.value(x)
         assert abs(obj(report.solution) - obj(x_ref)) <= 1e-7
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
@@ -212,8 +217,9 @@ class TestMinimizeComposite:
 
     def test_invalid_arguments(self):
         oracle = PenaltyGradientOracle(np.eye(2), np.ones(2), np.zeros(2), 1.0, 1.0)
-        with pytest.raises(ValueError):
-            minimize_composite(oracle, zero_function(), np.zeros(2), 0.0, 10)
+        for eps_sub in (0.0, np.nan):
+            with pytest.raises(ValueError, match="eps_sub"):
+                minimize_composite(oracle, zero_function(), np.zeros(2), eps_sub, 10)
         with pytest.raises(ValueError):
             minimize_composite(oracle, zero_function(), np.zeros(2), 1e-6, 0)
         for hint in (0.0, -1.0, np.inf, -np.inf, np.nan):
@@ -457,6 +463,23 @@ class TestStoppingCertificate:
         exact = np.linalg.norm(gradient_map(oracle, zero_function(), report.solution))
         assert report.final_grad_map_norm == (u_norm if certified else exact)
         assert report.prox_calls == 1 + (not certified)
+
+    @pytest.mark.parametrize(
+        "seed,eps_sub,kind", [(1, 1e-8, "l1"), (29, 1e-10, "l1"), (30, 1e-12, "l1"), (34, 1e-12, "zero")]
+    )
+    def test_rounded_step_does_not_certify(self, seed, eps_sub, kind):
+        # badly scaled A and b: near the solution L grows to 2^28 and beyond, the
+        # step x - y rounds to nothing and L (x - y) loses about L ulp(y), so ||u||
+        # came out at or below eps_sub while the exact ||G|| was far above it
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((4, 8)) * 10 ** rng.uniform(-1, 1)
+        b = rng.standard_normal(4) * 10 ** rng.uniform(0, 3)
+        oracle = PenaltyGradientOracle(a, b, rng.standard_normal(4), 1.0, 2.0)
+        f = l1_norm() if kind == "l1" else zero_function()
+        report = minimize_composite(oracle, f, np.zeros(8), eps_sub, 20_000)
+        assert report.converged
+        exact = np.linalg.norm(gradient_map(oracle, f, report.solution))
+        assert exact <= report.final_grad_map_norm <= eps_sub
 
     def test_equals_exact_norm_when_f_is_zero(self):
         # with f = 0, s = 0 and u is grad_psi(x) = G(x), up to rounding
