@@ -83,6 +83,14 @@ class TestAlmXUpdate:
         assert report.converged
         assert np.linalg.norm(a @ report.solution - b) <= 1e-3
 
+    def test_stall_returns_unconverged_report(self):
+        # a stalled x-update hands back its report rather than raising
+        prob = bp_composite(gen_bp(5, 20, 0.2, 0))
+        oracle = PenaltyGradientOracle(prob.a_map, prob.b, np.zeros(5), 2.0, 1.0)
+        report = minimize_composite(oracle, prob.f, np.zeros(20), 1e-12, 2)
+        assert not report.converged
+        assert report.iterations == 2
+
 
 class TestRunAlm:
     @pytest.mark.parametrize("p,eps_sub", [(1.0, 1e-6), (2.0, 1e-3), (3.0, 1e-2)])
