@@ -121,13 +121,13 @@ def run_alm(
     ``trace.reports``. A tolerance met at x0 ends it with no record.
 
     Each x-update starts its first curvature search at the curvature the
-    previous one accepted in its first iteration, which gives the same
-    iterates as a search from 1 whenever the subsolver's upper-bound test
-    passes at every power of two above the smallest one that passes. An
-    x-update with no inner iteration leaves x unchanged, so its record
-    reuses the previous objective value. The residual ``Ax - b`` is computed
-    once per iterate: each solve's report carries it to the multiplier step
-    and the next solve's entry check.
+    previous one accepted in its first iteration. That search only doubles,
+    so the first-iteration curvature never falls during a run, like FISTA's
+    monotone backtracking estimate. An x-update with no inner iteration
+    leaves x unchanged, so its record reuses the previous objective value.
+    The residual ``Ax - b`` is computed once per iterate: each solve's
+    report carries it to the multiplier step and the next solve's entry
+    check.
 
     ``x0`` and ``multiplier0`` are copied once; every later iterate and
     multiplier is stored as computed, shared with the reports (see

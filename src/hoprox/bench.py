@@ -173,15 +173,14 @@ def _solver_config(cfg: ExperimentConfig, p, beta, eps_sub):
     return AlmConfig(p, beta, cfg.eps, eps_sub, cfg.max_outer, cfg.max_inner)
 
 
-def run_cell(cfg: ExperimentConfig, instance, seed, p, beta, eps_sub):
-    """Execute one sweep cell and return its trace."""
+def run_cell(cfg: ExperimentConfig, problem, seed, p, beta, eps_sub):
+    """Run one cell on its ``CompositeProblem`` (ALM) or (operator, x0) pair (vi-affine)."""
     solver_cfg = _solver_config(cfg, p, beta, eps_sub)
     if cfg.kind == "vi-affine":
-        op, x0 = instance
+        op, x0 = problem
         return run_ppa(op, x0, solver_cfg)
-    prob = bp_composite(instance) if cfg.kind == "bp" else mc_composite(instance)
-    rows, cols = prob.a_map.shape
-    return run_alm(prob, np.zeros(cols), np.zeros(rows), solver_cfg)
+    rows, cols = problem.a_map.shape
+    return run_alm(problem, np.zeros(cols), np.zeros(rows), solver_cfg)
 
 
 def _make_instance(cfg: ExperimentConfig, seed):
@@ -195,9 +194,10 @@ def _make_instance(cfg: ExperimentConfig, seed):
 def run_sweep(cfg: ExperimentConfig) -> RunManifest:
     """Run the Cartesian grid of (seed, p, beta, eps_sub) and persist artifacts.
 
-    The instance for a given seed is generated once and shared across all
-    parameter combinations so curves are directly comparable. Solver
-    failures are recorded per cell and do not abort the sweep.
+    The instance for a given seed, and its composite problem, is generated
+    once and shared across all parameter combinations so curves are directly
+    comparable. Solver failures are recorded per cell and do not abort the
+    sweep.
     """
     cfg.validate()
     out = Path(cfg.out_dir)
@@ -210,6 +210,9 @@ def run_sweep(cfg: ExperimentConfig) -> RunManifest:
         instance = _make_instance(cfg, seed)
         if cfg.dump_instances:
             dump_instance(instance, out / f"{cfg.kind}_seed{seed}.instance.txt")
+        problem = instance
+        if cfg.kind != "vi-affine":
+            problem = bp_composite(instance) if cfg.kind == "bp" else mc_composite(instance)
 
         for p, beta, eps_sub in _grid(cfg):
             run_id = _run_id(cfg.kind, seed, p, beta, eps_sub)
@@ -224,7 +227,7 @@ def run_sweep(cfg: ExperimentConfig) -> RunManifest:
             }
             t0 = time.perf_counter()
             try:
-                trace = run_cell(cfg, instance, seed, p, beta, eps_sub)
+                trace = run_cell(cfg, problem, seed, p, beta, eps_sub)
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
                 entry["status"] = f"failed: {exc}"
                 entry["error"] = traceback.format_exc(limit=3)
@@ -234,9 +237,9 @@ def run_sweep(cfg: ExperimentConfig) -> RunManifest:
             if isinstance(trace, AlmTrace):
                 entry["status"] = trace.status
                 entry["outer_iterations"] = trace.outer_iterations
-                entry["final_residual"] = (
-                    trace.records[-1].primal_residual if trace.records else 0.0
-                )
+                # ||Ax - b|| at the last iterate, x0 itself when no x-update was accepted
+                x = trace.iterates[-1]
+                entry["final_residual"] = float(np.linalg.norm(problem.a_map.apply(x) - problem.b))
                 # work of every x-update, a stalled last one included
                 entry["inner_iterations"] = sum(rep.iterations for rep in trace.reports)
                 entry["prox_calls"] = sum(rep.prox_calls for rep in trace.reports)

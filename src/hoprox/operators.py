@@ -1,8 +1,9 @@
 """Linear maps used as the constraint operator A in composite problems.
 
-A map carries ``apply`` (x -> Ax), ``adjoint`` (y -> A^T y) and a spectral
-norm estimate. Matrix-free maps (entry masks) implement the same surface so
-the solvers never branch on the representation.
+A map carries ``apply`` (x -> Ax), ``adjoint`` (y -> A^T y) and ``shape``,
+all that the solvers use (see ``CompositeProblem``); ``norm_estimate`` is
+called by no solver. Matrix-free maps (entry masks) implement the same
+surface so the solvers never branch on the representation.
 """
 
 import numpy as np

@@ -96,8 +96,9 @@ class SubsolverReport:
 
     ``first_L_accepted`` is the curvature accepted in iteration 1, or the
     search's starting point (the hint on its power-of-two grid) when the
-    start already met the tolerance. Passed back as ``curvature_hint``, it
-    starts the next solve's first search where this one ended.
+    start already met the tolerance; either way it is at least that point.
+    Passed back as ``curvature_hint``, it starts the next solve's first
+    search where this one ended, so a chain of solves never lowers it.
     ``residual`` is ``A @ solution - b`` as the solve computed it: the last
     accepted trial's residual, or the entry residual when no iteration ran.
     ``prox_calls`` counts every ``f.prox`` call of the solve and ``trials``
@@ -157,13 +158,11 @@ def minimize_composite(
     reuses the residual and gradient of the entry check, and at L = 1 also
     its prox x - G(x), so its trials cost one prox and one ``apply`` each
     and the L = 1 trial costs no prox at all. Its search starts at
-    ``curvature_hint`` (taken down to a power of two, at least 1) and is
-    two-sided: if the hint passes the test, L halves while the half still
-    passes, stopping at 1; if it fails, L doubles as usual. This finds the
-    same smallest passing power of two as the cold search 1, 2, 4, ...,
-    and hence bitwise the same iterates, whenever the test passes at every
-    power of two above that value; the default hint 1 is the cold search.
-    Later iterations start at half the last accepted L and only double.
+    ``curvature_hint`` (taken down to a power of two, at least 1) and, like
+    every later search, only doubles: a hint that passes costs one trial,
+    and the L it accepts is never below the hint's power of two, as in
+    FISTA's backtracking. The default hint 1 is the cold search 1, 2, 4, ...
+    Later iterations start at half the last accepted L.
 
     The stopping test tries a certificate before it calls the prox. The
     accepted trial x = prox_{f/L}(y - grad_psi(y)/L) puts
@@ -247,12 +246,6 @@ def minimize_composite(
 
     for it in range(1, max_iters + 1):
         passed, step = attempt(L)
-        if passed and it == 1:
-            while L > 1.0:
-                lower_passed, lower = attempt(0.5 * L)
-                if not lower_passed:
-                    break
-                L, step = 0.5 * L, lower
         while not passed:
             L *= 2.0
             if L > _L_CEIL:

@@ -162,12 +162,28 @@ class TestZeroWall:
 
 
 class TestRunSweep:
+    @pytest.mark.parametrize(
+        "overrides,status",
+        [
+            (dict(eps=1e6), "converged"),
+            (dict(eps_subs=[1e-12], max_inner=1), "subsolver_stalled"),
+        ],
+        ids=["met-at-x0", "first-x-update-stalls"],
+    )
+    def test_final_residual_of_run_without_record(self, tmp_path, overrides, status):
+        # with no record the last iterate is x0 = 0, whose residual is ||b||; it
+        # was written as 0.0, which reads as solved
+        manifest = run_sweep(tiny_bp_config(tmp_path, p_values=[1.0], **overrides))
+        (run,) = manifest.runs
+        assert (run["status"], run["outer_iterations"]) == (status, 0)
+        assert run["final_residual"] == np.linalg.norm(gen_bp(5, 20, 0.2, 0).b) > 0
+
     def test_bp_sweep_artifacts(self, tmp_path):
         manifest = run_sweep(tiny_bp_config(tmp_path))
         assert len(manifest.runs) == 3
         for run in manifest.runs:
             assert run["status"] == "converged"
-            assert (tmp_path / run["csv"]).exists()
+            assert run["final_residual"] == read_csv(tmp_path / run["csv"])[-1].primal_residual
         assert (tmp_path / "manifest.json").exists()
         assert manifest.rng_algorithm == bench.RNG_ALGORITHM
         assert not sweep_failed(manifest)

@@ -1,8 +1,9 @@
 import math
+from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,6 +14,7 @@ from hoprox.problems import gen_bp, gen_mc, mc_composite, nuclear_norm_on_vector
 from hoprox.prox import ProxFunction, l1_norm, norm_power_gradient, zero_function
 from hoprox.subsolver import (
     PenaltyGradientOracle,
+    _grid_start,
     gradient_map,
     holder_constant,
     minimize_composite,
@@ -265,11 +267,11 @@ def report_bytes(report):
             report.final_L_estimate, report.converged, report.first_L_accepted, report.residual.tobytes())
 
 
-def hint_case(kind, p):
+def hint_case(kind, p, bp_seed=0):
     """Oracle, f and start of a benchmark-scale subproblem with a nonzero multiplier."""
     rng = np.random.default_rng(7)
     if kind == "bp":
-        inst = gen_bp(100, 500, 0.2, 0)
+        inst = gen_bp(100, 500, 0.2, bp_seed)
         oracle = PenaltyGradientOracle(inst.a, inst.b, rng.standard_normal(100), 2.0, p)
         return oracle, l1_norm(), np.zeros(500)
     prob = mc_composite(gen_mc(50, 50, 0.1, 0))
@@ -280,49 +282,89 @@ def hint_case(kind, p):
 class TestCurvatureHint:
     @pytest.mark.parametrize("kind,p", [("bp", 1.0), ("bp", 2.0), ("bp", 3.0), ("mc", 1.0), ("mc", 2.0)])
     def test_hint_leaves_report_unchanged(self, kind, p):
+        # a hint at the curvature L the cold search accepts in iteration 1 passes
+        # at its first trial, so the solve takes the cold search's steps and only
+        # skips its failed trials 1, 2, ..., L/2, all but L = 1 a prox call
         oracle, f, z0 = hint_case(kind, p)
         cold = minimize_composite(oracle, f, z0, 0.1, 20_000, curvature_hint=1.0)
         assert cold.converged and cold.iterations >= 1
-        for hint in (2.0, 8.0, 1024.0):
-            warm = minimize_composite(oracle, f, z0, 0.1, 20_000, curvature_hint=hint)
-            assert warm.solution.tobytes() == cold.solution.tobytes()
-            assert warm.iterations == cold.iterations
-            assert warm.final_grad_map_norm == cold.final_grad_map_norm
-            assert warm.final_L_estimate == cold.final_L_estimate
-            assert warm.first_L_accepted == cold.first_L_accepted
+        warm = minimize_composite(oracle, f, z0, 0.1, 20_000, curvature_hint=cold.first_L_accepted)
+        assert warm.solution.tobytes() == cold.solution.tobytes()
+        assert warm.iterations == cold.iterations
+        assert warm.final_grad_map_norm == cold.final_grad_map_norm
+        assert warm.final_L_estimate == cold.final_L_estimate
+        assert warm.first_L_accepted == cold.first_L_accepted
+        skipped = int(math.log2(cold.first_L_accepted))
+        assert warm.trials == cold.trials - skipped
+        assert warm.prox_calls == cold.prox_calls - max(skipped - 1, 0)
+
+    @pytest.mark.parametrize("factor", [2, 8])
+    @pytest.mark.parametrize("kind,p", [("bp", 1.0), ("bp", 2.0), ("bp", 3.0), ("mc", 1.0), ("mc", 2.0)])
+    def test_passing_hint_costs_one_trial(self, kind, p, factor):
+        # above the curvature the cold search accepts, the hint passes: the
+        # search never probes below it, so iteration 1 makes exactly one trial
+        oracle, f, z0 = hint_case(kind, p)
+        cold = minimize_composite(oracle, f, z0, 0.1, 1)
+        hint = factor * cold.first_L_accepted
+        warm = minimize_composite(oracle, f, z0, 0.1, 1, curvature_hint=hint)
+        assert (warm.first_L_accepted, warm.trials) == (hint, 1)
+
+    @pytest.mark.parametrize(
+        "kind,p,iterations,prox_calls,trials,first_l",
+        [
+            ("bp", 1.0, 559, 1686, 1127, 2048.0),
+            ("bp", 2.0, 138, 419, 281, 128.0),
+            ("bp", 3.0, 67, 203, 136, 64.0),
+            ("mc", 1.0, 40, 121, 81, 8.0),
+            ("mc", 2.0, 14, 40, 26, 1.0),
+        ],
+    )
+    def test_cold_search_unchanged(self, kind, p, iterations, prox_calls, trials, first_l):
+        # the default hint 1 searches 1, 2, 4, ... in iteration 1: warm starts
+        # must leave the cold search as it is, and these counts pin it
+        oracle, f, z0 = hint_case(kind, p)
+        report = minimize_composite(oracle, f, z0, 0.1, 20_000)
+        assert report.converged
+        assert (report.iterations, report.prox_calls, report.trials, report.first_L_accepted) == (
+            iterations, prox_calls, trials, first_l
+        )
 
     @pytest.mark.parametrize(
         "hint,trial_ls",
         [
             (1.0, [2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]),
-            (128.0, [128.0, 64.0]),
-            (1024.0, [1024.0, 512.0, 256.0, 128.0, 64.0]),
+            (128.0, [128.0]),
+            (1024.0, [1024.0]),
         ],
         ids=["cold", "hint-at-accepted", "hint-above"],
     )
     def test_first_iteration_prox_calls(self, hint, trial_ls):
-        # iteration 1 of this case accepts L = 128. The entry check's prox is
-        # the L = 1 trial, so the cold search calls the prox from L = 2 on;
-        # a hinted search tests the hint, then halves until the half fails.
+        # the cold search of this case accepts L = 128 in iteration 1. The entry
+        # check's prox is the L = 1 trial, so the cold search calls the prox
+        # from L = 2 on; a hint at or above 128 passes at its first trial
         oracle, f, z0 = hint_case("bp", 2.0)
         scales = []
         counted = ProxFunction(f.value, lambda v, t: scales.append(t) or f.prox(v, t))
         report = minimize_composite(oracle, counted, z0, 0.1, 1, curvature_hint=hint)
-        assert report.first_L_accepted == 128.0
+        assert report.first_L_accepted == trial_ls[-1]
         assert scales == [1.0] + [1.0 / L for L in trial_ls] + [1.0]
         # the reused L = 1 trial is a trial all the same
         assert report.prox_calls == len(scales)
         assert report.trials == len(trial_ls) + (hint == 1.0)
 
-    def test_descent_stops_at_one(self):
-        # psi has curvature 0.01, so the test passes at every L used here; the
-        # cold search accepts L = 1 in iteration 1, and so must a hinted one
-        oracle = PenaltyGradientOracle(0.1 * np.eye(3), np.array([1.0, -2.0, 0.5]), np.zeros(3), 1.0, 1.0)
-        cold = minimize_composite(oracle, zero_function(), np.zeros(3), 1e-6, 10_000)
-        warm = minimize_composite(oracle, zero_function(), np.zeros(3), 1e-6, 10_000, curvature_hint=8.0)
-        assert cold.converged and cold.first_L_accepted == warm.first_L_accepted == 1.0
-        assert warm.solution.tobytes() == cold.solution.tobytes()
-        assert warm.iterations == cold.iterations
+    @settings(max_examples=60, deadline=None)
+    @given(log2_hint=st.floats(-4.0, 80.0), seed=st.integers(0, 50), p=st.sampled_from([1.0, 2.0]))
+    def test_first_L_not_below_hint(self, log2_hint, seed, p):
+        # the first search starts at the hint's power of two (1 at least) and
+        # only doubles, so it accepts a power of two no smaller than that start
+        rng = np.random.default_rng(seed)
+        oracle = PenaltyGradientOracle(rng.standard_normal((4, 8)), rng.standard_normal(4), np.zeros(4), 1.0, p)
+        hint = 2.0 ** log2_hint
+        start = _grid_start(hint)
+        assert start <= max(hint, 1.0) < 2.0 * start
+        report = minimize_composite(oracle, l1_norm(), np.zeros(8), 1e-3, 1, curvature_hint=hint)
+        assert report.first_L_accepted >= start
+        assert math.frexp(report.first_L_accepted)[0] == 0.5
 
 
 def counted_solve(oracle, f, z0, max_iters, curvature_hint=1.0):
@@ -401,6 +443,18 @@ def accepted_step(oracle, f, y, L):
     return x_next, oracle.gradient(x_next) + s
 
 
+def extended_gradient_map_norm(a, b, multiplier, p, kind, x):
+    """||G(x)|| in np.longdouble for beta = 1 and f = ||.||_1 or 0, from its own formulas."""
+    a, b, multiplier, x = (np.asarray(v, dtype=np.longdouble) for v in (a, b, multiplier, x))
+    r = a @ x - b
+    norm = np.sqrt(r @ r)
+    direction = r * norm ** (np.longdouble(1) / np.longdouble(p) - 1) if norm else np.zeros_like(r)
+    v = x - a.T @ (multiplier + direction)
+    prox = np.sign(v) * np.maximum(np.abs(v) - 1, 0) if kind == "l1" else v
+    d = x - prox
+    return float(np.sqrt(d @ d))
+
+
 class TestStoppingCertificate:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -427,7 +481,10 @@ class TestStoppingCertificate:
         "kind,p,eps_sub", [("bp", 1.0, 0.1), ("mc", 1.0, 0.1), ("mc", 2.0, 0.1), ("mc", 1.0, 0.01)]
     )
     def test_certified_stops_are_sound(self, kind, p, eps_sub):
-        oracle, f, z0 = hint_case(kind, p)
+        # the BP case is the alm-bp cell of seed 3, whose x-updates 5, 7, 44 and
+        # 48 certify; seed 0's cell stopped certifying when the first curvature
+        # search lost its downward probe
+        oracle, f, z0 = hint_case(kind, p, bp_seed=3)
         prob = CompositeProblem(f, oracle.a_map, oracle.b)
         cfg = AlmConfig(p=p, beta=oracle.beta, eps=1e-3, eps_sub=eps_sub, max_outer=60, max_inner=50_000)
         trace = run_alm(prob, z0, np.zeros_like(prob.b), cfg)
@@ -440,6 +497,38 @@ class TestStoppingCertificate:
                 assert report.converged and report.iterations >= 1
                 assert exact <= report.final_grad_map_norm <= (1.0 - 1e-6) * eps_sub
         assert certified >= 1
+
+    @settings(max_examples=40, deadline=timedelta(seconds=5))
+    @given(
+        seed=st.integers(0, 2**16),
+        log_a=st.floats(-2.0, 2.0),
+        log_b=st.floats(-1.0, 4.0),
+        log_eps=st.floats(-12.0, -6.0),
+        kind=st.sampled_from(["l1", "zero"]),
+    )
+    @example(seed=3, log_a=-1.66, log_b=0.18, log_eps=-10.0, kind="zero")
+    @example(seed=22, log_a=-0.53, log_b=0.0, log_eps=-8.0, kind="l1")
+    @example(seed=291, log_a=-1.23, log_b=1.41, log_eps=-9.0, kind="l1")
+    @example(seed=11, log_a=-0.43, log_b=1.69, log_eps=-12.0, kind="l1")
+    @example(seed=12, log_a=-0.39, log_b=2.34, log_eps=-10.0, kind="l1")
+    def test_certified_stop_at_extreme_scales(self, seed, log_a, log_b, log_eps, kind):
+        # A and b scaled over four and five decades and eps_sub down to 1e-12:
+        # each certified stop must bound the gradient map computed in extended
+        # precision. The first three examples certify; without the rounding
+        # bound on u the last two certify too, with ||G|| 1.5e4 and 692 times
+        # eps_sub. Random draws certify mostly at eps_sub >= 1e-8
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((4, 8)) * 10.0 ** log_a
+        b = rng.standard_normal(4) * 10.0 ** log_b
+        multiplier = rng.standard_normal(4)
+        eps_sub = 10.0 ** log_eps
+        oracle = PenaltyGradientOracle(a, b, multiplier, 1.0, 2.0)
+        f = l1_norm() if kind == "l1" else zero_function()
+        report = minimize_composite(oracle, f, np.zeros(8), eps_sub, 2000)
+        event(f"certified: {report.certified}")
+        if report.certified:
+            assert report.final_grad_map_norm <= (1.0 - 1e-6) * eps_sub
+            assert extended_gradient_map_norm(a, b, multiplier, 2.0, kind, report.solution) <= eps_sub
 
     def quadratic_case(self):
         # psi = ||0.1 x - b||^2 / 2 has curvature 0.01, so from x0 = 0 iteration
