@@ -127,7 +127,12 @@ def run_alm(
     leaves x unchanged, so its record reuses the previous objective value.
     The residual ``Ax - b`` is computed once per iterate: each solve's
     report carries it to the multiplier step and the next solve's entry
-    check.
+    check. The report also carries the subgradient of f at x from the
+    solve's last accepted step, which stays one after the multiplier step
+    since f and x do not change; the next solve tries it as a certificate
+    before its entry prox. A solve with no inner iteration hands on the one
+    it was given, and the first has none. Stored reports hold None in place
+    of it, so the trace keeps no extra vector per outer step.
 
     ``x0`` and ``multiplier0`` are copied once; every later iterate and
     multiplier is stored as computed, shared with the reports (see
@@ -145,10 +150,12 @@ def run_alm(
 
     cumulative_inner = 0
     curvature_hint = 1.0
+    subgradient = None
     for k in range(cfg.max_outer):
         t0 = time.perf_counter()
         oracle = PenaltyGradientOracle(prob.a_map, prob.b, multiplier, cfg.beta, cfg.p)
-        report = minimize_composite(oracle, prob.f, x, cfg.eps_sub, cfg.max_inner, curvature_hint, z)
+        report = minimize_composite(oracle, prob.f, x, cfg.eps_sub, cfg.max_inner, curvature_hint, z, subgradient)
+        subgradient, report.subgradient = report.subgradient, None
         trace.reports.append(report)
         if not report.converged:
             trace.status = "subsolver_stalled"

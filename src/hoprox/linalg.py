@@ -49,8 +49,8 @@ def solve_shifted_system(mat: np.ndarray, shift: float, rhs: np.ndarray) -> np.n
         raise ValueError(f"matrix must be square, got {mat.shape}")
     if rhs.shape[0] != n:
         raise ValueError(f"rhs length {rhs.shape[0]} != matrix order {n}")
-    if shift < 0:
-        raise ValueError("shift must be nonnegative")
+    if not shift >= 0:
+        raise ValueError(f"shift must be nonnegative, got {shift}")
     if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-10 * max(1.0, abs(mat).max())):
         raise ValueError("matrix must be symmetric")
 

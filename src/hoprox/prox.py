@@ -33,8 +33,8 @@ def norm_power_gradient(x: np.ndarray, p: float) -> np.ndarray:
     Returns the zero vector at x = 0. The output norm is ||x||^(1/p); for
     p = 1 this is the identity map.
     """
-    if p < 1:
-        raise ValueError("order p must be >= 1")
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1, got {p}")
     x = np.asarray(x, dtype=float)
     norm = np.linalg.norm(x)
     if norm == 0.0:
@@ -44,16 +44,16 @@ def norm_power_gradient(x: np.ndarray, p: float) -> np.ndarray:
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     """Componentwise shrinkage sign(v) * max(|v| - t, 0): the l1 prox."""
-    if t < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not t >= 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
 def singular_value_threshold(mat: np.ndarray, t: float) -> np.ndarray:
     """Shrink the singular values of ``mat`` by t: the nuclear-norm prox."""
-    if t < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not t >= 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
     u, sigma, v = svd_thin(mat)
     return (u * np.maximum(sigma - t, 0.0)) @ v.T
 

@@ -8,7 +8,8 @@ whose gradient is Hölder continuous with exponent 1/p. The solver is an
 accelerated proximal gradient method with a doubling/halving estimate of the
 local curvature, so it needs no smoothness constants up front. Termination
 uses the unit-scale gradient map G(x) = x - prox_f(x - grad_psi(x)), bounded
-first by a certificate that needs no prox (see ``minimize_composite``).
+first by a certificate that needs no prox, at entry too when the caller
+hands in a subgradient of f at the start (see ``minimize_composite``).
 """
 
 import math
@@ -90,7 +91,7 @@ def gradient_map(oracle: PenaltyGradientOracle, f: ProxFunction, z: np.ndarray) 
     return z - f.prox(z - oracle.gradient(z), 1.0)
 
 
-@dataclass
+@dataclass(slots=True)
 class SubsolverReport:
     """Outcome of one composite solve.
 
@@ -105,11 +106,20 @@ class SubsolverReport:
     every curvature trial, the L = 1 trial of iteration 1 included although
     it reuses the entry prox.
 
-    ``certified`` says that the solve stopped on the certificate, without
-    the stopping check's prox. ``final_grad_map_norm`` is then the
-    certificate: an upper bound on ||G(solution)|| that is at most
-    ``eps_sub``. Otherwise it is ||G|| as the exact test computed it, also
-    when the solve did not converge.
+    ``certified`` says that the solve stopped on a certificate, without
+    the stopping check's prox: after an accepted step, or at entry with 0
+    iterations and 0 prox calls on a subgradient passed in.
+    ``final_grad_map_norm`` is then the certificate: an upper bound on
+    ||G(solution)|| that is at most ``eps_sub``. Otherwise it is ||G|| as
+    the exact test computed it, also when the solve did not converge.
+
+    ``subgradient`` is ``(s, scale)`` from the last accepted step x =
+    prox_{f/L}(y - grad_psi(y)/L): s = -(L (x - y) + grad_psi(y)) is in the
+    subdifferential of f at ``solution``, and scale = L ||y - grad_psi(y)/L||
+    + ||grad_psi(y)|| sizes the rounding in s. A solve with no iteration
+    hands back the ``subgradient`` it was given, or None; one that did not
+    converge gives None. Pass it as ``subgradient`` to the next solve from
+    ``solution`` with the same f.
 
     ``solution`` and ``residual`` are the solver's own arrays, not copies:
     when no iteration ran, ``solution`` is ``z0`` itself and ``residual``
@@ -126,6 +136,7 @@ class SubsolverReport:
     prox_calls: int
     trials: int
     certified: bool
+    subgradient: tuple[np.ndarray, float] | None
 
 
 def _grid_start(hint: float) -> float:
@@ -141,6 +152,7 @@ def minimize_composite(
     max_iters: int,
     curvature_hint: float = 1.0,
     residual: np.ndarray | None = None,
+    subgradient: tuple[np.ndarray, float] | None = None,
 ) -> SubsolverReport:
     """Minimize psi + f until ||G(z)|| <= eps_sub.
 
@@ -179,6 +191,16 @@ def minimize_composite(
     accepted: since ||u|| >= L ||x - y|| - ||grad_psi(x) - grad_psi(y)||, a
     long step rarely certifies, and the gate spares its vector work.
 
+    ``subgradient``, when given, is the ``(s, scale)`` of a report whose
+    solution is ``z0``, from a solve with the same f; psi may differ, as it
+    does after a multiplier step. s is still a subgradient of f at z0, so
+    z0 = prox_f(z0 + s) and ||G(z0)|| <= ||u'|| with u' = grad_psi(z0) + s.
+    Before its entry prox the solve stops there, with 0 iterations, 0 prox
+    calls and ``certified`` set, when ||u'|| <= (1 - 1e-6) eps_sub and
+    delta' = 2^-52 (scale + ||grad_psi(z0)||) is at most 1e-6 eps_sub, the
+    same margins as the stopping certificate; otherwise the exact entry
+    check runs as without it.
+
     ``residual``, when given, must be ``A z0 - b`` (``oracle.residual(z0)``);
     the entry check then uses it instead of applying A again. Inputs are
     validated here, once: the loop hands only its own finite vectors to the
@@ -215,11 +237,21 @@ def minimize_composite(
         if r_x.shape != oracle.b.shape:
             raise ValueError(f"residual shape {r_x.shape} != {oracle.b.shape}")
     psi_x, grad_x = oracle.value_and_gradient_at_residual(r_x)
+    if subgradient is not None:
+        # the entry certificate ||G(z0)|| <= ||u'||, u' = grad + s
+        s, scale = subgradient
+        if s.shape != x.shape:
+            raise ValueError(f"subgradient shape {s.shape} != {x.shape}")
+        u = grad_x + s
+        g_norm = math.sqrt(u @ u)
+        delta = 2.0 ** -52 * (scale + math.sqrt(grad_x @ grad_x))
+        if g_norm <= (1.0 - _MARGIN) * eps_sub and delta <= _MARGIN * eps_sub:
+            return SubsolverReport(x, 0, g_norm, 1.0, True, L, r_x, prox_calls, trials, True, subgradient)
     prox_x = prox(x - grad_x, 1.0)
     d = x - prox_x
     g_norm = math.sqrt(d @ d)
     if g_norm <= eps_sub:
-        return SubsolverReport(x, 0, g_norm, 1.0, True, L, r_x, prox_calls, trials, False)
+        return SubsolverReport(x, 0, g_norm, 1.0, True, L, r_x, prox_calls, trials, False, subgradient)
 
     def attempt(L):
         """The trial step at curvature L from the current (x, v, big_a) and its test."""
@@ -266,11 +298,14 @@ def minimize_composite(
                 w = y - grad_y / L
                 norms = L * math.sqrt(w @ w) + math.sqrt(grad @ grad) + math.sqrt(grad_y @ grad_y)
                 certified = 2.0 ** -52 * norms <= _MARGIN * eps_sub
-        L = max(0.5 * L, _L_FLOOR)
         if not certified:
             d = x - prox(x - grad, 1.0)
             g_norm = math.sqrt(d @ d)
         if g_norm <= eps_sub:
-            return SubsolverReport(x, it, g_norm, L, True, first_L, r_x, prox_calls, trials, certified)
+            w = y - grad_y / L
+            subgradient = (-(grad_y + L * dx), L * math.sqrt(w @ w) + math.sqrt(grad_y @ grad_y))
+            L = max(0.5 * L, _L_FLOOR)
+            return SubsolverReport(x, it, g_norm, L, True, first_L, r_x, prox_calls, trials, certified, subgradient)
+        L = max(0.5 * L, _L_FLOOR)
 
-    return SubsolverReport(x, max_iters, g_norm, L, False, first_L, r_x, prox_calls, trials, False)
+    return SubsolverReport(x, max_iters, g_norm, L, False, first_L, r_x, prox_calls, trials, False, None)

@@ -341,12 +341,13 @@ def test_battery_prox_call_totals(bp_battery, mc_battery):
     # The BP and MC batteries are the alm-bp and alm-mc benchmark grids, and
     # these totals are the prox calls the benchmark's tracer counts on them:
     # the reports' own counts must agree with it. The inner-iteration totals
-    # pin the stops.
+    # pin the stops: the entry certificate skips 1,032 of MC's entry proxes
+    # and moves none of them.
     _, bp_traces, _ = bp_battery
     _, mc_traces, _ = mc_battery
 
     def total(traces, name):
         return sum(getattr(rep, name) for _, _, trace in traces for rep in trace.reports)
 
-    assert (total(bp_traces, "prox_calls"), total(mc_traces, "prox_calls")) == (39_514, 10_305)
+    assert (total(bp_traces, "prox_calls"), total(mc_traces, "prox_calls")) == (39_514, 9_273)
     assert (total(bp_traces, "iterations"), total(mc_traces, "iterations")) == (13_097, 3_604)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hoprox import alm
 from hoprox.alm import AlmConfig, CompositeProblem, multiplier_update, run_alm
 from hoprox.operators import MatrixMap
 from hoprox.problems import bp_composite, gen_bp, gen_mc, mc_composite
@@ -295,6 +296,39 @@ class TestSingleCopy:
         arrays += [a for rep in trace.reports for a in (rep.solution, rep.residual)]
         distinct = {a.tobytes(): a.nbytes for a in arrays}
         assert held <= 1.1 * sum(distinct.values())
+
+
+def trace_bytes(trace):
+    """The records except ``wall_ms``, and the iterate and multiplier bytes."""
+    records = [dataclasses.replace(rec, wall_ms=0.0) for rec in trace.records]
+    return trace.status, records, [x.tobytes() for x in trace.iterates], [m.tobytes() for m in trace.multipliers]
+
+
+class TestSubgradientHandoff:
+    def test_results_bitwise_with_fewer_prox_calls(self, monkeypatch):
+        # each x-update hands the subgradient of its last accepted step to the
+        # next, whose entry check then skips its prox when the certificate
+        # holds; it holds only where the exact check would pass, so nothing
+        # but the prox count may change
+        prob, cfg = mc_cell(1.0, 40)
+        handed = run_alm(prob, np.zeros(2500), np.zeros(250), cfg)
+
+        def without_handoff(oracle, f, x, eps_sub, max_iters, hint, residual, subgradient):
+            return minimize_composite(oracle, f, x, eps_sub, max_iters, hint, residual)
+
+        monkeypatch.setattr(alm, "minimize_composite", without_handoff)
+        plain = run_alm(prob, np.zeros(2500), np.zeros(250), cfg)
+        assert trace_bytes(handed) == trace_bytes(plain)
+        prox_calls = [sum(rep.prox_calls for rep in trace.reports) for trace in (handed, plain)]
+        at_entry = sum(rep.certified and rep.iterations == 0 for rep in handed.reports)
+        assert at_entry >= 1 and prox_calls[0] == prox_calls[1] - at_entry
+
+    def test_reports_do_not_keep_the_subgradient(self):
+        # one n-vector per x-update would grow the trace by an iterate's size
+        # each outer step
+        prob, cfg = mc_cell(1.0, 40)
+        trace = run_alm(prob, np.zeros(2500), np.zeros(250), cfg)
+        assert all(rep.subgradient is None for rep in trace.reports)
 
 
 class TestDualProxOracle:

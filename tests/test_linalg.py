@@ -81,6 +81,10 @@ class TestSolveShiftedSystem:
         with pytest.raises(ValueError):
             solve_shifted_system(np.eye(2), -0.1, np.ones(2))
 
+    def test_nan_shift_rejected(self):
+        with pytest.raises(ValueError, match="^shift must be nonnegative, got nan"):
+            solve_shifted_system(np.eye(2), float("nan"), np.ones(2))
+
 
 class TestSvdThin:
     def test_diagonal(self):

@@ -85,6 +85,10 @@ class TestNormPowerGradient:
         with pytest.raises(ValueError):
             norm_power_gradient(np.ones(2), 0.5)
 
+    def test_nan_order_rejected(self):
+        with pytest.raises(ValueError, match="^p must be >= 1, got nan"):
+            norm_power_gradient(np.ones(2), float("nan"))
+
 
 class TestSoftThreshold:
     def test_closed_form(self):
@@ -97,6 +101,10 @@ class TestSoftThreshold:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             soft_threshold(np.ones(2), -0.1)
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="^t must be nonnegative, got nan"):
+            soft_threshold(np.ones(2), float("nan"))
 
     def test_local_optimality_probing(self):
         rng = np.random.default_rng(1)
@@ -159,6 +167,10 @@ class TestSingularValueThreshold:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             singular_value_threshold(np.eye(2), -1.0)
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="^t must be nonnegative, got nan"):
+            singular_value_threshold(np.eye(2), float("nan"))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):

@@ -261,6 +261,12 @@ class TestEntryValidation:
             with pytest.raises(ValueError):
                 minimize_composite(oracle, l1_norm(), np.zeros(3), 1e-6, 10, residual=bad)
 
+    def test_subgradient_of_wrong_shape_rejected(self):
+        oracle = PenaltyGradientOracle(np.ones((2, 3)), np.ones(2), np.zeros(2), 1.0, 1.0)
+        for bad in (np.zeros(2), np.zeros(1), np.zeros((3, 1))):
+            with pytest.raises(ValueError, match="^subgradient shape"):
+                minimize_composite(oracle, l1_norm(), np.zeros(3), 1e-6, 10, subgradient=(bad, 0.0))
+
 
 def report_bytes(report):
     return (report.solution.tobytes(), report.iterations, report.final_grad_map_norm,
@@ -432,15 +438,14 @@ class TestResidualHandoff:
 
 
 def accepted_step(oracle, f, y, L):
-    """The trial x+ = prox_{f/L}(y - grad_psi(y)/L) and its certificate u = grad_psi(x+) + s.
+    """The trial x+ = prox_{f/L}(y - grad_psi(y)/L) and s = -(L (x+ - y) + grad_psi(y)).
 
-    s = -(L (x+ - y) + grad_psi(y)) is the subgradient of f at x+ that the
-    prox's optimality condition supplies.
+    s is the subgradient of f at x+ that the prox's optimality condition
+    supplies, so u = grad_psi(x+) + s bounds ||G(x+)|| for any psi.
     """
     grad_y = oracle.gradient(y)
     x_next = f.prox(y - grad_y / L, 1.0 / L)
-    s = -(L * (x_next - y) + grad_y)
-    return x_next, oracle.gradient(x_next) + s
+    return x_next, -(L * (x_next - y) + grad_y)
 
 
 def extended_gradient_map_norm(a, b, multiplier, p, kind, x):
@@ -472,7 +477,8 @@ class TestStoppingCertificate:
         oracle = PenaltyGradientOracle(a, rng.standard_normal(6), multiplier, 2.0, p)
         f = l1_norm() if kind == "l1" else nuclear_norm_on_vectors(3, 4)
         L = 10.0 ** log_l
-        x_next, u = accepted_step(oracle, f, y, L)
+        x_next, s = accepted_step(oracle, f, y, L)
+        u = oracle.gradient(x_next) + s
         exact = np.linalg.norm(gradient_map(oracle, f, x_next))
         rounding = 1e-12 * (1.0 + L * np.linalg.norm(y) + np.linalg.norm(oracle.gradient(y)))
         assert exact <= np.linalg.norm(u) + rounding
@@ -483,20 +489,25 @@ class TestStoppingCertificate:
     def test_certified_stops_are_sound(self, kind, p, eps_sub):
         # the BP case is the alm-bp cell of seed 3, whose x-updates 5, 7, 44 and
         # 48 certify; seed 0's cell stopped certifying when the first curvature
-        # search lost its downward probe
+        # search lost its downward probe. The stalled MC p = 1 cell also stops
+        # x-updates at entry on the subgradient the previous one handed on
         oracle, f, z0 = hint_case(kind, p, bp_seed=3)
         prob = CompositeProblem(f, oracle.a_map, oracle.b)
         cfg = AlmConfig(p=p, beta=oracle.beta, eps=1e-3, eps_sub=eps_sub, max_outer=60, max_inner=50_000)
         trace = run_alm(prob, z0, np.zeros_like(prob.b), cfg)
-        certified = 0
+        certified = at_entry = 0
         for k, report in enumerate(trace.reports):
             if report.certified:
                 certified += 1
                 at_k = PenaltyGradientOracle(prob.a_map, prob.b, trace.multipliers[k], cfg.beta, p)
                 exact = np.linalg.norm(gradient_map(at_k, f, report.solution))
-                assert report.converged and report.iterations >= 1
+                assert report.converged
+                if report.iterations == 0:
+                    at_entry += 1
+                    assert report.solution is trace.iterates[k] and report.prox_calls == 0
                 assert exact <= report.final_grad_map_norm <= (1.0 - 1e-6) * eps_sub
         assert certified >= 1
+        assert (at_entry >= 1) == ((kind, p, eps_sub) == ("mc", 1.0, 0.1))
 
     @settings(max_examples=40, deadline=timedelta(seconds=5))
     @given(
@@ -577,3 +588,149 @@ class TestStoppingCertificate:
         assert report.converged and report.certified
         exact = np.linalg.norm(gradient_map(oracle, zero_function(), report.solution))
         assert report.final_grad_map_norm == pytest.approx(exact, rel=1e-9)
+
+
+def entry_case(seed, log_a, log_b, log_eps, kind, log_d):
+    """A converged solve, a multiplier step d and the next solve started on its subgradient.
+
+    A over 10^log_a, b over 10^log_b, eps_sub = 10^log_eps and d over
+    10^log_d eps_sub. Returns the next solve's report, its eps_sub, the
+    entry certificate ||u'|| the subgradient gives and the gradient map at
+    the start in extended precision, or None when the first solve did not
+    converge after a step.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((4, 8)) * 10.0 ** log_a
+    b = rng.standard_normal(4) * 10.0 ** log_b
+    multiplier = rng.standard_normal(4)
+    eps_sub = 10.0 ** log_eps
+    moved = multiplier + rng.standard_normal(4) * eps_sub * 10.0 ** log_d
+    f = l1_norm() if kind == "l1" else zero_function()
+    first = minimize_composite(PenaltyGradientOracle(a, b, multiplier, 1.0, 2.0), f, np.zeros(8), eps_sub, 2000)
+    if first.subgradient is None:
+        return None
+    after = PenaltyGradientOracle(a, b, moved, 1.0, 2.0)
+    u = after.gradient(first.solution) + first.subgradient[0]
+    report = minimize_composite(after, f, first.solution, eps_sub, 1, subgradient=first.subgradient)
+    exact = extended_gradient_map_norm(a, b, moved, 2.0, kind, first.solution)
+    return report, eps_sub, math.sqrt(u @ u), exact
+
+
+class TestEntryCertificate:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["l1", "nuclear"]),
+        p=st.sampled_from([1.0, 2.0, 3.0]),
+        log_l=st.floats(-3.0, 4.0),
+        y=hnp.arrays(np.float64, 12, elements=st.floats(-10.0, 10.0)),
+        multiplier=hnp.arrays(np.float64, 6, elements=st.floats(-10.0, 10.0)),
+        step=hnp.arrays(np.float64, 6, elements=st.floats(-10.0, 10.0)),
+    )
+    def test_bounds_the_gradient_map_after_a_multiplier_step(self, kind, p, log_l, y, multiplier, step):
+        # the multiplier step changes psi but not f, so s stays in the
+        # subdifferential of f at x+ and ||G'(x+)|| <= ||grad_psi'(x+) + s||
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((6, 12))
+        b = rng.standard_normal(6)
+        f = l1_norm() if kind == "l1" else nuclear_norm_on_vectors(3, 4)
+        L = 10.0 ** log_l
+        before = PenaltyGradientOracle(a, b, multiplier, 2.0, p)
+        x_next, s = accepted_step(before, f, y, L)
+        after = PenaltyGradientOracle(a, b, multiplier + step, 2.0, p)
+        u = after.gradient(x_next) + s
+        exact = np.linalg.norm(gradient_map(after, f, x_next))
+        rounding = 1e-12 * (1.0 + L * np.linalg.norm(y) + np.linalg.norm(before.gradient(y)) + np.linalg.norm(u))
+        assert exact <= np.linalg.norm(u) + rounding
+
+    @settings(max_examples=40, deadline=timedelta(seconds=5))
+    @given(
+        seed=st.integers(0, 2**16),
+        log_a=st.floats(-2.0, 2.0),
+        log_b=st.floats(-1.0, 4.0),
+        log_eps=st.floats(-12.0, -6.0),
+        kind=st.sampled_from(["l1", "zero"]),
+        log_d=st.floats(-3.0, 0.0),
+    )
+    @example(seed=26473, log_a=-1.37, log_b=0.49, log_eps=-9.0, kind="zero", log_d=-2.28)
+    @example(seed=1046, log_a=-0.56, log_b=1.9, log_eps=-7.0, kind="zero", log_d=-1.14)
+    @example(seed=10432, log_a=-1.07, log_b=3.72, log_eps=-6.0, kind="zero", log_d=-2.76)
+    def test_entry_certificate_at_extreme_scales(self, seed, log_a, log_b, log_eps, kind, log_d):
+        # each stop at entry must bound the gradient map computed in extended
+        # precision; the examples certify there
+        case = entry_case(seed, log_a, log_b, log_eps, kind, log_d)
+        if case is None:
+            return
+        report, eps_sub, u_norm, exact = case
+        at_entry = report.certified and report.iterations == 0
+        event(f"certified at entry: {at_entry}")
+        if at_entry:
+            assert report.prox_calls == 0 and report.final_grad_map_norm == u_norm
+            assert u_norm <= (1.0 - 1e-6) * eps_sub
+            assert exact <= eps_sub
+
+    @pytest.mark.parametrize(
+        "seed,log_a,log_b,log_eps,kind,log_d",
+        [
+            (27841, -1.09, 3.78, -12.0, "zero", -2.2),
+            (30698, 0.16, 3.55, -12.0, "zero", -2.35),
+            (26721, 1.0, 1.57, -12.0, "l1", -2.8),
+        ],
+    )
+    def test_rounding_bound_refuses(self, seed, log_a, log_b, log_eps, kind, log_d):
+        # ||u'|| is far below eps_sub, but the subgradient came from a step at
+        # large L ||y - grad_psi(y)/L||, so its rounding is not: ||G|| is 587,
+        # 14 and 5 times ||u'||, and above eps_sub in the first two
+        report, eps_sub, u_norm, exact = entry_case(seed, log_a, log_b, log_eps, kind, log_d)
+        assert u_norm <= (1.0 - 1e-6) * eps_sub and exact > u_norm
+        assert not (report.certified and report.iterations == 0)
+        assert report.prox_calls >= 1
+
+    @pytest.mark.parametrize(
+        "margin,rounding,certified", [(2e-6, 0.0, True), (5e-7, 0.0, False), (2e-6, 0.99, True), (2e-6, 1.01, False)]
+    )
+    def test_margin_and_rounding_bound(self, margin, rounding, certified):
+        # with f = 0, s = 0 is a subgradient everywhere and u' = grad_psi(z0):
+        # ||u'|| = (1 - margin) eps_sub certifies only below (1 - 1e-6) eps_sub,
+        # and a scale that puts delta' above 1e-6 eps_sub refuses it
+        oracle = PenaltyGradientOracle(0.1 * np.eye(3), np.array([1.0, -2.0, 0.5]), np.zeros(3), 1.0, 1.0)
+        z0 = np.array([3.0, -1.0, 2.0])
+        grad = oracle.gradient(z0)
+        u_norm = math.sqrt(grad @ grad)
+        eps_sub = u_norm / (1.0 - margin)
+        scale = rounding * 2.0 ** 52 * 1e-6 * eps_sub
+        report = minimize_composite(oracle, zero_function(), z0, eps_sub, 1, subgradient=(np.zeros(3), scale))
+        # refused, the exact entry check passes with its one prox
+        assert (report.iterations, report.prox_calls, report.certified) == (0, int(not certified), certified)
+        assert report.final_grad_map_norm == u_norm or not certified
+
+    @pytest.mark.parametrize("kind,p,entry", [("bp", 1.0, 0), ("mc", 1.0, 0), ("mc", 2.0, 1)])
+    def test_handoff_moves_no_stop(self, kind, p, entry):
+        # a chain of solves with small multiplier steps: handed the subgradient
+        # of the last accepted step, each solve makes the same stops and calls
+        # as without it, bar the entry prox that a certificate skips. Only the
+        # MC p = 2 chain certifies at entry, in its fourth solve
+        oracle, f, z0 = hint_case(kind, p)
+        chains = {}
+        for pass_on in (False, True):
+            x, multiplier, subgradient = z0, oracle.multiplier, None
+            chains[pass_on] = []
+            for _ in range(8):
+                at_k = PenaltyGradientOracle(oracle.a_map, oracle.b, multiplier, oracle.beta, p)
+                report = minimize_composite(at_k, f, x, 0.1, 20_000, subgradient=subgradient)
+                chains[pass_on].append((subgradient, report))
+                x, subgradient = report.solution, report.subgradient if pass_on else None
+                multiplier = multiplier + 1e-3 * oracle.beta ** (1.0 / p) * norm_power_gradient(report.residual, p)
+        at_entry = 0
+        for (_, without), (handed_in, with_s) in zip(chains[False], chains[True]):
+            skipped = with_s.certified and with_s.iterations == 0
+            at_entry += skipped
+            assert report_bytes(with_s)[:2] + report_bytes(with_s)[3:] == (
+                report_bytes(without)[:2] + report_bytes(without)[3:]
+            )
+            assert (with_s.prox_calls, with_s.trials) == (without.prox_calls - skipped, without.trials)
+            assert with_s.final_grad_map_norm == without.final_grad_map_norm or skipped
+            if with_s.iterations == 0:
+                assert with_s.subgradient is handed_in and without.subgradient is None
+            else:
+                assert with_s.subgradient is not None
+        assert at_entry == entry
