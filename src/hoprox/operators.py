@@ -8,7 +8,7 @@ surface so the solvers never branch on the representation.
 
 import numpy as np
 
-from .linalg import as_matrix, spectral_norm_estimate
+from .linalg import as_matrix
 
 
 class MatrixMap:
@@ -17,7 +17,6 @@ class MatrixMap:
     def __init__(self, mat: np.ndarray):
         self.mat = as_matrix(mat)
         self.shape = self.mat.shape
-        self._norm = None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.mat @ x
@@ -25,10 +24,8 @@ class MatrixMap:
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         return self.mat.T @ y
 
-    def norm_estimate(self, tol: float = 1e-9) -> float:
-        if self._norm is None:
-            self._norm = spectral_norm_estimate(self.mat, tol=tol)
-        return self._norm
+    def norm_estimate(self) -> float:
+        return float(np.linalg.norm(self.mat, 2))
 
 
 class EntryMask:
@@ -66,7 +63,7 @@ class EntryMask:
         out[self.indices] = y
         return out
 
-    def norm_estimate(self, tol: float = 1e-9) -> float:
+    def norm_estimate(self) -> float:
         """Exactly 1: A^T A is a 0/1 diagonal with at least one 1."""
         return 1.0
 

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import svd_thin
+from .linalg import as_matrix
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,8 @@ def singular_value_threshold(mat: np.ndarray, t: float) -> np.ndarray:
     """Shrink the singular values of ``mat`` by t: the nuclear-norm prox."""
     if not t >= 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    u, sigma, v = svd_thin(mat)
-    return (u * np.maximum(sigma - t, 0.0)) @ v.T
+    u, sigma, vt = np.linalg.svd(as_matrix(mat), full_matrices=False)
+    return (u * np.maximum(sigma - t, 0.0)) @ vt
 
 
 def l1_norm() -> ProxFunction:

@@ -103,15 +103,18 @@ class SubsolverReport:
     ``residual`` is ``A @ solution - b`` as the solve computed it: the last
     accepted trial's residual, or the entry residual when no iteration ran.
     ``prox_calls`` counts every ``f.prox`` call of the solve and ``trials``
-    every curvature trial, the L = 1 trial of iteration 1 included although
-    it reuses the entry prox.
+    every curvature trial. Each trial calls the prox once, and so does each
+    stopping test that does not certify, the entry's included, so
+    ``prox_calls == trials + 1 + iterations - certified``.
 
     ``certified`` says that the solve stopped on a certificate, without
-    the stopping check's prox: after an accepted step, or at entry with 0
+    the stopping test's prox: after an accepted step, or at entry with 0
     iterations and 0 prox calls on a subgradient passed in.
-    ``final_grad_map_norm`` is then the certificate: an upper bound on
-    ||G(solution)|| that is at most ``eps_sub``. Otherwise it is ||G|| as
-    the exact test computed it, also when the solve did not converge.
+    ``final_grad_map_norm`` is then the certificate ||u||, which bounds
+    ||G(solution)|| up to rounding: the exact ||G|| has been seen up to
+    3e-7 relative above it, and the test's 1e-6 margins keep it below
+    ``eps_sub``. Otherwise it is ||G|| as the exact test computed it, also
+    when the solve did not converge.
 
     ``subgradient`` is ``(s, scale)`` from the last accepted step x =
     prox_{f/L}(y - grad_psi(y)/L): s = -(L (x - y) + grad_psi(y)) is in the
@@ -167,39 +170,37 @@ def minimize_composite(
 
     Iteration 1 is special: with nothing accumulated yet, a = 1/L and the
     extrapolated point y is the start x for every trial L. It therefore
-    reuses the residual and gradient of the entry check, and at L = 1 also
-    its prox x - G(x), so its trials cost one prox and one ``apply`` each
-    and the L = 1 trial costs no prox at all. Its search starts at
+    reuses the residual and gradient of the entry check, so its trials cost
+    one prox and one ``apply`` each. Its search starts at
     ``curvature_hint`` (taken down to a power of two, at least 1) and, like
     every later search, only doubles: a hint that passes costs one trial,
     and the L it accepts is never below the hint's power of two, as in
     FISTA's backtracking. The default hint 1 is the cold search 1, 2, 4, ...
     Later iterations start at half the last accepted L.
 
-    The stopping test tries a certificate before it calls the prox. The
-    accepted trial x = prox_{f/L}(y - grad_psi(y)/L) puts
-    s = -(L (x - y) + grad_psi(y)) in the subdifferential of f at x, so
-    x = prox_f(x + s), and nonexpansiveness of prox_f gives
-    ||G(x)|| <= ||u|| with u = grad_psi(x) + s, for any convex f and psi.
-    The solve stops there, with ``final_grad_map_norm`` = ||u|| and
-    ``certified`` set, when ||u|| <= (1 - 1e-6) eps_sub and the rounding
-    bound delta = 2^-52 (L ||y - grad_psi(y)/L|| + ||grad_psi(x)|| +
-    ||grad_psi(y)||) on u is at most 1e-6 eps_sub; otherwise the exact test
-    runs. delta is chiefly L times the ulp of the prox input: without it, a
-    step that rounds to nothing at large L certifies on rounding alone.
-    u is formed only after a short step, L ||x - y|| <= 2 eps_sub with L as
-    accepted: since ||u|| >= L ||x - y|| - ||grad_psi(x) - grad_psi(y)||, a
-    long step rarely certifies, and the gate spares its vector work.
+    One stopping test runs at entry and after each accepted step. A
+    subgradient s of f at x gives x = prox_f(x + s), and nonexpansiveness
+    of prox_f gives ||G(x)|| <= ||u|| with u = grad_psi(x) + s, for any
+    convex f and psi. Handed ``(s, scale)``, the test stops on that
+    certificate, with ``final_grad_map_norm`` = ||u|| and ``certified``
+    set, when ||u|| <= (1 - 1e-6) eps_sub and the rounding bound
+    delta = 2^-52 (scale + ||grad_psi(x)||) on u is at most 1e-6 eps_sub;
+    otherwise, or with no s, it computes ||G(x)|| with one prox.
 
-    ``subgradient``, when given, is the ``(s, scale)`` of a report whose
-    solution is ``z0``, from a solve with the same f; psi may differ, as it
-    does after a multiplier step. s is still a subgradient of f at z0, so
-    z0 = prox_f(z0 + s) and ||G(z0)|| <= ||u'|| with u' = grad_psi(z0) + s.
-    Before its entry prox the solve stops there, with 0 iterations, 0 prox
-    calls and ``certified`` set, when ||u'|| <= (1 - 1e-6) eps_sub and
-    delta' = 2^-52 (scale + ||grad_psi(z0)||) is at most 1e-6 eps_sub, the
-    same margins as the stopping certificate; otherwise the exact entry
-    check runs as without it.
+    After a step, s is the accepted trial's: x = prox_{f/L}(y - grad_psi(y)/L)
+    puts s = -(L (x - y) + grad_psi(y)) in the subdifferential of f at x,
+    and scale = L ||y - grad_psi(y)/L|| + ||grad_psi(y)||. delta is chiefly
+    L times the ulp of the prox input: without it, a step that rounds to
+    nothing at large L certifies on rounding alone. s is formed only after
+    a short step, L ||x - y|| <= 2 eps_sub with L as accepted: since
+    ||u|| >= L ||x - y|| - ||grad_psi(x) - grad_psi(y)||, a long step
+    rarely certifies, and the gate spares its vector work.
+
+    At entry, s is ``subgradient``, when given: the ``(s, scale)`` of a
+    report whose solution is ``z0``, from a solve with the same f. psi may
+    differ, as it does after a multiplier step; s is still a subgradient of
+    f at z0. A certificate there stops the solve with 0 iterations and 0
+    prox calls.
 
     ``residual``, when given, must be ``A z0 - b`` (``oracle.residual(z0)``);
     the entry check then uses it instead of applying A again. Inputs are
@@ -230,28 +231,35 @@ def minimize_composite(
         prox_calls += 1
         return f.prox(point, scale)
 
+    def stopping_test(z, grad_z, subgradient):
+        """(g_norm, certified): the certificate from ``(s, scale)`` if it holds, else the exact ||G(z)||."""
+        if subgradient is not None:
+            s, scale = subgradient
+            u = grad_z + s
+            g_norm = math.sqrt(u @ u)
+            delta = 2.0 ** -52 * (scale + math.sqrt(grad_z @ grad_z))
+            if g_norm <= (1.0 - _MARGIN) * eps_sub and delta <= _MARGIN * eps_sub:
+                return g_norm, True
+        d = z - prox(z - grad_z, 1.0)
+        return math.sqrt(d @ d), False
+
+    def step_subgradient(L, y, dx, grad_y):
+        """(s, scale) of the accepted step y + dx = prox_{f/L}(y - grad_y/L)."""
+        w = y - grad_y / L
+        return -(grad_y + L * dx), L * math.sqrt(w @ w) + math.sqrt(grad_y @ grad_y)
+
     if residual is None:
         r_x = oracle.residual(x)
     else:
         r_x = as_vector(residual)
         if r_x.shape != oracle.b.shape:
             raise ValueError(f"residual shape {r_x.shape} != {oracle.b.shape}")
+    if subgradient is not None and subgradient[0].shape != x.shape:
+        raise ValueError(f"subgradient shape {subgradient[0].shape} != {x.shape}")
     psi_x, grad_x = oracle.value_and_gradient_at_residual(r_x)
-    if subgradient is not None:
-        # the entry certificate ||G(z0)|| <= ||u'||, u' = grad + s
-        s, scale = subgradient
-        if s.shape != x.shape:
-            raise ValueError(f"subgradient shape {s.shape} != {x.shape}")
-        u = grad_x + s
-        g_norm = math.sqrt(u @ u)
-        delta = 2.0 ** -52 * (scale + math.sqrt(grad_x @ grad_x))
-        if g_norm <= (1.0 - _MARGIN) * eps_sub and delta <= _MARGIN * eps_sub:
-            return SubsolverReport(x, 0, g_norm, 1.0, True, L, r_x, prox_calls, trials, True, subgradient)
-    prox_x = prox(x - grad_x, 1.0)
-    d = x - prox_x
-    g_norm = math.sqrt(d @ d)
+    g_norm, certified = stopping_test(x, grad_x, subgradient)
     if g_norm <= eps_sub:
-        return SubsolverReport(x, 0, g_norm, 1.0, True, L, r_x, prox_calls, trials, False, subgradient)
+        return SubsolverReport(x, 0, g_norm, 1.0, True, L, r_x, prox_calls, trials, certified, subgradient)
 
     def attempt(L):
         """The trial step at curvature L from the current (x, v, big_a) and its test."""
@@ -263,11 +271,10 @@ def minimize_composite(
         if big_a == 0.0:
             # tau = 1, so y = 1*v + 0*x = x bitwise: reuse the entry check's oracles
             y, psi_y, grad_y = x, psi_x, grad_x
-            x_trial = prox_x if L == 1.0 else prox(y - grad_y / L, 1.0 / L)
         else:
             y = tau * v + (1.0 - tau) * x
             psi_y, grad_y = oracle.value_and_gradient_at_residual(oracle.residual(y))
-            x_trial = prox(y - grad_y / L, 1.0 / L)
+        x_trial = prox(y - grad_y / L, 1.0 / L)
         dx = x_trial - y
         dx_sq = dx @ dx
         r_trial = oracle.residual(x_trial)
@@ -289,23 +296,14 @@ def minimize_composite(
         x, y, dx, dx_sq, grad_y, r_x, big_a, tau = step
         v = v + dx / tau
         grad = oracle.gradient_at_residual(r_x)
-        # the certificate ||G(x)|| <= ||u||, u = grad + s with s = -(L dx + grad_y)
-        certified = False
-        if L * math.sqrt(dx_sq) <= 2.0 * eps_sub:
-            u = grad - grad_y - L * dx
-            g_norm = math.sqrt(u @ u)
-            if g_norm <= (1.0 - _MARGIN) * eps_sub:
-                w = y - grad_y / L
-                norms = L * math.sqrt(w @ w) + math.sqrt(grad @ grad) + math.sqrt(grad_y @ grad_y)
-                certified = 2.0 ** -52 * norms <= _MARGIN * eps_sub
-        if not certified:
-            d = x - prox(x - grad, 1.0)
-            g_norm = math.sqrt(d @ d)
-        if g_norm <= eps_sub:
-            w = y - grad_y / L
-            subgradient = (-(grad_y + L * dx), L * math.sqrt(w @ w) + math.sqrt(grad_y @ grad_y))
-            L = max(0.5 * L, _L_FLOOR)
-            return SubsolverReport(x, it, g_norm, L, True, first_L, r_x, prox_calls, trials, certified, subgradient)
+        short = L * math.sqrt(dx_sq) <= 2.0 * eps_sub
+        subgradient = step_subgradient(L, y, dx, grad_y) if short else None
+        g_norm, certified = stopping_test(x, grad, subgradient)
+        converged = g_norm <= eps_sub
+        if converged and subgradient is None:
+            subgradient = step_subgradient(L, y, dx, grad_y)
         L = max(0.5 * L, _L_FLOOR)
+        if converged:
+            return SubsolverReport(x, it, g_norm, L, True, first_L, r_x, prox_calls, trials, certified, subgradient)
 
     return SubsolverReport(x, max_iters, g_norm, L, False, first_L, r_x, prox_calls, trials, False, None)

@@ -13,13 +13,13 @@ import pytest
 
 from hoprox.alm import AlmConfig, multiplier_update, run_alm
 from hoprox.bench import ExperimentConfig, RunManifest, run_sweep
-from hoprox.linalg import spectral_norm_estimate
 from hoprox.ppa import PpaConfig, run_ppa
 from hoprox.problems import bp_composite, gen_bp, gen_mc, gen_vi_affine, mc_composite
 from hoprox.prox import l1_norm
 from hoprox.subsolver import PenaltyGradientOracle, gradient_map, holder_constant, minimize_composite
 
 from dual_oracle import dual_prox_oracle
+from spectral_norm import spectral_norm_estimate
 
 P_ORDERS = (1.0, 2.0, 3.0)
 
@@ -349,5 +349,16 @@ def test_battery_prox_call_totals(bp_battery, mc_battery):
     def total(traces, name):
         return sum(getattr(rep, name) for _, _, trace in traces for rep in trace.reports)
 
-    assert (total(bp_traces, "prox_calls"), total(mc_traces, "prox_calls")) == (39_514, 9_273)
+    assert (total(bp_traces, "prox_calls"), total(mc_traces, "prox_calls")) == (39_529, 9_297)
     assert (total(bp_traces, "iterations"), total(mc_traces, "iterations")) == (13_097, 3_604)
+
+
+def test_battery_count_identity(bp_battery, mc_battery):
+    # every trial calls the prox once, and so does every stopping test that
+    # does not certify, the entry's included
+    _, bp_traces, _ = bp_battery
+    _, mc_traces, _ = mc_battery
+    reports = [rep for _, _, trace in bp_traces + mc_traces for rep in trace.reports]
+    assert len(reports) == 652 + 3_049
+    for rep in reports:
+        assert rep.prox_calls == rep.trials + 1 + rep.iterations - rep.certified

@@ -205,9 +205,9 @@ class TestCurvatureHintInAlm:
             assert rec.objective == prob.f.value(trace.iterates[k + 1])
 
     def test_prox_call_count(self):
-        # 656 prox calls (SVDs) before the entry check's prox was reused as
-        # the L = 1 trial and the first search started at the previous
-        # x-update's curvature; 435 after
+        # 656 prox calls (SVDs) before each x-update's first search started
+        # at the previous x-update's curvature; 367 with that and the entry
+        # certificate
         prob, cfg = mc_cell(2.0, 60)
         calls = []
         counted = ProxFunction(prob.f.value, lambda v, t: calls.append(t) or prob.f.prox(v, t))
@@ -228,9 +228,6 @@ class CountingMap:
 
     def adjoint(self, y):
         return self.inner.adjoint(y)
-
-    def norm_estimate(self, tol=1e-9):
-        return self.inner.norm_estimate(tol)
 
 
 class TestResidualHandoff:

@@ -322,10 +322,8 @@ class TestRunSweep:
             assert run["status"] == "converged" and inner > 0
             assert inner == read_csv(tmp_path / run["csv"])[-1].cumulative_inner
             # each x-update calls the prox at entry and once per iteration to
-            # stop, bar a certified stop; the other calls are trials, at most
-            # one per x-update reusing the entry prox as its L = 1 trial
-            prox_trials = run["prox_calls"] - outer - inner + run["certified"]
-            assert prox_trials <= run["trials"] <= prox_trials + outer
+            # stop, bar a certified stop; the other calls are trials
+            assert run["trials"] == run["prox_calls"] - outer - inner + run["certified"]
 
     def test_cell_failure_recorded_and_sweep_continues(self, tmp_path, monkeypatch):
         calls = {"n": 0}

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import hoprox
-from hoprox.linalg import solve_shifted_system, spectral_norm_estimate, svd_thin
+from hoprox.linalg import solve_shifted_system
+
+from spectral_norm import spectral_norm_estimate
 
 
 def test_import_leaves_scipy_unloaded():
@@ -86,33 +88,6 @@ class TestSolveShiftedSystem:
             solve_shifted_system(np.eye(2), float("nan"), np.ones(2))
 
 
-class TestSvdThin:
-    def test_diagonal(self):
-        u, sigma, v = svd_thin(np.diag([3.0, 1.0]))
-        assert np.allclose(sigma, [3.0, 1.0])
-
-    def test_zero_matrix(self):
-        _, sigma, _ = svd_thin(np.zeros((2, 3)))
-        assert np.allclose(sigma, 0.0)
-
-    @pytest.mark.parametrize("shape", [(6, 4), (4, 6), (5, 5)])
-    def test_reconstruction_and_orthogonality(self, shape):
-        rng = np.random.default_rng(11)
-        mat = rng.standard_normal(shape)
-        u, sigma, v = svd_thin(mat)
-        assert np.all(np.diff(sigma) <= 0) and np.all(sigma >= 0)
-        recon = (u * sigma) @ v.T
-        assert np.linalg.norm(recon - mat) <= 1e-10 * max(1.0, np.linalg.norm(mat))
-        k = len(sigma)
-        assert np.linalg.norm(u.T @ u - np.eye(k)) <= 1e-10
-        assert np.linalg.norm(v.T @ v - np.eye(k)) <= 1e-10
-
-    def test_nonfinite_rejected(self):
-        bad = np.array([[1.0, np.nan], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="finite"):
-            svd_thin(bad)
-
-
 class TestSpectralNormEstimate:
     def test_diagonal(self):
         assert abs(spectral_norm_estimate(np.diag([2.0, 5.0]), tol=1e-9) - 5.0) <= 5.0 * 1e-6
@@ -123,7 +98,7 @@ class TestSpectralNormEstimate:
     def test_matches_svd(self):
         rng = np.random.default_rng(5)
         mat = rng.standard_normal((10, 20))
-        _, sigma, _ = svd_thin(mat)
+        sigma = np.linalg.svd(mat, compute_uv=False)
         estimate = spectral_norm_estimate(mat, tol=1e-9)
         assert abs(estimate - sigma[0]) <= 1e-6 * sigma[0]
 

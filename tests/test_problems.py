@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hoprox.linalg import as_matrix, spectral_norm_estimate
+from hoprox.linalg import as_matrix
 from hoprox.problems import (
     McInstance,
     bp_composite,
@@ -13,6 +13,8 @@ from hoprox.problems import (
     mc_composite,
     nuclear_norm_on_vectors,
 )
+
+from spectral_norm import spectral_norm_estimate
 
 
 # The observed-entry mask on (m, n) matrices, independent of ``EntryMask``:

@@ -28,8 +28,8 @@ KEPT_WITHOUT_CALLER = {
 
 # methods, as Class.method, that neither src/hoprox nor perfbench calls
 METHODS_KEPT_WITHOUT_CALLER = {
-    "MatrixMap.norm_estimate": "spectral norm of A, forwarded by the benchmark tracer; goes with ROADMAP item 4",
-    "EntryMask.norm_estimate": "spectral norm of A, forwarded by the benchmark tracer; goes with ROADMAP item 4",
+    "MatrixMap.norm_estimate": "spectral norm of A; only perfbench/tracing.py:28 reads it, to forward it",
+    "EntryMask.norm_estimate": "spectral norm of A; only perfbench/tracing.py:28 reads it, to forward it",
     "RunManifest.load": "reader of the library's own manifest format (criterion 10 reruns a manifest)",
 }
 
