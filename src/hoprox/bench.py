@@ -7,14 +7,14 @@ RNG algorithm, per-run artifact paths and, for ALM runs, the cell's total
 inner iterations, prox calls, curvature trials and certified stops, and
 suffices to regenerate every CSV byte-for-byte. Wall-clock timing is
 inherently non-reproducible, so persisted CSVs carry a zeroed wall_ms
-column; measured timings live in the manifest's metadata instead.
+column; measured timings live in the trace and the manifest's metadata.
 """
 
 import itertools
 import json
 import time
 import traceback
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -55,6 +55,9 @@ class ExperimentConfig:
         for name in ("seeds", "p_values", "betas", "eps_subs"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
+        # numpy's default_rng takes only non-negative integer seeds
+        if not all(isinstance(seed, (int, np.integer)) and seed >= 0 for seed in self.seeds):
+            raise ValueError(f"seeds must be non-negative integers, got {self.seeds}")
         for name in ("n",) if self.kind == "vi-affine" else ("m", "n"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -70,6 +73,11 @@ class ExperimentConfig:
         # the solver configs check p, beta, eps_sub, eps, lambda_ppa and the caps
         for cell in _grid(self):
             _solver_config(self, *cell)
+        # each run id names a CSV, so a repeated id would overwrite a cell's output
+        run_ids = [_run_id(self.kind, seed, *cell) for seed in self.seeds for cell in _grid(self)]
+        repeated = sorted({run_id for run_id in run_ids if run_ids.count(run_id) > 1})
+        if repeated:
+            raise ValueError(f"run ids must be distinct; repeated: {', '.join(repeated)}")
 
 
 @dataclass
@@ -99,22 +107,20 @@ def _fmt(value: float) -> str:
 
 
 def write_csv(trace, path) -> None:
-    """Serialize a solver trace with 17-significant-digit decimals."""
+    """Serialize a solver trace with 17-significant-digit decimals and every wall_ms written as 0."""
     rows = []
     if isinstance(trace, AlmTrace):
         for rec in trace.records:
             rows.append(
                 f"{rec.iteration},{_fmt(rec.primal_residual)},{_fmt(rec.multiplier_step_norm)},"
-                f"{rec.inner_iterations},{rec.cumulative_inner},{_fmt(rec.objective)},{_fmt(rec.wall_ms)}"
+                f"{rec.inner_iterations},{rec.cumulative_inner},{_fmt(rec.objective)},0"
             )
     elif isinstance(trace, PpaTrace):
         # VI runs have no objective function; that column is written as 0
         cum = 0
-        for k, (step, resid, solves, wall) in enumerate(
-            zip(trace.step_norms, trace.residual_norms, trace.inner_solves, trace.wall_ms)
-        ):
+        for k, (step, resid, solves) in enumerate(zip(trace.step_norms, trace.residual_norms, trace.inner_solves)):
             cum += solves
-            rows.append(f"{k},{_fmt(resid)},{_fmt(step)},{solves},{cum},{_fmt(0.0)},{_fmt(wall)}")
+            rows.append(f"{k},{_fmt(resid)},{_fmt(step)},{solves},{cum},{_fmt(0.0)},0")
     else:
         raise TypeError(f"cannot serialize {type(trace).__name__}")
     with open(path, "w", newline="") as fh:
@@ -144,13 +150,6 @@ def read_csv(path) -> list:
             )
         )
     return records
-
-
-def _zero_wall(trace):
-    """Copy of the trace, sharing its arrays, with wall times zeroed for reproducible artifacts."""
-    if isinstance(trace, AlmTrace):
-        return replace(trace, records=[replace(rec, wall_ms=0.0) for rec in trace.records])
-    return replace(trace, wall_ms=[0.0] * len(trace.wall_ms))
 
 
 def _run_id(kind: str, seed, p, beta, eps_sub) -> str:
@@ -248,7 +247,7 @@ def run_sweep(cfg: ExperimentConfig) -> RunManifest:
             else:
                 entry["status"] = "ok"
                 entry["outer_iterations"] = len(trace.step_norms)
-            write_csv(_zero_wall(trace), out / csv_name)
+            write_csv(trace, out / csv_name)
             manifest.runs.append(entry)
 
     manifest.created_utc = datetime.now(timezone.utc).isoformat()

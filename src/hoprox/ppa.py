@@ -34,10 +34,10 @@ class MonotoneOperator:
     """Evaluation oracle for the operator F of a monotone VI.
 
     ``evaluate`` returns F(x) as a 1-d float64 array. ``affine_parts``
-    holds (M, q) when F(x) = M x + q, enabling the exact affine step solver;
-    ``evaluate`` must then compute ``M @ x + q``, because the built-in step
-    takes F(x_k) from it. ``known_solution`` is a point with F(x*) = 0, used
-    by tests that track distance to the solution.
+    holds (M, q) when F(x) = M x + q; ``run_ppa`` needs it to solve each
+    step exactly. ``evaluate`` must then compute ``M @ x + q``, because the
+    step takes F(x_k) from it. ``known_solution`` is a point with
+    F(x*) = 0, used by tests that track distance to the solution.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -96,7 +96,7 @@ class PpaTrace:
     (including x^0) when the operator carries a known solution.
     ``inner_solves[k]`` is the number of secular-function evaluations in
     step k's root search: 0 for a zero step (F(x^k) = 0), 1 for p = 1 (the
-    root s = 1 is known), and 0 for every step of a ``step_oracle`` run.
+    root s = 1 is known).
     ``wall_ms[k]`` times step k's solve alone; every evaluation of F falls
     outside it.
     """
@@ -220,26 +220,22 @@ def _make_affine_stepper(mat: np.ndarray, offset: np.ndarray, cfg: PpaConfig):
     return step
 
 
-def run_ppa(
-    op: MonotoneOperator,
-    x0: np.ndarray,
-    cfg: PpaConfig,
-    step_oracle: Optional[Callable] = None,
-) -> PpaTrace:
-    """Iterate the high-order proximal step from x0.
+def run_ppa(op: MonotoneOperator, x0: np.ndarray, cfg: PpaConfig) -> PpaTrace:
+    """Iterate the high-order proximal step from x0 for an affine operator.
 
-    Affine operators use the built-in exact subproblem solver; for other
-    operators, or a constrained domain, the caller must supply
-    ``step_oracle(op, x, cfg) -> x_next`` producing exact steps. Stops after ``cfg.max_iters`` steps or when a
-    step norm falls to ``cfg.step_tol``.
+    The operator must carry ``affine_parts``: each step is solved exactly
+    by ``_make_affine_stepper``. Stops after ``cfg.max_iters`` steps or when
+    a step norm falls to ``cfg.step_tol``.
 
     F is evaluated once per iterate, x0 included: F(x^{k+1}) gives the
     residual of step k and is handed to step k + 1.
 
-    ``x0`` and each ``step_oracle`` output are copied once, so the caller
-    may reuse its arrays; the built-in solver's steps are new arrays and
-    are stored as returned.
+    ``x0`` is copied once, so the caller may reuse it; the steps are new
+    arrays and are stored as returned.
     """
+    if op.affine_parts is None:
+        raise ValueError("run_ppa needs an operator with affine_parts")
+    stepper = _make_affine_stepper(*op.affine_parts, cfg)
     x = as_vector(x0)
     lam = cfg.lambda_ppa
     x_star = op.known_solution
@@ -247,14 +243,6 @@ def run_ppa(
     if x_star is not None:
         error = x - x_star
         trace.distances_to_solution = [math.sqrt(error @ error)]
-
-    if step_oracle is not None:
-        stepper = lambda point, _: (as_vector(np.array(step_oracle(op, point, cfg), dtype=float)), 0)
-    elif op.affine_parts is not None:
-        mat, offset = op.affine_parts
-        stepper = _make_affine_stepper(mat, offset, cfg)
-    else:
-        raise ValueError("non-affine operator requires a step_oracle")
 
     f = op.evaluate(x)
     for _ in range(cfg.max_iters):

@@ -64,11 +64,3 @@ def l1_norm() -> ProxFunction:
         value=lambda x: float(np.sum(np.abs(x))),
         prox=lambda v, t: soft_threshold(v, t),
     )
-
-
-def zero_function() -> ProxFunction:
-    """The identically-zero function; its prox is the identity."""
-    return ProxFunction(
-        value=lambda x: 0.0,
-        prox=lambda v, t: np.asarray(v, dtype=float).copy(),
-    )

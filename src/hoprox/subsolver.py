@@ -132,7 +132,6 @@ class SubsolverReport:
     solution: np.ndarray
     iterations: int
     final_grad_map_norm: float
-    final_L_estimate: float
     converged: bool
     first_L_accepted: float
     residual: np.ndarray
@@ -259,7 +258,7 @@ def minimize_composite(
     psi_x, grad_x = oracle.value_and_gradient_at_residual(r_x)
     g_norm, certified = stopping_test(x, grad_x, subgradient)
     if g_norm <= eps_sub:
-        return SubsolverReport(x, 0, g_norm, 1.0, True, L, r_x, prox_calls, trials, certified, subgradient)
+        return SubsolverReport(x, 0, g_norm, True, L, r_x, prox_calls, trials, certified, subgradient)
 
     def attempt(L):
         """The trial step at curvature L from the current (x, v, big_a) and its test."""
@@ -304,6 +303,6 @@ def minimize_composite(
             subgradient = step_subgradient(L, y, dx, grad_y)
         L = max(0.5 * L, _L_FLOOR)
         if converged:
-            return SubsolverReport(x, it, g_norm, L, True, first_L, r_x, prox_calls, trials, certified, subgradient)
+            return SubsolverReport(x, it, g_norm, True, first_L, r_x, prox_calls, trials, certified, subgradient)
 
-    return SubsolverReport(x, max_iters, g_norm, L, False, first_L, r_x, prox_calls, trials, False, None)
+    return SubsolverReport(x, max_iters, g_norm, False, first_L, r_x, prox_calls, trials, False, None)

@@ -1,0 +1,169 @@
+"""One sha256 per benchmark cell over the solver output a bitwise-identity claim covers.
+
+A cell's digest covers:
+- PPA: the iterate bytes; the step, residual and distance lists as float
+  hex; and ``inner_solves``.
+- ALM: the status; the records without ``wall_ms``, with floats as hex; the
+  iterate and multiplier bytes; and, per report, ``iterations``,
+  ``first_L_accepted``, ``prox_calls``, ``trials``, ``certified``,
+  ``converged`` and ``final_grad_map_norm``.
+
+Run from the repository root, once on each of two checkouts:
+
+    python tests/cell_digest.py --write before.json
+    python tests/cell_digest.py --compare before.json
+    python tests/cell_digest.py --workloads alm-bp --seeds 5 6 7 8 9 --write bp.json
+
+The cells are those of ``perfbench/grid.py`` (built by ``grid.build`` and
+solved by ``grid.solve``) on its default seeds, or on ``--seeds`` for every
+workload named. ``--compare`` reruns the workloads and seeds the file names,
+prints each cell whose digest differs, or that only one side has, and exits
+1 if any does.
+
+Bitwise results depend on numpy, its BLAS, the BLAS thread count and the CPU
+features numpy dispatches on, so the file records them; digests from another
+environment are reported as not comparable (exit 2) rather than compared.
+Like the benchmark, the script runs the BLAS on one thread.
+"""
+
+import os
+
+# one BLAS thread, as perfbench/run.py runs; it must be set before numpy loads
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
+
+import argparse
+import ctypes
+import glob
+import hashlib
+import json
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+for _path in (ROOT / "src", ROOT / "perfbench"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
+
+import grid  # noqa: E402
+
+
+def _update(h, *parts) -> None:
+    """Feed each part, length-prefixed, so that no two part lists hash alike."""
+    for part in parts:
+        data = part if isinstance(part, bytes) else str(part).encode()
+        h.update(len(data).to_bytes(8, "little") + data)
+
+
+def _hex(values) -> str:
+    return "None" if values is None else ",".join(float(v).hex() for v in values)
+
+
+def _arrays(h, arrays) -> None:
+    _update(h, len(arrays))
+    for array in arrays:
+        _update(h, str(array.dtype), array.shape, np.ascontiguousarray(array).tobytes())
+
+
+def digest(kind: str, trace) -> str:
+    """The sha256 of a ``PpaTrace`` (kind "ppa") or an ``AlmTrace`` (kind "alm")."""
+    h = hashlib.sha256()
+    _update(h, kind)
+    if kind == "ppa":
+        _arrays(h, trace.iterates)
+        _update(h, _hex(trace.step_norms), _hex(trace.residual_norms), _hex(trace.distances_to_solution))
+        _update(h, trace.inner_solves)
+    else:
+        _update(h, trace.status, len(trace.records))
+        for rec in trace.records:
+            _update(h, rec.iteration, rec.inner_iterations, rec.cumulative_inner)
+            _update(h, _hex([rec.primal_residual, rec.multiplier_step_norm, rec.objective]))
+        _arrays(h, trace.iterates)
+        _arrays(h, trace.multipliers)
+        _update(h, len(trace.reports))
+        for rep in trace.reports:
+            _update(h, rep.iterations, rep.prox_calls, rep.trials, rep.certified, rep.converged)
+            _update(h, _hex([rep.first_L_accepted, rep.final_grad_map_norm]))
+    return h.hexdigest()
+
+
+def _blas_threads():
+    """Threads numpy's OpenBLAS reports, or None when it cannot be asked."""
+    for path in glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, symbol):
+                getter = getattr(lib, symbol)
+                getter.restype = ctypes.c_int
+                return getter()
+    return None
+
+
+def environment() -> dict:
+    """What the bitwise results depend on besides the code."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": _blas_threads(),
+        "simd": config["SIMD Extensions"]["found"],
+        "machine": platform.machine(),
+    }
+
+
+def cell_digests(workloads, seeds=None) -> dict:
+    """{"workload/cell": digest} over ``perfbench/grid.py``'s cells, on its default seeds or ``seeds``."""
+    digests = {}
+    for workload in workloads:
+        for cell in grid.build(workload, grid.DEFAULT_SEEDS[workload] if seeds is None else seeds):
+            digests[f"{workload}/{cell.name}"] = digest(cell.kind, grid.solve(cell))
+    return digests
+
+
+def compare(before: dict, after: dict) -> list:
+    """Lines naming each cell whose digest differs, or that only one side has."""
+    lines = []
+    for name in sorted(before.keys() | after.keys()):
+        if name not in after or name not in before:
+            lines.append(f"{name}: only in {'the file' if name in before else 'this run'}")
+        elif before[name] != after[name]:
+            lines.append(f"{name}: {before[name][:12]} != {after[name][:12]}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--workloads", nargs="+", choices=grid.WORKLOADS, default=list(grid.WORKLOADS),
+                        help="workloads to write (default: all four)")
+    parser.add_argument("--seeds", type=int, nargs="+", help="seeds to write for every workload (default: the grid's)")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--write", metavar="PATH", help="write the digests to PATH")
+    mode.add_argument("--compare", metavar="PATH", help="compare the digests with those written to PATH")
+    args = parser.parse_args(argv)
+
+    env = environment()
+    if args.write:
+        digests = cell_digests(args.workloads, args.seeds)
+        record = {"environment": env, "workloads": args.workloads, "seeds": args.seeds, "cells": digests}
+        Path(args.write).write_text(json.dumps(record, indent=2) + "\n")
+        print(f"wrote {len(digests)} cell digests to {args.write}")
+        return 0
+    recorded = json.loads(Path(args.compare).read_text())
+    if recorded["environment"] != env:
+        print(f"not comparable: {args.compare} comes from {recorded['environment']}, this run from {env}")
+        return 2
+    digests = cell_digests(recorded["workloads"], recorded["seeds"])
+    differing = compare(recorded["cells"], digests)
+    for line in differing:
+        print(line)
+    equal = sum(recorded["cells"].get(name) == value for name, value in digests.items())
+    print(f"{equal} of {len(recorded['cells'])} cells equal")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

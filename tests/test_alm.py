@@ -8,10 +8,11 @@ from hoprox import alm
 from hoprox.alm import AlmConfig, CompositeProblem, multiplier_update, run_alm
 from hoprox.operators import MatrixMap
 from hoprox.problems import bp_composite, gen_bp, gen_mc, mc_composite
-from hoprox.prox import ProxFunction, l1_norm, zero_function
+from hoprox.prox import ProxFunction, l1_norm
 from hoprox.subsolver import PenaltyGradientOracle, gradient_map, minimize_composite
 
 from dual_oracle import dual_prox_oracle
+from zero_function import zero_function
 
 
 # optimal value of tiny_bp_problem

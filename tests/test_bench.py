@@ -3,6 +3,7 @@ import re
 import struct
 import zlib
 from dataclasses import asdict, replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ class TestWriteCsv:
         trace = make_trace()
         write_csv(trace, path)
         parsed = read_csv(path)
-        assert parsed == trace.records
+        assert parsed == [replace(rec, wall_ms=0.0) for rec in trace.records]
 
     def test_converged_run_ends_below_eps(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -112,6 +113,30 @@ class TestWriteCsv:
         assert all(r.objective == 0.0 for r in rows)
         assert rows[-1].cumulative_inner == sum(trace.inner_solves)
 
+    @pytest.mark.parametrize("kind", ["alm", "ppa"])
+    def test_wall_written_as_zero(self, tmp_path, kind):
+        if kind == "alm":
+            inst = gen_bp(5, 20, 0.2, 0)
+            cfg = AlmConfig(p=2.0, beta=2.0, eps=1e-3, eps_sub=0.01, max_outer=300, max_inner=20_000)
+            trace = run_alm(bp_composite(inst), np.zeros(20), np.zeros(5), cfg)
+            records = list(trace.records)
+        else:
+            op, x0 = gen_vi_affine(8, 0)
+            trace = run_ppa(op, x0, PpaConfig(p=2.0, lambda_ppa=1.0, max_iters=10))
+            columns = zip(trace.residual_norms, trace.step_norms, trace.inner_solves,
+                          accumulate(trace.inner_solves), trace.wall_ms)
+            records = [OuterRecord(k, *row[:4], 0.0, row[4]) for k, row in enumerate(columns)]
+        walls = [rec.wall_ms for rec in records]
+        assert len(walls) > 1 and sum(walls) > 0
+        write_csv(trace, tmp_path / "trace.csv")
+        rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(records) and all(row.endswith(",0") for row in rows)
+        # every other field is the trace's
+        assert read_csv(tmp_path / "trace.csv") == [replace(rec, wall_ms=0.0) for rec in records]
+        # and the trace keeps its timings
+        kept = trace.wall_ms if kind == "ppa" else [rec.wall_ms for rec in trace.records]
+        assert kept == walls
+
     def test_unknown_trace_rejected(self, tmp_path):
         with pytest.raises(TypeError):
             write_csv(object(), tmp_path / "bad.csv")
@@ -121,44 +146,6 @@ class TestWriteCsv:
         path.write_text("nope\n")
         with pytest.raises(ValueError, match="header"):
             read_csv(path)
-
-
-def assert_only_wall_zeroed(trace, tmp_path):
-    """The CSV of _zero_wall(trace) is trace's CSV with every wall_ms written as 0."""
-    write_csv(trace, tmp_path / "raw.csv")
-    write_csv(bench._zero_wall(trace), tmp_path / "zeroed.csv")
-    raw = (tmp_path / "raw.csv").read_text().splitlines()
-    zeroed = (tmp_path / "zeroed.csv").read_text().splitlines()
-    assert len(zeroed) == len(raw) > 1 and zeroed[0] == raw[0]
-    for before, after in zip(raw[1:], zeroed[1:]):
-        assert after.rsplit(",", 1) == [before.rsplit(",", 1)[0], "0"]
-
-
-class TestZeroWall:
-    def test_alm_trace(self, tmp_path):
-        inst = gen_bp(5, 20, 0.2, 0)
-        cfg = AlmConfig(p=2.0, beta=2.0, eps=1e-3, eps_sub=0.01, max_outer=300, max_inner=20_000)
-        trace = run_alm(bp_composite(inst), np.zeros(20), np.zeros(5), cfg)
-        walls = [rec.wall_ms for rec in trace.records]
-        zeroed = bench._zero_wall(trace)
-        assert all(rec.wall_ms == 0.0 for rec in zeroed.records)
-        assert zeroed.records == [replace(rec, wall_ms=0.0) for rec in trace.records]
-        assert zeroed.status == trace.status
-        # the input keeps its measured timings
-        assert [rec.wall_ms for rec in trace.records] == walls and sum(walls) > 0
-        assert_only_wall_zeroed(trace, tmp_path)
-
-    def test_ppa_trace(self, tmp_path):
-        op, x0 = gen_vi_affine(8, 0)
-        trace = run_ppa(op, x0, PpaConfig(p=2.0, lambda_ppa=1.0, max_iters=10))
-        walls = list(trace.wall_ms)
-        zeroed = bench._zero_wall(trace)
-        assert zeroed.wall_ms == [0.0] * 10
-        assert zeroed.step_norms == trace.step_norms
-        assert zeroed.residual_norms == trace.residual_norms
-        assert zeroed.inner_solves == trace.inner_solves
-        assert trace.wall_ms == walls and sum(walls) > 0
-        assert_only_wall_zeroed(trace, tmp_path)
 
 
 class TestRunSweep:
@@ -255,6 +242,9 @@ class TestRunSweep:
             (dict(density=0.02), "density"),
             (dict(density=0.025), "density"),
             (dict(kind="mc", m=2, n=2, density=0.1), "density"),
+            (dict(seeds=[-1]), "seeds"),
+            (dict(kind="vi-affine", eps=0.0, seeds=[0, -2]), "seeds"),
+            (dict(seeds=[0.5]), "seeds"),
         ],
     )
     def test_bad_dimensions_rejected_before_output(self, tmp_path, overrides, field):
@@ -282,6 +272,23 @@ class TestRunSweep:
         out = tmp_path / "out"
         with pytest.raises(ValueError, match=f"^{field} must"):
             run_sweep(tiny_bp_config(out, **overrides))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides,repeated",
+        [
+            (dict(seeds=[0, 0]), "bp_seed0_p1_beta2_esub0.01"),
+            (dict(p_values=[1.0, 1.0000001]), "bp_seed0_p1_beta2_esub0.01"),
+            (dict(eps_subs=[0.1, 0.10000001]), "bp_seed0_p1_beta2_esub0.1"),
+            (dict(kind="vi-affine", eps=0.0, p_values=[2.0, 2.0]), "vi_seed0_p2"),
+        ],
+        ids=["seed", "p", "eps_sub", "vi"],
+    )
+    def test_repeated_run_id_rejected_before_output(self, tmp_path, overrides, repeated):
+        # each run id names the cell's CSV; a repeat would overwrite one cell with another
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"^run ids must be distinct; repeated: {repeated}$"):
+            run_sweep(tiny_bp_config(out, **{"p_values": [1.0], **overrides}))
         assert not out.exists()
 
     @pytest.mark.parametrize(

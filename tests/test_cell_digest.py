@@ -1,0 +1,39 @@
+import numpy as np
+
+from hoprox.alm import AlmConfig, run_alm
+from hoprox.ppa import PpaConfig, run_ppa
+from hoprox.problems import bp_composite, gen_bp, gen_vi_affine
+
+from cell_digest import compare, digest
+
+
+def ppa_cell():
+    op, x0 = gen_vi_affine(6, 0)
+    return run_ppa(op, x0, PpaConfig(p=2.0, lambda_ppa=1.0, max_iters=20))
+
+
+def alm_cell():
+    cfg = AlmConfig(p=2.0, beta=2.0, eps=1e-3, eps_sub=0.01, max_outer=300, max_inner=20_000)
+    return run_alm(bp_composite(gen_bp(5, 20, 0.2, 0)), np.zeros(20), np.zeros(5), cfg)
+
+
+def test_repeated_runs_give_equal_digests():
+    assert digest("ppa", ppa_cell()) == digest("ppa", ppa_cell())
+    first, second = alm_cell(), alm_cell()
+    # wall times are left out
+    second.records[0].wall_ms = first.records[0].wall_ms + 1.0
+    assert digest("alm", first) == digest("alm", second)
+
+
+def test_one_ulp_in_one_iterate_changes_the_digest():
+    for kind, trace in (("ppa", ppa_cell()), ("alm", alm_cell())):
+        before = digest(kind, trace)
+        x = trace.iterates[-1].copy()
+        x[0] = np.nextafter(x[0], np.inf)
+        trace.iterates[-1] = x
+        assert digest(kind, trace) != before
+
+
+def test_compare_names_differing_and_one_sided_cells():
+    lines = compare({"a": "0" * 64, "b": "1" * 64, "c": "2" * 64}, {"a": "0" * 64, "b": "3" * 64, "d": "4" * 64})
+    assert [line.split(":")[0] for line in lines] == ["b", "c", "d"]

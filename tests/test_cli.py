@@ -75,6 +75,8 @@ class TestResolveConfig:
             (["vi", "--n", "0"], "n"),
             (["bp", "--density", "0"], "density"),
             (["mc", "--m", "2", "--n", "2", "--density", "0.1"], "density"),
+            (["bp", "--seed", "-1"], "seeds"),
+            (["vi", "--seed", "-2"], "seeds"),
         ],
     )
     def test_bad_dimension_is_usage_error(self, argv, field, tmp_path, capsys):
@@ -83,6 +85,23 @@ class TestResolveConfig:
             main([*argv, "--out", str(out)])
         assert err.value.code == 2
         assert f"{field} must" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,repeated",
+        [
+            (["bp", "--seed", "0", "0", "--p", "1"], "bp_seed0_p1_beta2_esub0.1"),
+            (["bp", "--p", "1", "1"], "bp_seed0_p1_beta2_esub0.1"),
+            (["bp", "--p", "1", "1.0000001"], "bp_seed0_p1_beta2_esub0.1"),
+            (["bp", "--p", "1", "--eps-sub", "0.1", "0.10000001"], "bp_seed0_p1_beta2_esub0.1"),
+        ],
+    )
+    def test_repeated_run_id_is_usage_error(self, argv, repeated, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--out", str(out)])
+        assert err.value.code == 2
+        assert f"error: run ids must be distinct; repeated: {repeated}\n" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -229,24 +229,6 @@ class TestRunPpa:
         assert t1.step_norms == t2.step_norms
         assert t1.residual_norms == t2.residual_norms
 
-    def test_step_oracle_path(self):
-        # F(x) = x without affine parts; exact step is x/(1+lam) for p=1
-        op = MonotoneOperator(evaluate=lambda x: x)
-        oracle = lambda _, x, cfg: x / (1.0 + cfg.lambda_ppa)
-        cfg = PpaConfig(p=1.0, lambda_ppa=1.0, max_iters=4)
-        trace = run_ppa(op, np.array([1.0]), cfg, step_oracle=oracle)
-        assert np.allclose([x[0] for x in trace.iterates], [1.0, 0.5, 0.25, 0.125, 0.0625])
-
-    def test_step_oracle_may_reuse_its_output(self):
-        # the oracle writes every step into one buffer; run_ppa copies each once
-        op = MonotoneOperator(evaluate=lambda x: x)
-        buffer = np.empty(1)
-        oracle = lambda _, x, cfg: np.divide(x, 1.0 + cfg.lambda_ppa, out=buffer)
-        cfg = PpaConfig(p=1.0, lambda_ppa=1.0, max_iters=4)
-        trace = run_ppa(op, np.array([1.0]), cfg, step_oracle=oracle)
-        assert [x[0] for x in trace.iterates] == [1.0, 0.5, 0.25, 0.125, 0.0625]
-        assert trace.step_norms == [0.5, 0.25, 0.125, 0.0625]
-
     @pytest.mark.parametrize("p", [1.0, 2.0])
     @pytest.mark.parametrize("make_op", [gen_vi_affine, skew_operator], ids=["symmetric", "skew"])
     def test_one_evaluation_per_iterate(self, make_op, p):
@@ -264,9 +246,16 @@ class TestRunPpa:
         assert trace.residual_norms == [float(cfg.lambda_ppa * np.linalg.norm(op.evaluate(b))) for b in x[1:]]
         assert trace.distances_to_solution == [float(np.linalg.norm(a - op.known_solution)) for a in x]
 
-    def test_non_affine_without_oracle_rejected(self):
+    def test_caller_may_reuse_x0(self):
+        op, x0 = gen_vi_affine(6, 0)
+        start = x0.copy()
+        trace = run_ppa(op, x0, PpaConfig(p=2.0, lambda_ppa=1.0, max_iters=3))
+        x0[:] = 0.0
+        assert np.array_equal(trace.iterates[0], start)
+
+    def test_non_affine_rejected(self):
         op = MonotoneOperator(evaluate=lambda x: x)
-        with pytest.raises(ValueError, match="step_oracle"):
+        with pytest.raises(ValueError, match="affine_parts"):
             run_ppa(op, np.ones(3), PpaConfig(p=1.0, lambda_ppa=1.0, max_iters=5))
 
 

@@ -8,8 +8,9 @@ from hoprox.prox import (
     norm_power_gradient,
     singular_value_threshold,
     soft_threshold,
-    zero_function,
 )
+
+from zero_function import zero_function
 
 
 def power_objective(x, p):

@@ -2,9 +2,9 @@
 
 ``__all__`` must list exactly the public names ``hoprox`` binds, and every
 ``hp.<name>`` that the benchmark harness or the README uses must be in it.
-Every other module-level function or class, and every method of a class,
-must serve the library or the benchmark, or be listed below with the
-reason it stays.
+Every other module-level function or class, every method of a class and
+every dataclass field must serve the library or the benchmark, or be listed
+below with the reason it stays.
 """
 
 import ast
@@ -23,7 +23,6 @@ KEPT_WITHOUT_CALLER = {
     "holder_constant": "reference the subsolver's curvature estimates are tested against",
     "read_csv": "reader of the library's own trace CSV format",
     "load_instance": "reader of the library's own instance text format",
-    "zero_function": "the f = 0 ProxFunction",
 }
 
 # methods, as Class.method, that neither src/hoprox nor perfbench calls
@@ -31,6 +30,14 @@ METHODS_KEPT_WITHOUT_CALLER = {
     "MatrixMap.norm_estimate": "spectral norm of A; only perfbench/tracing.py:28 reads it, to forward it",
     "EntryMask.norm_estimate": "spectral norm of A; only perfbench/tracing.py:28 reads it, to forward it",
     "RunManifest.load": "reader of the library's own manifest format (criterion 10 reruns a manifest)",
+}
+
+# dataclass fields, as Class.field, that nothing in src/hoprox or perfbench reads
+FIELDS_KEPT_WITHOUT_READER = {
+    "RunManifest.rng_algorithm": "serialized into manifest.json by asdict",
+    "RunManifest.created_utc": "serialized into manifest.json by asdict",
+    "RunManifest.total_wall_ms": "serialized into manifest.json by asdict",
+    "SubsolverReport.final_grad_map_norm": "the solve's stopping quantity, checked by tests against the exact gradient map",
 }
 
 
@@ -120,3 +127,31 @@ def test_no_method_without_a_caller():
     }
     kept = set(METHODS_KEPT_WITHOUT_CALLER)
     assert without_caller == kept, sorted(without_caller ^ kept)
+
+
+def _dataclass_fields(tree):
+    """(Class.field, field) for every annotated field of a module-level ``@dataclass``."""
+    for node in tree.body:
+        # @dataclass or @dataclass(...)
+        if isinstance(node, ast.ClassDef) and any(
+            ast.unparse(getattr(deco, "func", deco)) == "dataclass" for deco in node.decorator_list
+        ):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def test_no_field_without_a_reader():
+    """Every dataclass field is read by name in src/hoprox or perfbench, or listed with its reason.
+
+    Only fields declared in a dataclass body are covered; plain attributes
+    set in ``__init__``, such as ``PenaltyGradientOracle.beta`` (which only
+    tests read), are not.
+    """
+    modules, trees = _library_trees()
+    read = set().union(*map(_names_read, trees.values()))
+    without_reader = {
+        qualified for path in modules for qualified, name in _dataclass_fields(trees[path]) if name not in read
+    }
+    kept = set(FIELDS_KEPT_WITHOUT_READER)
+    assert without_reader == kept, sorted(without_reader ^ kept)
