@@ -56,14 +56,17 @@ class AlmConfig:
 
 @dataclass
 class OuterRecord:
-    """One outer iteration's CSV-visible quantities."""
+    """One outer iteration's CSV-visible quantities, bar the objective.
+
+    The objective f(x) at the iterate is not recorded: ``bench.write_csv``
+    evaluates it from ``AlmTrace.iterates`` when it writes the CSV.
+    """
 
     iteration: int
     primal_residual: float
     multiplier_step_norm: float
     inner_iterations: int
     cumulative_inner: int
-    objective: float
     wall_ms: float
 
 
@@ -73,7 +76,8 @@ class AlmTrace:
 
     ``records`` holds the serializable per-iteration rows; ``iterates``,
     ``multipliers`` and ``reports`` keep the in-memory history for
-    invariant checks and are not serialized.
+    invariant checks. Of these only the objective f(``iterates[k + 1]``)
+    of record k is serialized, by ``bench.write_csv``.
 
     Each array is held once and shared, so treat them all as read-only:
     ``iterates[k + 1]`` is ``reports[k].solution``, and it is
@@ -123,16 +127,16 @@ def run_alm(
     Each x-update starts its first curvature search at the curvature the
     previous one accepted in its first iteration. That search only doubles,
     so the first-iteration curvature never falls during a run, like FISTA's
-    monotone backtracking estimate. An x-update with no inner iteration
-    leaves x unchanged, so its record reuses the previous objective value.
-    The residual ``Ax - b`` is computed once per iterate: each solve's
-    report carries it to the multiplier step and the next solve's entry
-    check. The report also carries the subgradient of f at x from the
-    solve's last accepted step, which stays one after the multiplier step
-    since f and x do not change; the next solve tries it as a certificate
-    before its entry prox. A solve with no inner iteration hands on the one
-    it was given, and the first has none. Stored reports hold None in place
-    of it, so the trace keeps no extra vector per outer step.
+    monotone backtracking estimate. The run never evaluates f: the records
+    carry no objective (see ``OuterRecord``). The residual ``Ax - b`` is
+    computed once per iterate: each solve's report carries it to the
+    multiplier step and the next solve's entry check. The report also
+    carries the subgradient of f at x from the solve's last accepted step,
+    which stays one after the multiplier step since f and x do not change;
+    the next solve tries it as a certificate before its entry prox. A solve
+    with no inner iteration hands on the one it was given, and the first
+    has none. Stored reports hold None in place of it, so the trace keeps no
+    extra vector per outer step.
 
     ``x0`` and ``multiplier0`` are copied once; every later iterate and
     multiplier is stored as computed, shared with the reports (see
@@ -167,10 +171,6 @@ def run_alm(
         residual_norm = float(np.linalg.norm(z))
         cumulative_inner += report.iterations
         curvature_hint = report.first_L_accepted
-        if report.iterations == 0 and trace.records:
-            objective = trace.records[-1].objective
-        else:
-            objective = float(prob.f.value(x))
         trace.records.append(
             OuterRecord(
                 iteration=k,
@@ -178,7 +178,6 @@ def run_alm(
                 multiplier_step_norm=float(np.linalg.norm(new_multiplier - multiplier)),
                 inner_iterations=report.iterations,
                 cumulative_inner=cumulative_inner,
-                objective=objective,
                 wall_ms=elapsed_ms,
             )
         )

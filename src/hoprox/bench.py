@@ -106,14 +106,27 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def write_csv(trace, path) -> None:
-    """Serialize a solver trace with 17-significant-digit decimals and every wall_ms written as 0."""
+def write_csv(trace, path, f=None) -> None:
+    """Serialize a solver trace with 17-significant-digit decimals and every wall_ms written as 0.
+
+    An ``AlmTrace`` needs ``f``, the objective of the problem it solved: row
+    k's objective is ``f.value(trace.iterates[k + 1])``. An x-update with no
+    inner iteration leaves the iterate the same array, so its row reuses
+    the previous row's value rather than evaluate f (an SVD for matrix
+    completion) again at the same point. A ``PpaTrace`` has no objective;
+    its column is written as 0.
+    """
     rows = []
     if isinstance(trace, AlmTrace):
-        for rec in trace.records:
+        if f is None:
+            raise TypeError("writing an AlmTrace needs the objective f of its problem")
+        objective = previous = None
+        for rec, x in zip(trace.records, trace.iterates[1:]):
+            if x is not previous:
+                objective, previous = float(f.value(x)), x
             rows.append(
                 f"{rec.iteration},{_fmt(rec.primal_residual)},{_fmt(rec.multiplier_step_norm)},"
-                f"{rec.inner_iterations},{rec.cumulative_inner},{_fmt(rec.objective)},0"
+                f"{rec.inner_iterations},{rec.cumulative_inner},{_fmt(objective)},0"
             )
     elif isinstance(trace, PpaTrace):
         # VI runs have no objective function; that column is written as 0
@@ -129,13 +142,17 @@ def write_csv(trace, path) -> None:
             fh.write(row + "\n")
 
 
-def read_csv(path) -> list:
-    """Parse a trace CSV back into per-iteration records."""
+def read_csv(path) -> tuple[list, list]:
+    """Parse a trace CSV back into ``(records, objectives)``.
+
+    ``records`` holds one ``OuterRecord`` per row and ``objectives`` the
+    row's objective column as a float, in the same order.
+    """
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if lines[0] != CSV_HEADER:
         raise ValueError(f"unexpected CSV header: {lines[0]!r}")
-    records = []
+    records, objectives = [], []
     for line in lines[1:]:
         it, r_k, step, inner, cum, obj, wall = line.split(",")
         records.append(
@@ -145,11 +162,11 @@ def read_csv(path) -> list:
                 multiplier_step_norm=float(step),
                 inner_iterations=int(inner),
                 cumulative_inner=int(cum),
-                objective=float(obj),
                 wall_ms=float(wall),
             )
         )
-    return records
+        objectives.append(float(obj))
+    return records, objectives
 
 
 def _run_id(kind: str, seed, p, beta, eps_sub) -> str:
@@ -172,7 +189,7 @@ def _solver_config(cfg: ExperimentConfig, p, beta, eps_sub):
     return AlmConfig(p, beta, cfg.eps, eps_sub, cfg.max_outer, cfg.max_inner)
 
 
-def run_cell(cfg: ExperimentConfig, problem, seed, p, beta, eps_sub):
+def run_cell(cfg: ExperimentConfig, problem, p, beta, eps_sub):
     """Run one cell on its ``CompositeProblem`` (ALM) or (operator, x0) pair (vi-affine)."""
     solver_cfg = _solver_config(cfg, p, beta, eps_sub)
     if cfg.kind == "vi-affine":
@@ -226,7 +243,7 @@ def run_sweep(cfg: ExperimentConfig) -> RunManifest:
             }
             t0 = time.perf_counter()
             try:
-                trace = run_cell(cfg, problem, seed, p, beta, eps_sub)
+                trace = run_cell(cfg, problem, p, beta, eps_sub)
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
                 entry["status"] = f"failed: {exc}"
                 entry["error"] = traceback.format_exc(limit=3)
@@ -247,7 +264,7 @@ def run_sweep(cfg: ExperimentConfig) -> RunManifest:
             else:
                 entry["status"] = "ok"
                 entry["outer_iterations"] = len(trace.step_norms)
-            write_csv(trace, out / csv_name)
+            write_csv(trace, out / csv_name, problem.f if isinstance(trace, AlmTrace) else None)
             manifest.runs.append(entry)
 
     manifest.created_utc = datetime.now(timezone.utc).isoformat()

@@ -43,11 +43,15 @@ def norm_power_gradient(x: np.ndarray, p: float) -> np.ndarray:
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
-    """Componentwise shrinkage sign(v) * max(|v| - t, 0): the l1 prox."""
+    """Componentwise shrinkage sign(v) * max(|v| - t, 0): the l1 prox.
+
+    Computed as copysign(max(|v| - t, 0), v): bit for bit the product
+    form on every entry but NaN and -0.0, which maps to -0.0, not 0.0.
+    """
     if not t >= 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    return np.copysign(np.maximum(np.abs(v) - t, 0.0), v)
 
 
 def singular_value_threshold(mat: np.ndarray, t: float) -> np.ndarray:

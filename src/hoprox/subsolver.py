@@ -45,36 +45,35 @@ class PenaltyGradientOracle:
         self.multiplier = as_vector(multiplier)
         if self.multiplier.shape != self.b.shape:
             raise ValueError("multiplier and right-hand side dimensions differ")
-        self.beta = float(beta)
         self.p = float(p)
         self._beta_root = beta ** (1.0 / p)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         return self.a_map.apply(x) - self.b
 
-    def value_at_residual(self, r: np.ndarray) -> float:
-        return self._value(r, math.sqrt(r @ r))
-
-    def gradient_at_residual(self, r: np.ndarray) -> np.ndarray:
-        return self.value_and_gradient_at_residual(r)[1]
-
-    def value_and_gradient_at_residual(self, r: np.ndarray) -> tuple[float, np.ndarray]:
-        """Value and gradient for a 1-d float64 ``r``, from one norm of ``r``.
-
-        The gradient is ``A^T(mu + beta^(1/p) * norm_power_gradient(r, p))``
-        written out: ``math.sqrt(r @ r)`` is how ``np.linalg.norm`` computes
-        a 1-d real norm, so it is bitwise that expression.
-        """
-        norm = math.sqrt(r @ r)
-        direction = r * norm ** (1.0 / self.p - 1.0) if norm else np.zeros_like(r)
-        return self._value(r, norm), self.a_map.adjoint(self.multiplier + self._beta_root * direction)
-
-    def _value(self, r: np.ndarray, norm: float) -> float:
+    def value_at_residual(self, r: np.ndarray, norm: float) -> float:
+        """The penalty at ``r``, given its norm ``math.sqrt(r @ r)``."""
         power = 1.0 + 1.0 / self.p
         return float(self.multiplier @ r + self._beta_root / power * norm ** power)
 
+    def gradient_at_residual(self, r: np.ndarray, norm: float) -> np.ndarray:
+        """The penalty gradient at ``r``, given its norm ``math.sqrt(r @ r)``.
+
+        It is ``A^T(mu + beta^(1/p) * norm_power_gradient(r, p))`` written
+        out: ``math.sqrt(r @ r)`` is how ``np.linalg.norm`` computes a 1-d
+        real norm, so it is bitwise that expression.
+        """
+        direction = r * norm ** (1.0 / self.p - 1.0) if norm else np.zeros_like(r)
+        return self.a_map.adjoint(self.multiplier + self._beta_root * direction)
+
+    def value_and_gradient_at_residual(self, r: np.ndarray) -> tuple[float, np.ndarray]:
+        """Value and gradient for a 1-d float64 ``r``, from one norm of ``r``."""
+        norm = math.sqrt(r @ r)
+        return self.value_at_residual(r, norm), self.gradient_at_residual(r, norm)
+
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.gradient_at_residual(self.residual(x))
+        r = self.residual(x)
+        return self.gradient_at_residual(r, math.sqrt(r @ r))
 
 
 def holder_constant(p: float, beta: float, a_norm: float) -> float:
@@ -242,9 +241,8 @@ def minimize_composite(
         d = z - prox(z - grad_z, 1.0)
         return math.sqrt(d @ d), False
 
-    def step_subgradient(L, y, dx, grad_y):
-        """(s, scale) of the accepted step y + dx = prox_{f/L}(y - grad_y/L)."""
-        w = y - grad_y / L
+    def step_subgradient(L, w, dx, grad_y):
+        """(s, scale) of the accepted step y + dx = prox_{f/L}(w), w = y - grad_y/L."""
         return -(grad_y + L * dx), L * math.sqrt(w @ w) + math.sqrt(grad_y @ grad_y)
 
     if residual is None:
@@ -273,14 +271,16 @@ def minimize_composite(
         else:
             y = tau * v + (1.0 - tau) * x
             psi_y, grad_y = oracle.value_and_gradient_at_residual(oracle.residual(y))
-        x_trial = prox(y - grad_y / L, 1.0 / L)
+        w = y - grad_y / L
+        x_trial = prox(w, 1.0 / L)
         dx = x_trial - y
         dx_sq = dx @ dx
         r_trial = oracle.residual(x_trial)
-        psi_trial = oracle.value_at_residual(r_trial)
+        r_norm = math.sqrt(r_trial @ r_trial)
+        psi_trial = oracle.value_at_residual(r_trial, r_norm)
         upper = psi_y + grad_y @ dx + 0.5 * L * dx_sq + 0.5 * eps_acc * tau
         passed = math.isfinite(psi_trial) and bool(psi_trial <= upper)
-        return passed, (x_trial, y, dx, dx_sq, grad_y, r_trial, a_new, tau)
+        return passed, (x_trial, w, dx, dx_sq, grad_y, r_trial, r_norm, a_new, tau)
 
     for it in range(1, max_iters + 1):
         passed, step = attempt(L)
@@ -292,15 +292,15 @@ def minimize_composite(
         if it == 1:
             first_L = L
 
-        x, y, dx, dx_sq, grad_y, r_x, big_a, tau = step
+        x, w, dx, dx_sq, grad_y, r_x, r_norm, big_a, tau = step
         v = v + dx / tau
-        grad = oracle.gradient_at_residual(r_x)
+        grad = oracle.gradient_at_residual(r_x, r_norm)
         short = L * math.sqrt(dx_sq) <= 2.0 * eps_sub
-        subgradient = step_subgradient(L, y, dx, grad_y) if short else None
+        subgradient = step_subgradient(L, w, dx, grad_y) if short else None
         g_norm, certified = stopping_test(x, grad, subgradient)
         converged = g_norm <= eps_sub
         if converged and subgradient is None:
-            subgradient = step_subgradient(L, y, dx, grad_y)
+            subgradient = step_subgradient(L, w, dx, grad_y)
         L = max(0.5 * L, _L_FLOOR)
         if converged:
             return SubsolverReport(x, it, g_norm, True, first_L, r_x, prox_calls, trials, certified, subgradient)

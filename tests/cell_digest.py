@@ -3,7 +3,8 @@
 A cell's digest covers:
 - PPA: the iterate bytes; the step, residual and distance lists as float
   hex; and ``inner_solves``.
-- ALM: the status; the records without ``wall_ms``, with floats as hex; the
+- ALM: the status; the records without ``wall_ms``, with floats as hex,
+  each with the objective f(``iterates[k + 1]``) that the CSV writes; the
   iterate and multiplier bytes; and, per report, ``iterations``,
   ``first_L_accepted``, ``prox_calls``, ``trials``, ``certified``,
   ``converged`` and ``final_grad_map_norm``.
@@ -68,8 +69,8 @@ def _arrays(h, arrays) -> None:
         _update(h, str(array.dtype), array.shape, np.ascontiguousarray(array).tobytes())
 
 
-def digest(kind: str, trace) -> str:
-    """The sha256 of a ``PpaTrace`` (kind "ppa") or an ``AlmTrace`` (kind "alm")."""
+def digest(kind: str, trace, f=None) -> str:
+    """The sha256 of a ``PpaTrace`` (kind "ppa") or of an ``AlmTrace`` (kind "alm") with its objective ``f``."""
     h = hashlib.sha256()
     _update(h, kind)
     if kind == "ppa":
@@ -78,9 +79,9 @@ def digest(kind: str, trace) -> str:
         _update(h, trace.inner_solves)
     else:
         _update(h, trace.status, len(trace.records))
-        for rec in trace.records:
+        for rec, x in zip(trace.records, trace.iterates[1:]):
             _update(h, rec.iteration, rec.inner_iterations, rec.cumulative_inner)
-            _update(h, _hex([rec.primal_residual, rec.multiplier_step_norm, rec.objective]))
+            _update(h, _hex([rec.primal_residual, rec.multiplier_step_norm, f.value(x)]))
         _arrays(h, trace.iterates)
         _arrays(h, trace.multipliers)
         _update(h, len(trace.reports))
@@ -120,7 +121,8 @@ def cell_digests(workloads, seeds=None) -> dict:
     digests = {}
     for workload in workloads:
         for cell in grid.build(workload, grid.DEFAULT_SEEDS[workload] if seeds is None else seeds):
-            digests[f"{workload}/{cell.name}"] = digest(cell.kind, grid.solve(cell))
+            f = cell.problem.f if cell.kind == "alm" else None
+            digests[f"{workload}/{cell.name}"] = digest(cell.kind, grid.solve(cell), f)
     return digests
 
 

@@ -303,7 +303,7 @@ def test_criterion_9_subsolver_reference():
         g_norm = float(np.linalg.norm(gradient_map(oracle, f, rep.solution)))
         worst_exit = max(worst_exit, g_norm)
         x_ref = _reference_prox_gradient(inst.a, inst.b, np.zeros(2), 1.0, p, np.zeros(4), 50_000)
-        obj = lambda x: oracle.value_at_residual(oracle.residual(x)) + f.value(x)
+        obj = lambda x: oracle.value_and_gradient_at_residual(oracle.residual(x))[0] + f.value(x)
         worst_obj = max(worst_obj, float(abs(obj(rep.solution) - obj(x_ref))))
     report(
         9,

@@ -6,6 +6,7 @@ import pytest
 
 from hoprox import alm
 from hoprox.alm import AlmConfig, CompositeProblem, multiplier_update, run_alm
+from hoprox.bench import read_csv, write_csv
 from hoprox.operators import MatrixMap
 from hoprox.problems import bp_composite, gen_bp, gen_mc, mc_composite
 from hoprox.prox import ProxFunction, l1_norm
@@ -95,14 +96,16 @@ class TestAlmXUpdate:
 
 class TestRunAlm:
     @pytest.mark.parametrize("p,eps_sub", [(1.0, 1e-6), (2.0, 1e-3), (3.0, 1e-2)])
-    def test_tiny_bp_reaches_optimum(self, p, eps_sub):
+    def test_tiny_bp_reaches_optimum(self, p, eps_sub, tmp_path):
         prob = tiny_bp_problem()
         cfg = base_config(p=p, eps=1e-6, eps_sub=eps_sub, max_outer=500)
         trace = run_alm(prob, np.zeros(2), np.zeros(1), cfg)
         assert trace.converged
-        last = trace.records[-1]
-        assert last.primal_residual <= 1e-6
-        assert abs(last.objective - TINY_BP_OPTIMUM) <= 1e-4
+        assert trace.records[-1].primal_residual <= 1e-6
+        # the objective the CSV writer evaluates at the last iterate
+        write_csv(trace, tmp_path / "trace.csv", prob.f)
+        _, objectives = read_csv(tmp_path / "trace.csv")
+        assert abs(objectives[-1] - TINY_BP_OPTIMUM) <= 1e-4
 
     def test_vacuous_tolerance_is_immediate(self):
         prob = tiny_bp_problem()
@@ -192,18 +195,23 @@ class TestCurvatureHintInAlm:
         cold = minimize_composite(oracle, prob.f, trace.iterates[0], cfg.eps_sub, cfg.max_inner)
         assert cold.first_L_accepted == first[0]
 
-    def test_objective_of_unmoved_iterate(self):
-        # x-updates with no inner iteration reuse the previous objective
-        # instead of evaluating f (an SVD) again at the same point
+    def test_objective_of_unmoved_iterate(self, tmp_path):
+        # the run never evaluates f; the CSV writer evaluates it once per
+        # distinct iterate, so a row whose x-update made no inner iteration
+        # reuses the previous row's value instead of another SVD
         prob, cfg = mc_cell(1.0, 20)
         evaluated = []
         counted = ProxFunction(lambda x: evaluated.append(x) or prob.f.value(x), prob.f.prox)
         trace = run_alm(CompositeProblem(counted, prob.a_map, prob.b), np.zeros(2500), np.zeros(250), cfg)
+        assert evaluated == []
         moved = [k == 0 or rec.inner_iterations > 0 for k, rec in enumerate(trace.records)]
         assert not all(moved)
-        assert len(evaluated) == sum(moved)
-        for k, rec in enumerate(trace.records):
-            assert rec.objective == prob.f.value(trace.iterates[k + 1])
+        write_csv(trace, tmp_path / "trace.csv", counted)
+        assert len(evaluated) == sum(moved) == len({id(x) for x in evaluated})
+        _, objectives = read_csv(tmp_path / "trace.csv")
+        assert len(objectives) == len(trace.records)
+        for k, objective in enumerate(objectives):
+            assert objective == prob.f.value(trace.iterates[k + 1])
 
     def test_prox_call_count(self):
         # 656 prox calls (SVDs) before each x-update's first search started

@@ -22,16 +22,21 @@ from hoprox.bench import (
 )
 from hoprox.ppa import PpaConfig, run_ppa
 from hoprox.problems import bp_composite, gen_bp, gen_vi_affine
-from hoprox.prox import ProxFunction
+from hoprox.prox import ProxFunction, l1_norm
+
+# the l1 norms of make_trace's iterates 1, 2 and 3
+OBJECTIVES = [3.5, 3.1, 3.0999999999]
 
 
 def make_trace():
+    """A converged three-row trace whose CSV objectives, under ``l1_norm()``, are OBJECTIVES."""
     records = [
-        OuterRecord(0, 0.5, 1.25, 12, 12, 3.5, 1.75),
-        OuterRecord(1, 0.05, 0.4, 7, 19, 3.1, 0.5),
-        OuterRecord(2, 1e-7, 1e-3, 2, 21, 3.0999999999, 0.25),
+        OuterRecord(0, 0.5, 1.25, 12, 12, 1.75),
+        OuterRecord(1, 0.05, 0.4, 7, 19, 0.5),
+        OuterRecord(2, 1e-7, 1e-3, 2, 21, 0.25),
     ]
-    return AlmTrace(records=records, status="converged")
+    iterates = [np.zeros(2)] + [np.array([value, 0.0]) for value in OBJECTIVES]
+    return AlmTrace(records=records, status="converged", iterates=iterates)
 
 
 def read_png(path):
@@ -83,7 +88,7 @@ def tiny_bp_config(out_dir, **overrides):
 class TestWriteCsv:
     def test_structure(self, tmp_path):
         path = tmp_path / "trace.csv"
-        write_csv(make_trace(), path)
+        write_csv(make_trace(), path, l1_norm())
         lines = path.read_text().splitlines()
         assert len(lines) == 4
         assert lines[0] == CSV_HEADER
@@ -92,47 +97,68 @@ class TestWriteCsv:
     def test_round_trip_exact(self, tmp_path):
         path = tmp_path / "trace.csv"
         trace = make_trace()
-        write_csv(trace, path)
-        parsed = read_csv(path)
-        assert parsed == [replace(rec, wall_ms=0.0) for rec in trace.records]
+        write_csv(trace, path, l1_norm())
+        records, objectives = read_csv(path)
+        assert records == [replace(rec, wall_ms=0.0) for rec in trace.records]
+        assert objectives == OBJECTIVES
 
     def test_converged_run_ends_below_eps(self, tmp_path):
         path = tmp_path / "trace.csv"
-        write_csv(make_trace(), path)
-        assert read_csv(path)[-1].primal_residual <= 1e-3
+        write_csv(make_trace(), path, l1_norm())
+        assert read_csv(path)[0][-1].primal_residual <= 1e-3
+
+    @pytest.mark.parametrize("unmoved,calls", [([0], 3), ([1], 2), ([2], 2), ([1, 2], 1)])
+    def test_objective_evaluated_once_per_iterate(self, tmp_path, unmoved, calls):
+        # row k's objective is f at iterates[k + 1]; an x-update with no inner
+        # iteration hands on the same array, and its row reuses the value
+        trace = make_trace()
+        for k in unmoved:
+            trace.iterates[k + 1] = trace.iterates[k]
+            trace.records[k].inner_iterations = 0
+        evaluated = []
+        f = ProxFunction(lambda x: evaluated.append(x) or l1_norm().value(x), l1_norm().prox)
+        write_csv(trace, tmp_path / "trace.csv", f)
+        assert len(evaluated) == len({id(x) for x in trace.iterates[1:]}) == calls
+        expected = [l1_norm().value(x) for x in trace.iterates[1:]]
+        assert read_csv(tmp_path / "trace.csv")[1] == expected
+
+    def test_alm_trace_needs_f(self, tmp_path):
+        with pytest.raises(TypeError, match="objective"):
+            write_csv(make_trace(), tmp_path / "trace.csv")
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_ppa_trace_columns(self, tmp_path):
         op, x0 = gen_vi_affine(6, 0)
         trace = run_ppa(op, x0, PpaConfig(p=2.0, lambda_ppa=1.0, max_iters=5))
         path = tmp_path / "vi.csv"
         write_csv(trace, path)
-        rows = read_csv(path)
+        rows, objectives = read_csv(path)
         assert len(rows) == 5
         assert [r.primal_residual for r in rows] == trace.residual_norms
         assert [r.multiplier_step_norm for r in rows] == trace.step_norms
-        assert all(r.objective == 0.0 for r in rows)
+        assert objectives == [0.0] * 5
         assert rows[-1].cumulative_inner == sum(trace.inner_solves)
 
     @pytest.mark.parametrize("kind", ["alm", "ppa"])
     def test_wall_written_as_zero(self, tmp_path, kind):
         if kind == "alm":
-            inst = gen_bp(5, 20, 0.2, 0)
+            prob = bp_composite(gen_bp(5, 20, 0.2, 0))
             cfg = AlmConfig(p=2.0, beta=2.0, eps=1e-3, eps_sub=0.01, max_outer=300, max_inner=20_000)
-            trace = run_alm(bp_composite(inst), np.zeros(20), np.zeros(5), cfg)
-            records = list(trace.records)
+            trace = run_alm(prob, np.zeros(20), np.zeros(5), cfg)
+            records, f = list(trace.records), prob.f
         else:
             op, x0 = gen_vi_affine(8, 0)
             trace = run_ppa(op, x0, PpaConfig(p=2.0, lambda_ppa=1.0, max_iters=10))
             columns = zip(trace.residual_norms, trace.step_norms, trace.inner_solves,
                           accumulate(trace.inner_solves), trace.wall_ms)
-            records = [OuterRecord(k, *row[:4], 0.0, row[4]) for k, row in enumerate(columns)]
+            records, f = [OuterRecord(k, *row) for k, row in enumerate(columns)], None
         walls = [rec.wall_ms for rec in records]
         assert len(walls) > 1 and sum(walls) > 0
-        write_csv(trace, tmp_path / "trace.csv")
+        write_csv(trace, tmp_path / "trace.csv", f)
         rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
         assert len(rows) == len(records) and all(row.endswith(",0") for row in rows)
         # every other field is the trace's
-        assert read_csv(tmp_path / "trace.csv") == [replace(rec, wall_ms=0.0) for rec in records]
+        assert read_csv(tmp_path / "trace.csv")[0] == [replace(rec, wall_ms=0.0) for rec in records]
         # and the trace keeps its timings
         kept = trace.wall_ms if kind == "ppa" else [rec.wall_ms for rec in trace.records]
         assert kept == walls
@@ -170,7 +196,7 @@ class TestRunSweep:
         assert len(manifest.runs) == 3
         for run in manifest.runs:
             assert run["status"] == "converged"
-            assert run["final_residual"] == read_csv(tmp_path / run["csv"])[-1].primal_residual
+            assert run["final_residual"] == read_csv(tmp_path / run["csv"])[0][-1].primal_residual
         assert (tmp_path / "manifest.json").exists()
         assert manifest.rng_algorithm == bench.RNG_ALGORITHM
         assert not sweep_failed(manifest)
@@ -207,7 +233,7 @@ class TestRunSweep:
         assert len(manifest.runs) == 2
         for run in manifest.runs:
             assert run["status"] == "ok"
-            rows = read_csv(tmp_path / run["csv"])
+            rows, _ = read_csv(tmp_path / run["csv"])
             assert len(rows) == 20
 
     def test_vi_dump_instance_rejected(self, tmp_path):
@@ -327,7 +353,7 @@ class TestRunSweep:
         for run in manifest.runs:
             outer, inner = run["outer_iterations"], run["inner_iterations"]
             assert run["status"] == "converged" and inner > 0
-            assert inner == read_csv(tmp_path / run["csv"])[-1].cumulative_inner
+            assert inner == read_csv(tmp_path / run["csv"])[0][-1].cumulative_inner
             # each x-update calls the prox at entry and once per iteration to
             # stop, bar a certified stop; the other calls are trials
             assert run["trials"] == run["prox_calls"] - outer - inner + run["certified"]
@@ -336,11 +362,11 @@ class TestRunSweep:
         calls = {"n": 0}
         original = bench.run_cell
 
-        def flaky(cfg, instance, seed, p, beta, eps_sub):
+        def flaky(cfg, instance, p, beta, eps_sub):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise RuntimeError("boom")
-            return original(cfg, instance, seed, p, beta, eps_sub)
+            return original(cfg, instance, p, beta, eps_sub)
 
         monkeypatch.setattr(bench, "run_cell", flaky)
         manifest = run_sweep(tiny_bp_config(tmp_path))

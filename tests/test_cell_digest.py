@@ -3,6 +3,7 @@ import numpy as np
 from hoprox.alm import AlmConfig, run_alm
 from hoprox.ppa import PpaConfig, run_ppa
 from hoprox.problems import bp_composite, gen_bp, gen_vi_affine
+from hoprox.prox import l1_norm
 
 from cell_digest import compare, digest
 
@@ -22,16 +23,16 @@ def test_repeated_runs_give_equal_digests():
     first, second = alm_cell(), alm_cell()
     # wall times are left out
     second.records[0].wall_ms = first.records[0].wall_ms + 1.0
-    assert digest("alm", first) == digest("alm", second)
+    assert digest("alm", first, l1_norm()) == digest("alm", second, l1_norm())
 
 
 def test_one_ulp_in_one_iterate_changes_the_digest():
-    for kind, trace in (("ppa", ppa_cell()), ("alm", alm_cell())):
-        before = digest(kind, trace)
+    for kind, trace, f in (("ppa", ppa_cell(), None), ("alm", alm_cell(), l1_norm())):
+        before = digest(kind, trace, f)
         x = trace.iterates[-1].copy()
         x[0] = np.nextafter(x[0], np.inf)
         trace.iterates[-1] = x
-        assert digest(kind, trace) != before
+        assert digest(kind, trace, f) != before
 
 
 def test_compare_names_differing_and_one_sided_cells():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hoprox.prox import (
     l1_norm,
@@ -97,6 +98,27 @@ class TestSoftThreshold:
     def test_zero_threshold(self):
         v = np.array([1.5, -2.5, 0.0])
         assert np.array_equal(soft_threshold(v, 0.0), v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hnp.arrays(np.float64, st.integers(0, 20), elements=st.floats(allow_nan=False, allow_infinity=False)),
+        st.floats(0, 1e300),
+    )
+    @example(np.array([0.0, 1.0, -1.0, 2.5, -2.5, 5e-324]), 1.0)
+    @example(np.array([0.0, 1.0, -1.0]), 0.0)
+    def test_bitwise_the_product_form(self, v, t):
+        # copysign(max(|v| - t, 0), v) gives the bits of the product form
+        # sign(v) * max(|v| - t, 0) on every entry but -0.0, left out here
+        v = np.where(v == 0.0, 0.0, v)
+        expected = np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        assert soft_threshold(v, t).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_negative_zero_keeps_its_sign(self, t):
+        # the one entry where the product form differs: it gives +0.0
+        v = np.array([-0.0])
+        assert np.signbit(soft_threshold(v, t)).all()
+        assert not np.signbit(np.sign(v) * np.maximum(np.abs(v) - t, 0.0)).any()
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):

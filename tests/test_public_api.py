@@ -3,8 +3,9 @@
 ``__all__`` must list exactly the public names ``hoprox`` binds, and every
 ``hp.<name>`` that the benchmark harness or the README uses must be in it.
 Every other module-level function or class, every method of a class and
-every dataclass field must serve the library or the benchmark, or be listed
-below with the reason it stays.
+every dataclass field must serve the library or the benchmark, and every
+parameter must be read by its function, or be listed below with the reason
+it stays.
 """
 
 import ast
@@ -38,6 +39,12 @@ FIELDS_KEPT_WITHOUT_READER = {
     "RunManifest.created_utc": "serialized into manifest.json by asdict",
     "RunManifest.total_wall_ms": "serialized into manifest.json by asdict",
     "SubsolverReport.final_grad_map_norm": "the solve's stopping quantity, checked by tests against the exact gradient map",
+}
+
+# parameters, as function:parameter, that their function's body never reads;
+# a method is Class.method and a nested function outer.inner
+PARAMETERS_KEPT_UNREAD = {
+    "EntryMask.norm_estimate:self": "a mask's norm is the constant 1; the method keeps MatrixMap.norm_estimate's signature",
 }
 
 
@@ -145,8 +152,8 @@ def test_no_field_without_a_reader():
     """Every dataclass field is read by name in src/hoprox or perfbench, or listed with its reason.
 
     Only fields declared in a dataclass body are covered; plain attributes
-    set in ``__init__``, such as ``PenaltyGradientOracle.beta`` (which only
-    tests read), are not.
+    set in ``__init__``, such as ``PenaltyGradientOracle.multiplier``, are
+    not.
     """
     modules, trees = _library_trees()
     read = set().union(*map(_names_read, trees.values()))
@@ -155,3 +162,40 @@ def test_no_field_without_a_reader():
     }
     kept = set(FIELDS_KEPT_WITHOUT_READER)
     assert without_reader == kept, sorted(without_reader ^ kept)
+
+
+def _functions(node, prefix=""):
+    """(qualified name, node) for every function, method and lambda inside ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            name = prefix + getattr(child, "name", "<lambda>")
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _functions(child, name + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
+def test_no_parameter_without_a_reader():
+    """Every parameter of a function, method or lambda in src/hoprox is read in its body, or listed with its reason.
+
+    ``self`` counts like any other parameter. A read inside a nested function
+    or lambda counts; a default value is not part of the body.
+    """
+    modules, trees = _library_trees()
+    unread = set()
+    for path in modules:
+        for name, func in _functions(trees[path]):
+            args = func.args
+            params = [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [arg.arg for arg in (args.vararg, args.kwarg) if arg is not None]
+            body = func.body if isinstance(func.body, list) else [func.body]
+            read = {
+                node.id
+                for statement in body
+                for node in ast.walk(statement)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            unread |= {f"{name}:{param}" for param in params if param not in read}
+    kept = set(PARAMETERS_KEPT_UNREAD)
+    assert unread == kept, sorted(unread ^ kept)

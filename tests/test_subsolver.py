@@ -83,7 +83,7 @@ class TestPenaltyGradient:
         x = rng.standard_normal(5)
         r = a @ x - b
         expected = lam @ r + 5.0 ** (1 / 3) / (4 / 3) * np.linalg.norm(r) ** (4 / 3)
-        assert np.isclose(oracle.value_at_residual(oracle.residual(x)), expected, rtol=1e-12)
+        assert np.isclose(oracle.value_and_gradient_at_residual(oracle.residual(x))[0], expected, rtol=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     def test_holder_continuity(self, p):
@@ -121,7 +121,9 @@ class TestFusedOracle:
                   np.zeros(oracle.b.size)):
             value, grad = oracle.value_and_gradient_at_residual(r)
             assert type(value) is float
-            assert value == oracle.value_at_residual(r)
+            norm = math.sqrt(r @ r)
+            assert value == oracle.value_at_residual(r, norm)
+            assert grad.tobytes() == oracle.gradient_at_residual(r, norm).tobytes()
             reference_grad = oracle.a_map.adjoint(
                 oracle.multiplier + oracle._beta_root * norm_power_gradient(r, p))
             assert grad.tobytes() == reference_grad.tobytes()
@@ -129,6 +131,24 @@ class TestFusedOracle:
             power = 1.0 + 1.0 / p
             reference = float(oracle.multiplier @ r + oracle._beta_root / power * np.linalg.norm(r) ** power)
             assert value == reference
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+        hnp.arrays(np.float64, 6, elements=st.floats(-1e100, 1e100)),
+    )
+    @example(1.0, np.zeros(6))
+    @example(2.0, np.zeros(6))
+    def test_gradient_from_the_trial_norm(self, p, r):
+        # the subsolver forms an accepted iterate's gradient from the norm
+        # math.sqrt(r @ r) that its trial took, without the penalty value
+        rng = np.random.default_rng(5)
+        oracle = PenaltyGradientOracle(rng.standard_normal((6, 9)), rng.standard_normal(6),
+                                       rng.standard_normal(6), 2.0, p)
+        grad = oracle.gradient_at_residual(r, math.sqrt(r @ r))
+        assert grad.tobytes() == oracle.value_and_gradient_at_residual(r)[1].tobytes()
+        reference = oracle.a_map.adjoint(oracle.multiplier + oracle._beta_root * norm_power_gradient(r, p))
+        assert grad.tobytes() == reference.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(hnp.arrays(np.float64, st.integers(0, 600), elements=st.floats(-1e150, 1e150)))
@@ -186,7 +206,7 @@ class TestMinimizeComposite:
         report = minimize_composite(oracle, f, np.zeros(4), 1e-8, 100_000)
         assert report.converged
         x_ref = reference_prox_gradient(inst.a, inst.b, np.zeros(2), 1.0, p, np.zeros(4), 20_000)
-        obj = lambda x: oracle.value_at_residual(oracle.residual(x)) + f.value(x)
+        obj = lambda x: oracle.value_and_gradient_at_residual(oracle.residual(x))[0] + f.value(x)
         assert abs(obj(report.solution) - obj(x_ref)) <= 1e-7
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
@@ -275,15 +295,19 @@ def report_bytes(report):
             report.converged, report.first_L_accepted, report.residual.tobytes())
 
 
+# the penalty parameter beta of hint_case's oracles, the benchmark's
+HINT_BETA = {"bp": 2.0, "mc": 5.0}
+
+
 def hint_case(kind, p, bp_seed=0):
     """Oracle, f and start of a benchmark-scale subproblem with a nonzero multiplier."""
     rng = np.random.default_rng(7)
     if kind == "bp":
         inst = gen_bp(100, 500, 0.2, bp_seed)
-        oracle = PenaltyGradientOracle(inst.a, inst.b, rng.standard_normal(100), 2.0, p)
+        oracle = PenaltyGradientOracle(inst.a, inst.b, rng.standard_normal(100), HINT_BETA[kind], p)
         return oracle, l1_norm(), np.zeros(500)
     prob = mc_composite(gen_mc(50, 50, 0.1, 0))
-    oracle = PenaltyGradientOracle(prob.a_map, prob.b, rng.standard_normal(prob.b.size), 5.0, p)
+    oracle = PenaltyGradientOracle(prob.a_map, prob.b, rng.standard_normal(prob.b.size), HINT_BETA[kind], p)
     return oracle, prob.f, np.zeros(2500)
 
 
@@ -377,14 +401,17 @@ def counted_solve(oracle, f, z0, max_iters, curvature_hint=1.0):
     """Solve with eps_sub = 0.1, counting f.prox calls and curvature trials.
 
     Each trial evaluates the penalty at its trial point with
-    ``value_at_residual``, and nothing else in the solver calls it.
+    ``value_at_residual``. The solver's only other call of it is the one
+    inside each ``value_and_gradient_at_residual``, so the trials are the
+    calls of the first less those of the second.
     """
-    prox_calls, trials = [], []
+    prox_calls, values, fused = [], [], []
     counted = ProxFunction(f.value, lambda v, t: prox_calls.append(t) or f.prox(v, t))
-    value = oracle.value_at_residual
-    oracle.value_at_residual = lambda r: trials.append(r) or value(r)
+    value, value_and_gradient = oracle.value_at_residual, oracle.value_and_gradient_at_residual
+    oracle.value_at_residual = lambda r, norm: values.append(r) or value(r, norm)
+    oracle.value_and_gradient_at_residual = lambda r: fused.append(r) or value_and_gradient(r)
     report = minimize_composite(oracle, counted, z0, 0.1, max_iters, curvature_hint)
-    return report, len(prox_calls), len(trials)
+    return report, len(prox_calls), len(values) - len(fused)
 
 
 class TestReportCounts:
@@ -493,7 +520,7 @@ class TestStoppingCertificate:
         # x-updates at entry on the subgradient the previous one handed on
         oracle, f, z0 = hint_case(kind, p, bp_seed=3)
         prob = CompositeProblem(f, oracle.a_map, oracle.b)
-        cfg = AlmConfig(p=p, beta=oracle.beta, eps=1e-3, eps_sub=eps_sub, max_outer=60, max_inner=50_000)
+        cfg = AlmConfig(p=p, beta=HINT_BETA[kind], eps=1e-3, eps_sub=eps_sub, max_outer=60, max_inner=50_000)
         trace = run_alm(prob, z0, np.zeros_like(prob.b), cfg)
         certified = at_entry = 0
         for k, report in enumerate(trace.reports):
@@ -715,11 +742,11 @@ class TestEntryCertificate:
             x, multiplier, subgradient = z0, oracle.multiplier, None
             chains[pass_on] = []
             for _ in range(8):
-                at_k = PenaltyGradientOracle(oracle.a_map, oracle.b, multiplier, oracle.beta, p)
+                at_k = PenaltyGradientOracle(oracle.a_map, oracle.b, multiplier, HINT_BETA[kind], p)
                 report = minimize_composite(at_k, f, x, 0.1, 20_000, subgradient=subgradient)
                 chains[pass_on].append((subgradient, report))
                 x, subgradient = report.solution, report.subgradient if pass_on else None
-                multiplier = multiplier + 1e-3 * oracle.beta ** (1.0 / p) * norm_power_gradient(report.residual, p)
+                multiplier = multiplier + 1e-3 * HINT_BETA[kind] ** (1.0 / p) * norm_power_gradient(report.residual, p)
         at_entry = 0
         for (_, without), (handed_in, with_s) in zip(chains[False], chains[True]):
             skipped = with_s.certified and with_s.iterations == 0
