@@ -96,7 +96,10 @@ class PpaTrace:
     (including x^0) when the operator carries a known solution.
     ``inner_solves[k]`` is the number of secular-function evaluations in
     step k's root search: 0 for a zero step (F(x^k) = 0), 1 for p = 1 (the
-    root s = 1 is known).
+    root s = 1 is known). On the nonsymmetric path these are not
+    factorizations: each search's first evaluation reuses the inverse at
+    the previous search's root. The benchmark's ``ppa.shifted_solves`` sums
+    this list, so it counts evaluations, not inversions.
     ``wall_ms[k]`` times step k's solve alone; every evaluation of F falls
     outside it.
     """
@@ -128,12 +131,16 @@ def _secular_root(secular, p: float, s: float):
     ``secular(s)`` returns (phi(s), phi'(s)) and ``s`` is the starting
     shift. A Newton step that leaves the bracket [lo, hi] known so far is
     replaced by bisection, or by doubling while no upper end is known.
-    Returns (root, evaluations) for p > 1.
+    Returns (root, evaluations) for p > 1. Raises ``SubproblemError`` at the
+    first shift where phi or phi' is not finite (lam*F(x_k) so large that
+    the evaluation overflows), since no bracket can be built from it.
     """
     lo, hi = 0.0, np.inf
     best_s, best_g = s, np.inf
     for evaluations in range(1, _MAX_EVALUATIONS + 1):
         phi, dphi = secular(s)
+        if not (math.isfinite(phi) and math.isfinite(dphi)):
+            raise SubproblemError(f"secular function not finite at s = {s:.3e}: phi = {phi}, phi' = {dphi}")
         power = phi ** (p - 1.0)
         g = power - s
         if abs(g) <= _root_tolerance(s):
@@ -164,11 +171,15 @@ def _make_affine_stepper(mat: np.ndarray, offset: np.ndarray, cfg: PpaConfig):
     Symmetric operators are eigendecomposed once, lam*M = V diag(l) V^T, so
     with w = V^T lam*F(x_k) each secular evaluation costs O(n):
     phi^2 = sum w_i^2 / (l_i + s)^2. Other operators invert lam*M + s*I
-    (one LU factorization) per evaluation, which gives both
+    (one LU factorization) once per distinct shift, which gives both
     d = (lam*M + s*I)^{-1} lam*F(x_k) and phi' = -d^T (lam*M + s*I)^{-1} d / phi.
     Each search starts from the previous step's root, which the shrinking
-    steps keep close. At p = 1 the root s = 1 is known and counted as one
-    evaluation.
+    steps keep close; that root is the shift of the previous search's last
+    evaluation, so the stepper keeps the last inverse and the next step's
+    first evaluation reuses it. ``x_of`` still calls ``solve``: x_next
+    formed from the inverse rounds differently, and the iterates then miss
+    the exact F = 0 stop. At p = 1 the root s = 1 is known and counted as
+    one evaluation.
     """
     lam, p = cfg.lambda_ppa, cfg.p
     lam_mat = lam * mat
@@ -194,10 +205,13 @@ def _make_affine_stepper(mat: np.ndarray, offset: np.ndarray, cfg: PpaConfig):
 
     else:
         eye = np.eye(offset.shape[0])
+        inverted_shift, inverse = None, None
 
         def secular_factory(lam_f):
             def secular(s):
-                inverse = np.linalg.inv(lam_mat + s * eye)
+                nonlocal inverted_shift, inverse
+                if s != inverted_shift:
+                    inverted_shift, inverse = s, np.linalg.inv(lam_mat + s * eye)
                 d = inverse @ lam_f
                 phi = math.sqrt(d @ d)
                 return phi, -(d @ (inverse @ d)) / phi

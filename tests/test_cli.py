@@ -170,6 +170,16 @@ class TestMain:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert [r["status"] for r in manifest["runs"]] == ["ok", "ok"]
 
+    def test_vi_non_finite_step_fails_the_cell(self, tmp_path):
+        # lam*F overflows, so the step's root search cannot be solved
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli(["vi", "--n", "3", "--lam", "1e300", "--p", "2", "--out", str(tmp_path)])
+        assert code == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        [run] = manifest["runs"]
+        assert run["status"].startswith("failed: secular function not finite")
+        assert "SubproblemError" in run["error"]
+
     def test_mc_run(self, tmp_path):
         code = run_cli(
             [

@@ -6,6 +6,7 @@ import pytest
 from hoprox.ppa import (
     MonotoneOperator,
     PpaConfig,
+    SubproblemError,
     _make_affine_stepper,
     affine_operator,
     run_ppa,
@@ -159,6 +160,70 @@ class TestStepRootSearch:
             assert np.array_equal(x_same, x0) and evaluations == 0
             x1, _ = _make_affine_stepper(mat, offset, cfg)(x0, mat @ x0 + offset)
             assert np.array_equal(x1, one_step(op, x0, cfg))
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_skew_search_reuses_last_inverse(self, monkeypatch, p):
+        # each search after the first starts at the previous root, which the
+        # previous search's last evaluation inverted
+        inverted = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(1) or inv(a))
+        op, x0 = skew_operator(20, 0)
+        trace = run_ppa(op, x0, PpaConfig(p=p, lambda_ppa=1.0, max_iters=50))
+        searched = [c for c in trace.inner_solves if c > 0]
+        assert len(searched) > 1
+        assert len(inverted) == sum(searched) - len(searched) + 1
+
+    def test_interleaved_skew_steppers_match_lone_runs(self):
+        # the first stepper's first root is its first shift s = 1, so the
+        # second stepper's first evaluation, also at s = 1, would take the
+        # first one's inverse if the kept inverse were shared
+        cfg = PpaConfig(p=3.0, lambda_ppa=1.0, max_iters=1)
+        (op_a, _), (op_b, x0_b) = skew_operator(20, 0), skew_operator(20, 1)
+        mat_a, offset_a = op_a.affine_parts
+        u = np.random.default_rng(0).standard_normal(20)
+        u /= np.linalg.norm(u)
+        # F(x0) = (M + I) u gives phi(1) = ||u|| = 1
+        x0_a = np.linalg.solve(mat_a, (mat_a + np.eye(20)) @ u - offset_a)
+
+        def stepper(op):
+            mat, offset = op.affine_parts
+            step = _make_affine_stepper(mat, offset, cfg)
+            return lambda x: step(x, mat @ x + offset)
+
+        def advance(runs):
+            # one step of each (stepper, iterates) in turn; returns the evaluation counts
+            counts = []
+            for step, iterates in runs:
+                x_next, count = step(iterates[-1])
+                iterates.append(x_next)
+                counts.append(count)
+            return counts
+
+        starts = [(op_a, x0_a), (op_b, x0_b)]
+        alone = [(stepper(op), [x0]) for op, x0 in starts]
+        for run in alone:
+            for _ in range(20):
+                advance([run])
+        together = [(stepper(op), [x0]) for op, x0 in starts]
+        assert advance(together)[0] == 1
+        for _ in range(19):
+            advance(together)
+        for (_, lone), (_, mixed) in zip(alone, together):
+            assert all(np.array_equal(a, b) for a, b in zip(lone, mixed))
+
+    def test_non_finite_secular_function_raises(self):
+        # (V^T lam*F)^2 overflows, so phi is NaN at the first shift
+        op, x0 = gen_vi_affine(3, 0)
+        with pytest.raises(SubproblemError, match="finite"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                run_ppa(op, x0, PpaConfig(p=2.0, lambda_ppa=1e200, max_iters=5))
+
+    def test_large_finite_lambda_still_solves(self):
+        op, x0 = gen_vi_affine(3, 0)
+        trace = run_ppa(op, x0, PpaConfig(p=2.0, lambda_ppa=1e150, max_iters=5))
+        assert trace.inner_solves == [2, 2]
+        assert trace.step_norms[-1] == 0.0
 
 
 class TestRunPpa:

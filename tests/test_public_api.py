@@ -2,10 +2,10 @@
 
 ``__all__`` must list exactly the public names ``hoprox`` binds, and every
 ``hp.<name>`` that the benchmark harness or the README uses must be in it.
-Every other module-level function or class, every method of a class and
-every dataclass field must serve the library or the benchmark, and every
-parameter must be read by its function, or be listed below with the reason
-it stays.
+Every other module-level function or class, every method of a class,
+every dataclass field and every plain attribute set on ``self`` must serve
+the library or the benchmark, and every parameter must be read by its
+function, or be listed below with the reason it stays.
 """
 
 import ast
@@ -40,6 +40,9 @@ FIELDS_KEPT_WITHOUT_READER = {
     "RunManifest.total_wall_ms": "serialized into manifest.json by asdict",
     "SubsolverReport.final_grad_map_norm": "the solve's stopping quantity, checked by tests against the exact gradient map",
 }
+
+# plain attributes, as Class.attribute, that nothing in src/hoprox or perfbench reads
+ATTRIBUTES_KEPT_WITHOUT_READER = {}
 
 # parameters, as function:parameter, that their function's body never reads;
 # a method is Class.method and a nested function outer.inner
@@ -153,7 +156,7 @@ def test_no_field_without_a_reader():
 
     Only fields declared in a dataclass body are covered; plain attributes
     set in ``__init__``, such as ``PenaltyGradientOracle.multiplier``, are
-    not.
+    the next guard's.
     """
     modules, trees = _library_trees()
     read = set().union(*map(_names_read, trees.values()))
@@ -161,6 +164,38 @@ def test_no_field_without_a_reader():
         qualified for path in modules for qualified, name in _dataclass_fields(trees[path]) if name not in read
     }
     kept = set(FIELDS_KEPT_WITHOUT_READER)
+    assert without_reader == kept, sorted(without_reader ^ kept)
+
+
+def _attributes_set(tree):
+    """(Class.attribute, attribute) for every ``self.<attribute>`` a method of a module-level class assigns."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for target in ast.walk(item):
+                        if (
+                            isinstance(target, ast.Attribute)
+                            and isinstance(target.ctx, ast.Store)
+                            and isinstance(target.value, ast.Name)
+                            and target.value.id == "self"
+                        ):
+                            yield f"{node.name}.{target.attr}", target.attr
+
+
+def test_no_attribute_without_a_reader():
+    """Every plain attribute a method sets on ``self`` is read in src/hoprox or perfbench, or listed with its reason.
+
+    The guard matches names, not classes: a read of ``.name`` on any object
+    counts for every class that sets ``self.name``. An assignment is a store,
+    not a read, so an attribute that only its own assignment names fails.
+    """
+    modules, trees = _library_trees()
+    read = set().union(*map(_names_read, trees.values()))
+    without_reader = {
+        qualified for path in modules for qualified, name in _attributes_set(trees[path]) if name not in read
+    }
+    kept = set(ATTRIBUTES_KEPT_WITHOUT_READER)
     assert without_reader == kept, sorted(without_reader ^ kept)
 
 
