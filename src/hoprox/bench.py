@@ -12,6 +12,7 @@ column; measured timings live in the trace and the manifest's metadata.
 
 import itertools
 import json
+import math
 import time
 import traceback
 from dataclasses import asdict, dataclass, field
@@ -283,168 +284,94 @@ def sweep_failed(manifest: RunManifest) -> bool:
     return any(str(run.get("status", "")).startswith(bad) for run in manifest.runs)
 
 
-_PLOT_TEMPLATE = '''"""Render primal-residual curves from the sweep CSVs in this directory.
-
-Needs only numpy: the figure is drawn into an RGB array and written as a PNG
-with zlib. One panel per (beta, eps_sub), one line per (p, seed), on a
-log-scale residual axis with decade gridlines.
-"""
-
-import csv
-import math
-import struct
-import zlib
-from pathlib import Path
-
-import numpy as np
-
-HERE = Path(__file__).resolve().parent
-
-# (panel title, [(csv file, line label), ...])
-PANELS = {panels!r}
-
-PANEL_W, PANEL_H = 480, 360
-LEFT, TOP, RIGHT, BOTTOM = 48, 24, 12, 12
-COLORS = [(31, 119, 180), (255, 127, 14), (44, 160, 44), (214, 39, 40), (148, 103, 189),
-          (140, 86, 75), (227, 119, 194), (127, 127, 127), (188, 189, 34), (23, 190, 207)]
-BLACK, GRID, WHITE = (0, 0, 0), (224, 224, 224), (255, 255, 255)
-# 3x5 glyphs drawn at twice the size, one octal digit per row (4 = left column).
-# They cover only the characters emit_plots puts into titles and labels.
-FONT = dict(zip(
-    "0123456789.,=+-_ abdefilnprstu",
-    "75557 26227 71747 71317 55711 74717 74757 71111 75757 75717 00002 00024 07070 02720 00700 "
-    "00007 00000 06353 46556 13553 02743 34744 20222 44443 06555 06564 05644 03416 27221 05553".split(" "),
-))
+_PANEL_W, _PANEL_H = 480, 360
+_LEFT, _TOP, _RIGHT, _BOTTOM = 48, 24, 12, 12
+_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
+           "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
 
-def load(name):
-    """Iterations and residuals; residuals <= 0 or not finite become NaN, as semilogy masks them."""
-    with open(HERE / name) as fh:
-        rows = list(csv.DictReader(fh))
-    iters = np.array([float(row["iter"]) for row in rows])
-    residuals = np.array([float(row["r_k"]) for row in rows])
-    return iters, np.where(np.isfinite(residuals) & (residuals > 0), residuals, np.nan)
+def _polyline(points, color) -> str:
+    coords = " ".join(f"{x:.1f},{y:.1f}" for x, y in points)
+    return f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>'
 
 
-def text(img, x, y, s, color=BLACK):
-    for ch in s:
-        if x + 6 > img.shape[1]:
-            break
-        bits = [[int(row) >> (2 - col) & 1 for col in range(3)] for row in FONT[ch]]
-        img[y:y + 10, x:x + 6][np.array(bits, bool).repeat(2, 0).repeat(2, 1)] = color
-        x += 8
+def _text(x, y, s, anchor="start") -> str:
+    return f'<text x="{x:.1f}" y="{y:.1f}" text-anchor="{anchor}">{s}</text>'
 
 
-def line(img, xs, ys, color):
-    """Polyline with a 2x2 brush; a segment with a NaN end is left out."""
-    for x0, y0, x1, y1 in zip(xs[:-1], ys[:-1], xs[1:], ys[1:]):
-        if np.isnan(y0) or np.isnan(y1):
-            continue
-        n = int(max(abs(x1 - x0), abs(y1 - y0))) + 1
-        px = np.rint(np.linspace(x0, x1, n)).astype(int)
-        py = np.rint(np.linspace(y0, y1, n)).astype(int)
-        for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            img[py + dy, px + dx] = color
-
-
-def panel(title, curves):
-    img = np.full((PANEL_H, PANEL_W, 3), 255, np.uint8)
-    data = [load(name) + (label,) for name, label in curves]
-    logs = np.log10(np.concatenate([np.empty(0)] + [r for _, r, _ in data]))
-    logs = logs[~np.isnan(logs)]
-    lo, hi = (math.floor(logs.min()), math.ceil(logs.max())) if logs.size else (0, 1)
+def _panel(title, curves) -> list:
+    """SVG elements of one panel at the origin; ``curves`` holds (label, records) pairs."""
+    w, h = _PANEL_W - _LEFT - _RIGHT, _PANEL_H - _TOP - _BOTTOM
+    # runs of (iteration, log10 r_k): a line breaks where r_k is <= 0 or not finite, and a lone point is not drawn
+    lines = []
+    for _, records in curves:
+        points = [(rec.iteration, rec.primal_residual) for rec in records]
+        runs = itertools.groupby(points, key=lambda pt: math.isfinite(pt[1]) and pt[1] > 0)
+        lines.append([[(k, math.log10(r)) for k, r in run] for shown, run in runs if shown])
+    logs = [log_r for segments in lines for segment in segments for _, log_r in segment]
+    lo, hi = (math.floor(min(logs)), math.ceil(max(logs))) if logs else (0, 1)
     hi = max(hi, lo + 1)
-    xmax = max([it.max() for it, _, _ in data if it.size] + [1.0])
-    w, h = PANEL_W - LEFT - RIGHT, PANEL_H - TOP - BOTTOM
+    xmax = max([rec.iteration for _, records in curves for rec in records] + [1])
 
     def to_y(log_r):
-        return TOP + (hi - log_r) / (hi - lo) * (h - 1)
+        return _TOP + (hi - log_r) / (hi - lo) * (h - 1)
 
+    out = []
     # gridlines and labels on every decade, thinned so labels do not overlap
     for k in range(lo, hi + 1, math.ceil(12 * (hi - lo) / h)):
-        y = round(to_y(k))
-        img[y, LEFT:LEFT + w] = GRID
-        text(img, 2, y - 5, f"1e{{k}}")
-    img[[TOP, TOP + h - 1], LEFT:LEFT + w] = BLACK
-    img[TOP:TOP + h, [LEFT, LEFT + w - 1]] = BLACK
-    text(img, LEFT, TOP + h + 1, "0")
-    text(img, LEFT + w - 8 * len(f"{{xmax:g}}"), TOP + h + 1, f"{{xmax:g}}")
-    text(img, max(2, (PANEL_W - 8 * len(title)) // 2), 7, title)
-    for i, (iters, residuals, _) in enumerate(data):
-        line(img, LEFT + iters / xmax * (w - 1), to_y(np.log10(residuals)), COLORS[i % len(COLORS)])
+        out.append(f'<line x1="{_LEFT}" y1="{to_y(k):.1f}" x2="{_LEFT + w}" y2="{to_y(k):.1f}" stroke="#e0e0e0"/>')
+        out.append(_text(2, to_y(k) + 4, f"1e{k}"))
+    out.append(f'<rect x="{_LEFT}" y="{_TOP}" width="{w}" height="{h}" fill="none" stroke="black"/>')
+    out.append(_text(_LEFT, _TOP + h + 10, "0"))
+    out.append(_text(_LEFT + w, _TOP + h + 10, f"{xmax:g}", "end"))
+    out.append(_text(_PANEL_W / 2, 16, title, "middle"))
+    for i, segments in enumerate(lines):
+        color = _COLORS[i % len(_COLORS)]
+        out += [_polyline([(_LEFT + k / xmax * (w - 1), to_y(log_r)) for k, log_r in seg], color)
+                for seg in segments if len(seg) > 1]
 
-    shown = data[:(h - 8) // 12]
-    width = 8 * max([len(label) for _, _, label in shown] + [0]) + 28
-    x, y = LEFT + w - width - 4, TOP + 4
-    img[y:y + 12 * len(shown) + 4, x:x + width] = WHITE
-    for i, (_, _, label) in enumerate(shown):
+    # the legend keeps the rows that fit in the panel
+    labels = [label for label, _ in curves][: (h - 8) // 12]
+    width = 6 * max(map(len, labels)) + 28
+    x, y = _LEFT + w - width - 4, _TOP + 4
+    out.append(f'<rect x="{x}" y="{y}" width="{width}" height="{12 * len(labels) + 4}" fill="white"/>')
+    for i, label in enumerate(labels):
         row = y + 4 + 12 * i
-        line(img, np.array([x + 4.0, x + 20.0]), np.array([row + 4.0, row + 4.0]), COLORS[i % len(COLORS)])
-        text(img, x + 24, row, label)
-    return img
-
-
-def write_png(path, img):
-    """8-bit RGB PNG with unfiltered scanlines."""
-    height, width, _ = img.shape
-    raw = np.hstack([np.zeros((height, 1), np.uint8), img.reshape(height, -1)]).tobytes()
-
-    def chunk(tag, data):
-        return struct.pack(">I", len(data)) + tag + data + struct.pack(">I", zlib.crc32(tag + data))
-
-    header = struct.pack(">IIBBBBB", width, height, 8, 2, 0, 0, 0)
-    with open(path, "wb") as fh:
-        fh.write(b"\\x89PNG\\r\\n\\x1a\\n" + chunk(b"IHDR", header) + chunk(b"IDAT", zlib.compress(raw, 9))
-                 + chunk(b"IEND", b""))
-
-
-def main():
-    ncols = min(2, len(PANELS)) or 1
-    nrows = max(1, -(-len(PANELS) // ncols))
-    fig = np.full((nrows * PANEL_H, ncols * PANEL_W, 3), 255, np.uint8)
-    for k, (title, curves) in enumerate(PANELS):
-        r, c = divmod(k, ncols)
-        fig[r * PANEL_H:(r + 1) * PANEL_H, c * PANEL_W:(c + 1) * PANEL_W] = panel(title, curves)
-    write_png(HERE / "residuals.png", fig)
-    print(f"wrote {{HERE / 'residuals.png'}}")
-
-
-if __name__ == "__main__":
-    main()
-'''
+        out.append(_polyline([(x + 4, row + 4), (x + 20, row + 4)], _COLORS[i % len(_COLORS)]))
+        out.append(_text(x + 24, row + 9, label))
+    return out
 
 
 def emit_plots(manifest: RunManifest, out_dir=None) -> Path:
-    """Write a standalone script that renders the sweep's curves to residuals.png.
+    """Render the sweep's primal-residual curves to ``residuals.svg`` and return its path.
 
-    The script needs only numpy and the standard library. One panel per
-    (beta, eps_sub) combination, one line per (p, seed).
-    Every successful run's CSV is referenced exactly once.
+    One panel per (beta, eps_sub) combination in numeric order, two to a
+    row, and one line per (p, seed), on a log-scale residual axis with
+    decade gridlines. Each successful run's CSV is read once, by
+    ``read_csv``. The figure is SVG text written by the standard library
+    alone: no script, plotting library or numpy is involved. To re-render
+    a finished sweep, call ``emit_plots(RunManifest.load(path))``.
     """
     out = Path(out_dir if out_dir is not None else manifest.config["out_dir"])
     runs = [r for r in manifest.runs if not str(r.get("status", "")).startswith("failed")]
-    missing = [r["csv"] for r in runs if not (out / r["csv"]).exists()]
-    if missing:
-        raise FileNotFoundError(f"manifest references missing CSVs: {missing}")
-
-    panel_keys = sorted({(r["beta"], r["eps_sub"]) for r in runs})
     multi_seed = len({r["seed"] for r in runs}) > 1
     panels = []
-    for beta, eps_sub in panel_keys:
-        members = [r for r in runs if (r["beta"], r["eps_sub"]) == (beta, eps_sub)]
-        members.sort(key=lambda r: (r["p"], r["seed"]))
-        if beta is None:
-            title = "step residuals"
-        else:
-            title = f"beta={beta:g}, eps_sub={eps_sub:g}"
-        curves = []
-        for r in members:
-            label = f"p={r['p']:g}" + (f", seed={r['seed']}" if multi_seed else "")
-            curves.append((r["csv"], label))
-        panels.append((title, curves))
+    for beta, eps_sub in sorted({(r["beta"], r["eps_sub"]) for r in runs}):
+        members = sorted((r for r in runs if (r["beta"], r["eps_sub"]) == (beta, eps_sub)),
+                         key=lambda r: (r["p"], r["seed"]))
+        title = "step residuals" if beta is None else f"beta={beta:g}, eps_sub={eps_sub:g}"
+        curves = [(f"p={r['p']:g}" + (f", seed={r['seed']}" if multi_seed else ""), read_csv(out / r["csv"])[0])
+                  for r in members]
+        panels.append(_panel(title, curves))
 
-    script = _PLOT_TEMPLATE.format(panels=panels)
-    path = out / "plot_residuals.py"
-    with open(path, "w") as fh:
-        fh.write(script)
+    ncols = min(2, len(panels)) or 1
+    width, height = ncols * _PANEL_W, max(1, -(-len(panels) // ncols)) * _PANEL_H
+    svg = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+           'font-family="sans-serif" font-size="10">',
+           f'<rect width="{width}" height="{height}" fill="white"/>']
+    for k, elements in enumerate(panels):
+        row, col = divmod(k, ncols)
+        svg += [f'<g transform="translate({col * _PANEL_W},{row * _PANEL_H})">', *elements, "</g>"]
+    path = out / "residuals.svg"
+    path.write_text("\n".join(svg + ["</svg>"]) + "\n")
     return path

@@ -2,8 +2,9 @@
 
 Subcommands ``bp``, ``mc`` and ``vi`` run one problem family over the given
 parameter lists (the full Cartesian product); ``sweep`` is the generic form
-taking ``--kind``. Each invocation writes one CSV per run, a plot script,
-and a JSON manifest that reproduces every CSV byte-for-byte.
+taking ``--kind``. Each invocation writes one CSV per run, the residual
+curves as ``residuals.svg``, and a JSON manifest that reproduces every CSV
+byte-for-byte.
 """
 
 import argparse

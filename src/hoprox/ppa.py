@@ -132,8 +132,9 @@ def _secular_root(secular, p: float, s: float):
     shift. A Newton step that leaves the bracket [lo, hi] known so far is
     replaced by bisection, or by doubling while no upper end is known.
     Returns (root, evaluations) for p > 1. Raises ``SubproblemError`` at the
-    first shift where phi or phi' is not finite (lam*F(x_k) so large that
-    the evaluation overflows), since no bracket can be built from it.
+    first shift where phi, phi' or phi^(p-1) is not finite (lam*F(x_k) so
+    large that the evaluation overflows), since no bracket can be built
+    from it.
     """
     lo, hi = 0.0, np.inf
     best_s, best_g = s, np.inf
@@ -141,7 +142,11 @@ def _secular_root(secular, p: float, s: float):
         phi, dphi = secular(s)
         if not (math.isfinite(phi) and math.isfinite(dphi)):
             raise SubproblemError(f"secular function not finite at s = {s:.3e}: phi = {phi}, phi' = {dphi}")
-        power = phi ** (p - 1.0)
+        try:
+            power = phi ** (p - 1.0)
+        except OverflowError:
+            message = f"secular function not finite at s = {s:.3e}: phi^(p-1) overflows, phi = {phi}"
+            raise SubproblemError(message) from None
         g = power - s
         if abs(g) <= _root_tolerance(s):
             return s, evaluations

@@ -1,7 +1,5 @@
-import ast
-import re
-import struct
-import zlib
+import xml.etree.ElementTree as ET
+from collections import Counter
 from dataclasses import asdict, replace
 from itertools import accumulate
 
@@ -39,31 +37,24 @@ def make_trace():
     return AlmTrace(records=records, status="converged", iterates=iterates)
 
 
-def read_png(path):
-    """Width, height and (height * width, 3) pixels of an unfiltered 8-bit RGB PNG."""
-    png = path.read_bytes()
-    assert png[:8] == b"\x89PNG\r\n\x1a\n"
-    chunks, pos = {}, 8
-    while pos < len(png):
-        (length,) = struct.unpack(">I", png[pos:pos + 4])
-        tag, data = png[pos + 4:pos + 8], png[pos + 8:pos + 8 + length]
-        (crc,) = struct.unpack(">I", png[pos + 8 + length:pos + 12 + length])
-        assert crc == zlib.crc32(tag + data), tag
-        chunks[tag] = chunks.get(tag, b"") + data
-        pos += 12 + length
-    assert b"IEND" in chunks
-    width, height, depth, color_type = struct.unpack(">IIBB", chunks[b"IHDR"][:10])
-    assert (depth, color_type) == (8, 2)
-    raw = zlib.decompress(chunks[b"IDAT"])
-    assert len(raw) == height * (1 + 3 * width)
-    rows = np.frombuffer(raw, np.uint8).reshape(height, 1 + 3 * width)
-    assert not rows[:, 0].any()
-    return width, height, rows[:, 1:].reshape(-1, 3)
+SVG = "{http://www.w3.org/2000/svg}"
 
 
-def panel_size(script):
-    match = re.search(r"^PANEL_W, PANEL_H = (\d+), (\d+)$", script.read_text(), re.M)
-    return int(match[1]), int(match[2])
+def read_svg(path):
+    """Width, height, panel titles and polylines, as (point count, stroke) pairs, of a residuals.svg."""
+    root = ET.parse(path).getroot()
+    assert root.tag == SVG + "svg"
+    titles = [t.text for t in root.iter(SVG + "text") if t.get("text-anchor") == "middle"]
+    lines = [(len(line.get("points").split()), line.get("stroke")) for line in root.iter(SVG + "polyline")]
+    return int(root.get("width")), int(root.get("height")), titles, lines
+
+
+def count_reads(monkeypatch):
+    """Counter of the paths that bench.read_csv is called on from here on."""
+    reads = Counter()
+    original = bench.read_csv
+    monkeypatch.setattr(bench, "read_csv", lambda path: reads.update([path]) or original(path))
+    return reads
 
 
 def tiny_bp_config(out_dir, **overrides):
@@ -377,63 +368,68 @@ class TestRunSweep:
 
 
 class TestEmitPlots:
-    def test_four_beta_sweep_gives_four_panels(self, tmp_path):
+    def test_four_beta_sweep_gives_four_panels(self, tmp_path, monkeypatch):
         cfg = tiny_bp_config(tmp_path, betas=[0.5, 2.0, 5.0, 10.0], p_values=[1.0, 2.0])
         manifest = run_sweep(cfg)
-        script = emit_plots(manifest).read_text()
-        for beta in ("beta=0.5", "beta=2,", "beta=5,", "beta=10"):
-            assert script.count(beta) == 1
-        for run in manifest.runs:
-            assert script.count(run["csv"]) == 1
+        reads = count_reads(monkeypatch)
+        width, height, titles, _ = read_svg(emit_plots(manifest))
+        # two panels to a row
+        assert (width, height) == (2 * 480, 2 * 360)
+        assert sorted(titles) == sorted(f"beta={beta}, eps_sub=0.01" for beta in ("0.5", "2", "5", "10"))
+        assert reads == Counter({tmp_path / run["csv"]: 1 for run in manifest.runs})
 
     def test_panels_in_numeric_order(self, tmp_path):
         cfg = tiny_bp_config(tmp_path, betas=[0.5, 2.0, 5.0, 10.0], p_values=[1.0])
-        script = emit_plots(run_sweep(cfg)).read_text()
-        panels = ast.literal_eval(re.search(r"^PANELS = (.*)$", script, re.M)[1])
-        titles = [title for title, _ in panels]
+        titles = read_svg(emit_plots(run_sweep(cfg)))[2]
         assert titles == [f"beta={beta}, eps_sub=0.01" for beta in ("0.5", "2", "5", "10")]
 
-    def test_single_run_single_panel(self, tmp_path):
+    def test_single_run_single_panel(self, tmp_path, monkeypatch):
         cfg = tiny_bp_config(tmp_path, p_values=[2.0])
         manifest = run_sweep(cfg)
-        script = emit_plots(manifest).read_text()
-        assert script.count("PANELS = ") == 1
-        assert script.count(manifest.runs[0]["csv"]) == 1
+        reads = count_reads(monkeypatch)
+        width, height, titles, _ = read_svg(emit_plots(manifest))
+        assert (width, height, titles) == (480, 360, ["beta=2, eps_sub=0.01"])
+        assert reads == Counter({tmp_path / manifest.runs[0]["csv"]: 1})
 
     def test_missing_csv_rejected(self, tmp_path):
         manifest = run_sweep(tiny_bp_config(tmp_path))
         (tmp_path / manifest.runs[0]["csv"]).unlink()
         with pytest.raises(FileNotFoundError):
             emit_plots(manifest)
+        assert not (tmp_path / "residuals.svg").exists()
 
-    def test_script_executes(self, tmp_path):
-        import subprocess
-        import sys
-
+    def test_figure_structure(self, tmp_path):
         manifest = run_sweep(tiny_bp_config(tmp_path, p_values=[1.0, 2.0]))
-        script = emit_plots(manifest)
-        proc = subprocess.run(
-            [sys.executable, str(script)], capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-        width, height, pixels = read_png(tmp_path / "residuals.png")
+        path = emit_plots(manifest)
+        assert path == tmp_path / "residuals.svg"
+        width, height, titles, lines = read_svg(path)
         # the sweep has a single (beta, eps_sub) cell, so the figure is one panel
-        assert (width, height) == panel_size(script)
-        chromatic = pixels[pixels.min(axis=1) != pixels.max(axis=1)]
-        assert len(np.unique(chromatic, axis=0)) >= 2
+        assert (width, height, titles) == (480, 360, ["beta=2, eps_sub=0.01"])
+        # every residual is positive and finite, so each curve is one polyline
+        # through all its rows, in p order, followed by one legend swatch per curve
+        rows = [read_csv(tmp_path / run["csv"])[0] for run in manifest.runs]
+        assert all(len(recs) > 1 and all(0 < rec.primal_residual < np.inf for rec in recs) for recs in rows)
+        assert [n for n, _ in lines] == [len(recs) for recs in rows] + [2] * len(rows)
+        assert len({stroke for _, stroke in lines}) >= 2
+
+    def test_line_breaks_at_non_positive_or_non_finite_residual(self, tmp_path):
+        residuals = ["1", "0.5", "0", "0.2", "0.1", "inf", "0.01", "0.001"]
+        csv = "\n".join([CSV_HEADER] + [f"{k},{r},0,1,{k + 1},0,0" for k, r in enumerate(residuals)])
+        (tmp_path / "r.csv").write_text(csv + "\n")
+        runs = [{"id": "r", "csv": "r.csv", "seed": 0, "p": 2.0, "beta": 2.0, "eps_sub": 0.01, "status": "converged"}]
+        lines = read_svg(emit_plots(RunManifest(config={}, runs=runs), tmp_path))[3]
+        # three two-point pieces of the curve and the legend swatch, all in the curve's colour
+        assert [n for n, _ in lines] == [2, 2, 2, 2]
+        assert len({stroke for _, stroke in lines}) == 1
+
+    def test_two_calls_write_identical_bytes(self, tmp_path):
+        manifest = run_sweep(tiny_bp_config(tmp_path, seeds=[0, 1], betas=[2.0, 5.0]))
+        first = emit_plots(manifest).read_bytes()
+        assert emit_plots(manifest).read_bytes() == first
 
     def test_all_failed_sweep_gives_empty_figure(self, tmp_path):
-        import subprocess
-        import sys
-
         config = asdict(tiny_bp_config(tmp_path))
         runs = [{"id": "r", "csv": "r.csv", "seed": 0, "p": 1.0, "beta": 2.0, "eps_sub": 0.01,
                  "status": "failed: boom"}]
-        script = emit_plots(RunManifest(config=config, runs=runs))
-        proc = subprocess.run(
-            [sys.executable, str(script)], capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-        width, height, pixels = read_png(tmp_path / "residuals.png")
-        assert (width, height) == panel_size(script)
-        assert (pixels == 255).all()
+        width, height, titles, lines = read_svg(emit_plots(RunManifest(config=config, runs=runs)))
+        assert (width, height, titles, lines) == (480, 360, [], [])

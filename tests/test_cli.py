@@ -140,7 +140,7 @@ class TestMain:
         )
         assert code == 0
         assert (tmp_path / "manifest.json").exists()
-        assert (tmp_path / "plot_residuals.py").exists()
+        assert (tmp_path / "residuals.svg").exists()
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert len(manifest["runs"]) == 2
         for run in manifest["runs"]:

@@ -219,6 +219,12 @@ class TestStepRootSearch:
             with np.errstate(over="ignore", invalid="ignore"):
                 run_ppa(op, x0, PpaConfig(p=2.0, lambda_ppa=1e200, max_iters=5))
 
+    def test_overflowing_power_raises(self):
+        # phi ~ 1e100 is finite, but phi^(p-1) = phi^4 overflows a float
+        op, x0 = gen_vi_affine(3, 0)
+        with pytest.raises(SubproblemError, match=r"finite .* phi\^\(p-1\) overflows"):
+            run_ppa(op, 1e100 * x0, PpaConfig(p=5.0, lambda_ppa=1.0, max_iters=5))
+
     def test_large_finite_lambda_still_solves(self):
         op, x0 = gen_vi_affine(3, 0)
         trace = run_ppa(op, x0, PpaConfig(p=2.0, lambda_ppa=1e150, max_iters=5))

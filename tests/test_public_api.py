@@ -22,7 +22,6 @@ HP_NAME = re.compile(r"\bhp\.([A-Za-z_]\w*)")
 KEPT_WITHOUT_CALLER = {
     "gradient_map": "independent reference for the subsolver's inline stopping test (criteria 4 and 9)",
     "holder_constant": "reference the subsolver's curvature estimates are tested against",
-    "read_csv": "reader of the library's own trace CSV format",
     "load_instance": "reader of the library's own instance text format",
 }
 
