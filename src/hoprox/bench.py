@@ -3,7 +3,9 @@
 Each sweep cell (seed, p, beta, eps_sub) produces one CSV with the fixed
 header ``iter,r_k,dual_step_norm,inner_iters,cum_inner,objective,wall_ms``.
 A JSON manifest written after all cells records the resolved config, the
-RNG algorithm, per-run artifact paths and, for ALM runs, the cell's total
+RNG algorithm, per-run artifact paths, each run's status (for VI runs
+``converged`` when the last step was within ``eps``, else ``max_outer``)
+and final residual and, for ALM runs, the cell's total
 inner iterations, prox calls, curvature trials and certified stops, and
 suffices to regenerate every CSV byte-for-byte. Wall-clock timing is
 inherently non-reproducible, so persisted CSVs carry a zeroed wall_ms
@@ -263,8 +265,11 @@ def run_sweep(cfg: ExperimentConfig) -> RunManifest:
                 entry["trials"] = sum(rep.trials for rep in trace.reports)
                 entry["certified"] = sum(rep.certified for rep in trace.reports)
             else:
-                entry["status"] = "ok"
+                # run_ppa stops early only on a step within step_tol (cfg.eps),
+                # the zero step at F's rounding floor included
+                entry["status"] = "converged" if trace.step_norms[-1] <= cfg.eps else "max_outer"
                 entry["outer_iterations"] = len(trace.step_norms)
+                entry["final_residual"] = trace.residual_norms[-1]
             write_csv(trace, out / csv_name, problem.f if isinstance(trace, AlmTrace) else None)
             manifest.runs.append(entry)
 

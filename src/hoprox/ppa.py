@@ -13,6 +13,11 @@ Sorensen, "Computing a trust region step", 1983): phi is strictly
 decreasing because the symmetric part of M is PSD. A Newton iteration on g,
 kept inside a bracket by bisection or doubling, finds the root, and
 x_next = (lam*M + s*I)^{-1} (s*x - lam*q) is formed by one final solve.
+
+Once the computed F(x) is no larger than the rounding error bound of
+evaluating M x + q, gamma_{n+1} (||M||_F ||x|| + ||q||) with
+gamma_k = k u / (1 - k u) and u = 2^-53, it carries no correct digit: the
+step is then the zero step, with no root search, and the run stops on it.
 """
 
 import math
@@ -95,7 +100,8 @@ class PpaTrace:
     lam * ||F(x^{k+1})||. ``distances_to_solution`` covers every iterate
     (including x^0) when the operator carries a known solution.
     ``inner_solves[k]`` is the number of secular-function evaluations in
-    step k's root search: 0 for a zero step (F(x^k) = 0), 1 for p = 1 (the
+    step k's root search: 0 for a zero step (F(x^k) = 0 to working
+    precision: within the rounding bound of M x^k + q), 1 for p = 1 (the
     root s = 1 is known). On the nonsymmetric path these are not
     factorizations: each search's first evaluation reuses the inverse at
     the previous search's root. The benchmark's ``ppa.shifted_solves`` sums
@@ -182,14 +188,20 @@ def _make_affine_stepper(mat: np.ndarray, offset: np.ndarray, cfg: PpaConfig):
     steps keep close; that root is the shift of the previous search's last
     evaluation, so the stepper keeps the last inverse and the next step's
     first evaluation reuses it. ``x_of`` still calls ``solve``: x_next
-    formed from the inverse rounds differently, and the iterates then miss
-    the exact F = 0 stop. At p = 1 the root s = 1 is known and counted as
+    formed from the inverse rounds differently, which moves every later
+    iterate. At p = 1 the root s = 1 is known and counted as
     one evaluation.
     """
     lam, p = cfg.lambda_ppa, cfg.p
     lam_mat = lam * mat
     lam_offset = lam * offset
     root = 1.0
+    # |fl(M x + q) - (M x + q)| <= gamma_{n+1} (|M||x| + |q|) componentwise
+    # (Higham, Accuracy and Stability of Numerical Algorithms, section 3.5),
+    # and || |M||x| || <= ||M||_F ||x||
+    unit = (offset.shape[0] + 1) * 2.0 ** -53
+    gamma = unit / (1.0 - unit)
+    mat_norm, offset_norm = float(np.linalg.norm(mat)), float(np.linalg.norm(offset))
 
     if _is_symmetric(mat):
         eigvals, eigvecs = np.linalg.eigh(lam_mat)
@@ -229,7 +241,13 @@ def _make_affine_stepper(mat: np.ndarray, offset: np.ndarray, cfg: PpaConfig):
     def step(x_k: np.ndarray, f_k: np.ndarray):
         nonlocal root
         lam_f = lam * f_k
-        if lam_f @ lam_f == 0.0:
+        # a computed F(x_k) no larger than the rounding bound of M x_k + q
+        # carries no correct digit, so the exact step is indistinguishable
+        # from zero; NaN fails the comparison, and an overflowed bound
+        # (which an overflowed ||F|| could meet) fails `< inf`
+        f_norm = math.sqrt(f_k @ f_k)
+        bound = gamma * (mat_norm * math.sqrt(x_k @ x_k) + offset_norm)
+        if lam_f @ lam_f == 0.0 or f_norm <= bound < math.inf:
             return x_k.copy(), 0
         if p == 1.0:
             return x_of(x_k, 1.0), 1
@@ -244,7 +262,9 @@ def run_ppa(op: MonotoneOperator, x0: np.ndarray, cfg: PpaConfig) -> PpaTrace:
 
     The operator must carry ``affine_parts``: each step is solved exactly
     by ``_make_affine_stepper``. Stops after ``cfg.max_iters`` steps or when
-    a step norm falls to ``cfg.step_tol``.
+    a step norm falls to ``cfg.step_tol``. Since ``step_tol >= 0``, a run
+    also stops on the zero step, which the stepper takes once F(x_k) is
+    within the rounding bound of computing M x_k + q.
 
     F is evaluated once per iterate, x0 included: F(x^{k+1}) gives the
     residual of step k and is handed to step k + 1.

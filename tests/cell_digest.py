@@ -9,6 +9,9 @@ A cell's digest covers:
   ``first_L_accepted``, ``prox_calls``, ``trials``, ``certified``,
   ``converged`` and ``final_grad_map_norm``.
 
+The file also records each cell's step count (PPA) or outer-step count
+(ALM), so that a differing cell shows how its run length moved.
+
 Run from the repository root, once on each of two checkouts:
 
     python tests/cell_digest.py --write before.json
@@ -18,8 +21,9 @@ Run from the repository root, once on each of two checkouts:
 The cells are those of ``perfbench/grid.py`` (built by ``grid.build`` and
 solved by ``grid.solve``) on its default seeds, or on ``--seeds`` for every
 workload named. ``--compare`` reruns the workloads and seeds the file names,
-prints each cell whose digest differs, or that only one side has, and exits
-1 if any does.
+prints each cell whose digest differs (with both counts, as in
+``ppa-skew/s0-p2: 200 → 8 steps``, when the file has them), or that only
+one side has, and exits 1 if any does.
 
 Bitwise results depend on numpy, its BLAS, the BLAS thread count and the CPU
 features numpy dispatches on, so the file records them; digests from another
@@ -116,24 +120,40 @@ def environment() -> dict:
     }
 
 
-def cell_digests(workloads, seeds=None) -> dict:
-    """{"workload/cell": digest} over ``perfbench/grid.py``'s cells, on its default seeds or ``seeds``."""
-    digests = {}
+def cell_digests(workloads, seeds=None) -> tuple[dict, dict]:
+    """({"workload/cell": digest}, {"workload/cell": count}) over ``perfbench/grid.py``'s cells.
+
+    The cells are those of the grid's default seeds or of ``seeds``; a
+    cell's count is its run's steps (PPA) or outer steps (ALM).
+    """
+    digests, counts = {}, {}
     for workload in workloads:
         for cell in grid.build(workload, grid.DEFAULT_SEEDS[workload] if seeds is None else seeds):
             f = cell.problem.f if cell.kind == "alm" else None
-            digests[f"{workload}/{cell.name}"] = digest(cell.kind, grid.solve(cell), f)
-    return digests
+            trace = grid.solve(cell)
+            name = f"{workload}/{cell.name}"
+            digests[name] = digest(cell.kind, trace, f)
+            counts[name] = len(trace.step_norms) if cell.kind == "ppa" else trace.outer_iterations
+    return digests, counts
 
 
-def compare(before: dict, after: dict) -> list:
-    """Lines naming each cell whose digest differs, or that only one side has."""
+def compare(before: dict, after: dict, counts_before=None, counts_after=None) -> list:
+    """Lines naming each cell whose digest differs, or that only one side has.
+
+    A differing cell that both ``counts_before`` and ``counts_after`` hold
+    is named with both its counts.
+    """
+    counts_before, counts_after = counts_before or {}, counts_after or {}
     lines = []
     for name in sorted(before.keys() | after.keys()):
         if name not in after or name not in before:
             lines.append(f"{name}: only in {'the file' if name in before else 'this run'}")
         elif before[name] != after[name]:
-            lines.append(f"{name}: {before[name][:12]} != {after[name][:12]}")
+            if name in counts_before and name in counts_after:
+                unit = "steps" if name.startswith("ppa") else "outer steps"
+                lines.append(f"{name}: {counts_before[name]} → {counts_after[name]} {unit}")
+            else:
+                lines.append(f"{name}: {before[name][:12]} != {after[name][:12]}")
     return lines
 
 
@@ -149,8 +169,9 @@ def main(argv=None) -> int:
 
     env = environment()
     if args.write:
-        digests = cell_digests(args.workloads, args.seeds)
-        record = {"environment": env, "workloads": args.workloads, "seeds": args.seeds, "cells": digests}
+        digests, counts = cell_digests(args.workloads, args.seeds)
+        record = {"environment": env, "workloads": args.workloads, "seeds": args.seeds,
+                  "cells": digests, "counts": counts}
         Path(args.write).write_text(json.dumps(record, indent=2) + "\n")
         print(f"wrote {len(digests)} cell digests to {args.write}")
         return 0
@@ -158,8 +179,9 @@ def main(argv=None) -> int:
     if recorded["environment"] != env:
         print(f"not comparable: {args.compare} comes from {recorded['environment']}, this run from {env}")
         return 2
-    digests = cell_digests(recorded["workloads"], recorded["seeds"])
-    differing = compare(recorded["cells"], digests)
+    digests, counts = cell_digests(recorded["workloads"], recorded["seeds"])
+    # files written before counts were recorded have none
+    differing = compare(recorded["cells"], digests, recorded.get("counts"), counts)
     for line in differing:
         print(line)
     equal = sum(recorded["cells"].get(name) == value for name, value in digests.items())

@@ -337,6 +337,16 @@ def test_criterion_10_reproducibility(tmp_path):
     report(10, "rerunning a manifest reproduces every CSV byte-for-byte", ok)
 
 
+def test_ppa_battery_step_and_evaluation_totals(ppa_battery):
+    # The PPA battery is the ppa-sym benchmark grid. Runs stop at the zero
+    # step once F(x_k) is inside the rounding bound of M x_k + q; before
+    # that stop they took 4,259 steps and 7,898 secular evaluations.
+    runs, _ = ppa_battery
+    steps = sum(len(trace.step_norms) for _, _, _, trace in runs)
+    evaluations = sum(sum(trace.inner_solves) for _, _, _, trace in runs)
+    assert (steps, evaluations) == (2_673, 4_711)
+
+
 def test_battery_prox_call_totals(bp_battery, mc_battery):
     # The BP and MC batteries are the alm-bp and alm-mc benchmark grids, and
     # these totals are the prox calls the benchmark's tracer counts on them:

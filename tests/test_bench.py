@@ -223,9 +223,24 @@ class TestRunSweep:
         manifest = run_sweep(cfg)
         assert len(manifest.runs) == 2
         for run in manifest.runs:
-            assert run["status"] == "ok"
+            assert run["status"] == "max_outer"
             rows, _ = read_csv(tmp_path / run["csv"])
             assert len(rows) == 20
+            assert run["final_residual"] == rows[-1].primal_residual > 0.0
+
+    def test_vi_status_says_why_the_run_stopped(self, tmp_path):
+        # p = 2 reaches the rounding floor of F and stops on its zero step;
+        # p = 1 is still descending at the cap
+        cfg = tiny_bp_config(
+            tmp_path, kind="vi-affine", n=10, p_values=[1.0, 2.0], eps=0.0, max_outer=100
+        )
+        first, second = run_sweep(cfg).runs
+        assert (first["status"], first["outer_iterations"]) == ("max_outer", 100)
+        assert second["status"] == "converged"
+        assert second["outer_iterations"] < 100
+        rows, _ = read_csv(tmp_path / second["csv"])
+        assert rows[-1].multiplier_step_norm == 0.0
+        assert second["final_residual"] == rows[-1].primal_residual < 1e-12
 
     def test_vi_dump_instance_rejected(self, tmp_path):
         cfg = tiny_bp_config(tmp_path, kind="vi-affine", eps=0.0, dump_instances=True)

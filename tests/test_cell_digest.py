@@ -5,7 +5,7 @@ from hoprox.ppa import PpaConfig, run_ppa
 from hoprox.problems import bp_composite, gen_bp, gen_vi_affine
 from hoprox.prox import l1_norm
 
-from cell_digest import compare, digest
+from cell_digest import cell_digests, compare, digest
 
 
 def ppa_cell():
@@ -38,3 +38,26 @@ def test_one_ulp_in_one_iterate_changes_the_digest():
 def test_compare_names_differing_and_one_sided_cells():
     lines = compare({"a": "0" * 64, "b": "1" * 64, "c": "2" * 64}, {"a": "0" * 64, "b": "3" * 64, "d": "4" * 64})
     assert [line.split(":")[0] for line in lines] == ["b", "c", "d"]
+
+
+def test_compare_names_both_counts_of_a_differing_cell():
+    before = {"ppa-skew/s0-p2": "0" * 64, "alm-bp/s0-p1": "1" * 64, "alm-bp/s1-p1": "2" * 64}
+    after = {"ppa-skew/s0-p2": "3" * 64, "alm-bp/s0-p1": "4" * 64, "alm-bp/s1-p1": "2" * 64}
+    counts_before = {"ppa-skew/s0-p2": 200, "alm-bp/s0-p1": 88, "alm-bp/s1-p1": 90}
+    counts_after = {"ppa-skew/s0-p2": 8, "alm-bp/s0-p1": 88, "alm-bp/s1-p1": 90}
+    assert compare(before, after, counts_before, counts_after) == [
+        "alm-bp/s0-p1: 88 → 88 outer steps",
+        "ppa-skew/s0-p2: 200 → 8 steps",
+    ]
+    # a file written without counts still compares by digest
+    assert compare(before, after, None, counts_after) == [
+        f"alm-bp/s0-p1: {'1' * 12} != {'4' * 12}",
+        f"ppa-skew/s0-p2: {'0' * 12} != {'3' * 12}",
+    ]
+
+
+def test_cell_digests_record_each_run_length():
+    digests, counts = cell_digests(["ppa-skew"], seeds=[0])
+    assert sorted(digests) == sorted(counts) == ["ppa-skew/s0-p1", "ppa-skew/s0-p2", "ppa-skew/s0-p3"]
+    # every skew cell stops at its zero step well inside the 200-step cap
+    assert counts == {"ppa-skew/s0-p1": 49, "ppa-skew/s0-p2": 8, "ppa-skew/s0-p3": 7}

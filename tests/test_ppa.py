@@ -226,10 +226,58 @@ class TestStepRootSearch:
             run_ppa(op, 1e100 * x0, PpaConfig(p=5.0, lambda_ppa=1.0, max_iters=5))
 
     def test_large_finite_lambda_still_solves(self):
+        # the first step lands on F(x_1) inside the rounding bound of
+        # M x_1 + q, so the second is the zero step
         op, x0 = gen_vi_affine(3, 0)
         trace = run_ppa(op, x0, PpaConfig(p=2.0, lambda_ppa=1e150, max_iters=5))
-        assert trace.inner_solves == [2, 2]
+        assert trace.inner_solves == [2, 0]
         assert trace.step_norms[-1] == 0.0
+
+    def test_far_start_still_raises(self):
+        # ||F(x0)||^2 and ||x0||^2 both overflow; the rounding-floor test
+        # must not read inf <= inf as a zero step
+        op, x0 = gen_vi_affine(3, 0)
+        with pytest.raises(SubproblemError, match="finite"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                run_ppa(op, 1e160 * x0, PpaConfig(p=2.0, lambda_ppa=1.0, max_iters=5))
+
+
+def rounding_bound(op, x):
+    # gamma_{n+1} (||M||_F ||x|| + ||q||): the error bound of computing M x + q
+    mat, offset = op.affine_parts
+    unit = (offset.shape[0] + 1) * 2.0 ** -53
+    return unit / (1.0 - unit) * (np.linalg.norm(mat) * np.linalg.norm(x) + np.linalg.norm(offset))
+
+
+class TestRoundingFloorStop:
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("make_op, seed", [(gen_vi_affine, 2), (skew_operator, 0)], ids=["symmetric", "skew"])
+    def test_run_stops_at_first_iterate_inside_bound(self, make_op, seed, p):
+        op, x0 = make_op(20, seed)
+        lam = 1.0
+        trace = run_ppa(op, x0, PpaConfig(p=p, lambda_ppa=lam, max_iters=200))
+        assert len(trace.step_norms) < 200
+        assert trace.step_norms[-1] == 0.0 and trace.inner_solves[-1] == 0
+        assert all(count > 0 for count in trace.inner_solves[:-1])
+        # F(x_k) for the last step's x_k is inside the bound, every earlier one above it
+        *earlier, last = trace.iterates[:-1]
+        assert np.linalg.norm(op.evaluate(last)) <= rounding_bound(op, last)
+        assert np.linalg.norm(op.evaluate(x0)) > rounding_bound(op, x0)
+        for x, residual in zip(earlier[1:], trace.residual_norms):
+            assert residual > lam * rounding_bound(op, x)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("make_op", [gen_vi_affine, skew_operator], ids=["symmetric", "skew"])
+    def test_start_inside_bound_takes_zero_step(self, make_op, p):
+        op, _ = make_op(20, 0)
+        # one ulp from the solution: F is nonzero, but below its rounding bound
+        start = np.nextafter(op.known_solution, np.inf)
+        f0 = op.evaluate(start)
+        assert 0.0 < np.linalg.norm(f0) <= rounding_bound(op, start)
+        trace = run_ppa(op, start, PpaConfig(p=p, lambda_ppa=1.0, max_iters=5))
+        assert trace.step_norms == [0.0]
+        assert trace.inner_solves == [0]
+        assert np.array_equal(trace.iterates[-1], start)
 
 
 class TestRunPpa:
