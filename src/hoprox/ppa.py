@@ -12,7 +12,10 @@ unique root of the secular equation g(s) = phi(s)^(p-1) - s (Moré and
 Sorensen, "Computing a trust region step", 1983): phi is strictly
 decreasing because the symmetric part of M is PSD. A Newton iteration on g,
 kept inside a bracket by bisection or doubling, finds the root, and
-x_next = (lam*M + s*I)^{-1} (s*x - lam*q) is formed by one final solve.
+x_next = (lam*M + s*I)^{-1} (s*x - lam*q) is formed at it: from the
+eigendecomposition of lam*M when M is symmetric, and otherwise from the
+inverse the search already holds at the root, refined by one step of
+iterative refinement.
 
 Once the computed F(x) is no larger than the rounding error bound of
 evaluating M x + q, gamma_{n+1} (||M||_F ||x|| + ||q||) with
@@ -125,7 +128,7 @@ def _root_tolerance(s: float) -> float:
 
 
 def _is_symmetric(mat: np.ndarray) -> bool:
-    return bool(np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * max(1.0, abs(mat).max())))
+    return bool(abs(mat - mat.T).max() <= 1e-12 * max(1.0, abs(mat).max()))
 
 
 _MAX_EVALUATIONS = 500
@@ -185,12 +188,16 @@ def _make_affine_stepper(mat: np.ndarray, offset: np.ndarray, cfg: PpaConfig):
     (one LU factorization) once per distinct shift, which gives both
     d = (lam*M + s*I)^{-1} lam*F(x_k) and phi' = -d^T (lam*M + s*I)^{-1} d / phi.
     Each search starts from the previous step's root, which the shrinking
-    steps keep close; that root is the shift of the previous search's last
-    evaluation, so the stepper keeps the last inverse and the next step's
-    first evaluation reuses it. ``x_of`` still calls ``solve``: x_next
-    formed from the inverse rounds differently, which moves every later
-    iterate. At p = 1 the root s = 1 is known and counted as
-    one evaluation.
+    steps keep close. ``invert`` keeps lam*M + s*I and its inverse for the
+    last shift asked for, and ``x_of`` forms x_next from the inverse at the
+    root: x = inverse @ rhs with rhs = s*x_k - lam*q, then one step of
+    iterative refinement x - inverse @ ((lam*M + s*I) @ x - rhs). Without
+    that step, rank-deficient operators break lam*||F(x_next)|| = step^p
+    by up to 1e-8 of the problem's scale. The root is usually the search's
+    last shift, so x_next costs no inversion, and the next step's first
+    evaluation reuses the same inverse; a search that ends on an earlier
+    shift inverts once more. At p = 1 the root s = 1 is known and counted
+    as one evaluation, and the run inverts once.
     """
     lam, p = cfg.lambda_ppa, cfg.p
     lam_mat = lam * mat
@@ -222,13 +229,18 @@ def _make_affine_stepper(mat: np.ndarray, offset: np.ndarray, cfg: PpaConfig):
 
     else:
         eye = np.eye(offset.shape[0])
-        inverted_shift, inverse = None, None
+        inverted_shift, shifted, inverse = None, None, None
+
+        def invert(s):
+            nonlocal inverted_shift, shifted, inverse
+            if s != inverted_shift:
+                inverted_shift, shifted = s, lam_mat + s * eye
+                inverse = np.linalg.inv(shifted)
+            return shifted, inverse
 
         def secular_factory(lam_f):
             def secular(s):
-                nonlocal inverted_shift, inverse
-                if s != inverted_shift:
-                    inverted_shift, inverse = s, np.linalg.inv(lam_mat + s * eye)
+                inverse = invert(s)[1]
                 d = inverse @ lam_f
                 phi = math.sqrt(d @ d)
                 return phi, -(d @ (inverse @ d)) / phi
@@ -236,7 +248,12 @@ def _make_affine_stepper(mat: np.ndarray, offset: np.ndarray, cfg: PpaConfig):
             return secular
 
         def x_of(x_k, s):
-            return np.linalg.solve(lam_mat + s * eye, s * x_k - lam_offset)
+            shifted, inverse = invert(s)
+            rhs = s * x_k - lam_offset
+            x = inverse @ rhs
+            # one step of fixed-precision iterative refinement (Higham,
+            # Accuracy and Stability of Numerical Algorithms, chapter 12)
+            return x - inverse @ (shifted @ x - rhs)
 
     def step(x_k: np.ndarray, f_k: np.ndarray):
         nonlocal root

@@ -13,7 +13,7 @@ import pytest
 
 from hoprox.alm import AlmConfig, multiplier_update, run_alm
 from hoprox.bench import ExperimentConfig, RunManifest, run_sweep
-from hoprox.ppa import PpaConfig, run_ppa
+from hoprox.ppa import PpaConfig, affine_operator, run_ppa
 from hoprox.problems import bp_composite, gen_bp, gen_mc, gen_vi_affine, mc_composite
 from hoprox.prox import l1_norm
 from hoprox.subsolver import PenaltyGradientOracle, gradient_map, holder_constant, minimize_composite
@@ -47,6 +47,24 @@ def ppa_battery():
             runs.append((op, x0, cfg, run_ppa(op, x0, cfg)))
     elapsed = time.perf_counter() - start
     return runs, elapsed
+
+
+@pytest.fixture(scope="module")
+def skew_battery():
+    """The ppa-skew benchmark grid: M = QᵀQ + (S − Sᵀ), seeds 0..4, p in {1,2,3}, 200 iterations."""
+    runs = []
+    for seed in range(5):
+        # bracketed as perfbench/grid.py's skew_vi builds it, so that M rounds the same
+        rng = np.random.default_rng(seed)
+        q = rng.standard_normal((20, 20))
+        s = rng.standard_normal((20, 20))
+        mat = q.T @ q + (s - s.T)
+        solution = rng.standard_normal(20)
+        x0 = rng.standard_normal(20)
+        op = affine_operator(mat, -mat @ solution, known_solution=solution)
+        for p in P_ORDERS:
+            runs.append(run_ppa(op, x0, PpaConfig(p=p, lambda_ppa=1.0, max_iters=200)))
+    return runs
 
 
 @pytest.fixture(scope="module")
@@ -345,6 +363,15 @@ def test_ppa_battery_step_and_evaluation_totals(ppa_battery):
     steps = sum(len(trace.step_norms) for _, _, _, trace in runs)
     evaluations = sum(sum(trace.inner_solves) for _, _, _, trace in runs)
     assert (steps, evaluations) == (2_673, 4_711)
+
+
+def test_skew_battery_step_and_evaluation_totals(skew_battery):
+    # The nonsymmetric step path: x_next comes from the root search's kept
+    # inverse, refined once. A change to that path moves these totals.
+    steps = sum(len(trace.step_norms) for trace in skew_battery)
+    evaluations = sum(sum(trace.inner_solves) for trace in skew_battery)
+    converged = sum(trace.residual_norms[-1] <= 1e-8 for trace in skew_battery)
+    assert (steps, evaluations, converged) == (226, 430, 15)
 
 
 def test_battery_prox_call_totals(bp_battery, mc_battery):

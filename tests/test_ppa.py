@@ -174,6 +174,24 @@ class TestStepRootSearch:
         assert len(searched) > 1
         assert len(inverted) == sum(searched) - len(searched) + 1
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_skew_step_calls_no_solve(self, monkeypatch, p):
+        # x_next comes from the inverse the search holds at its root, so no
+        # step solves a system; a p = 1 run inverts lam*M + I once
+        op, x0 = skew_operator(20, 0)
+
+        def refuse(*args):
+            raise AssertionError("np.linalg.solve called on the step path")
+
+        inverted = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(1) or inv(a))
+        trace = run_ppa(op, x0, PpaConfig(p=p, lambda_ppa=1.0, max_iters=200))
+        assert trace.step_norms[-1] == 0.0
+        if p == 1.0:
+            assert len(inverted) == 1
+
     def test_interleaved_skew_steppers_match_lone_runs(self):
         # the first stepper's first root is its first shift s = 1, so the
         # second stepper's first evaluation, also at s = 1, would take the
@@ -338,6 +356,26 @@ class TestRunPpa:
         scale = np.linalg.norm(mat) * (np.linalg.norm(x0) + np.linalg.norm(op.known_solution))
         floor = 1e-12 * (scale + np.linalg.norm(offset))
         assert np.all(np.abs(resid - steps ** p) <= 1e-8 * np.maximum(resid, steps ** p) + floor)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_residual_step_identity_rank_deficient_skew(self, p):
+        # M = Q^T Q + (S - S^T) with a rank-5 Q: x_next taken from the
+        # inverse without its refinement step breaks the identity by up to
+        # 2e-8 * scale here
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            q = 1e3 * rng.standard_normal((5, 20))
+            s = 1e-3 * rng.standard_normal((20, 20))
+            mat = q.T @ q + (s - s.T)
+            solution = rng.standard_normal(20)
+            x0 = rng.standard_normal(20)
+            offset = -mat @ solution
+            trace = run_ppa(affine_operator(mat, offset), x0, PpaConfig(p=p, lambda_ppa=1.0, max_iters=200))
+            steps = np.array(trace.step_norms) ** p
+            resid = np.array(trace.residual_norms)
+            # the bound of perfbench/grid.py's criterion 3 check
+            scale = np.linalg.norm(mat) * (np.linalg.norm(x0) + np.linalg.norm(solution)) + np.linalg.norm(offset)
+            assert np.all(np.abs(resid - steps) <= 1e-8 * np.maximum(resid, steps) + 1e-12 * scale)
 
     def test_deterministic_bitwise(self):
         op, x0 = gen_vi_affine(10, 6)
