@@ -1,10 +1,9 @@
 """Command-line entry point for the benchmark experiments.
 
 Subcommands ``bp``, ``mc`` and ``vi`` run one problem family over the given
-parameter lists (the full Cartesian product); ``sweep`` is the generic form
-taking ``--kind``. Each invocation writes one CSV per run, the residual
-curves as ``residuals.svg``, and a JSON manifest that reproduces every CSV
-byte-for-byte.
+parameter lists (the full Cartesian product). Each invocation writes one CSV
+per run, the residual curves as ``residuals.svg``, and a JSON manifest that
+reproduces every CSV byte-for-byte.
 """
 
 import argparse
@@ -12,8 +11,8 @@ import argparse
 from .bench import ExperimentConfig, emit_plots, run_sweep, sweep_failed
 
 # Defaults of the options that differ between problem kinds; the options
-# parse to None and take these once the kind is known, so ``sweep --kind K``
-# and the ``K`` subcommand resolve to the same config.
+# parse to None and take these once the subcommand names the kind, so an
+# explicit flag always wins.
 KIND_DEFAULTS = {
     "bp": dict(m=100, n=500, density=0.2, beta=[2.0], eps=1e-4, max_outer=1000),
     "mc": dict(m=50, n=50, density=0.1, beta=[5.0], eps=1e-4, max_outer=1000),
@@ -69,10 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("vi", "affine monotone VI solved by the high-order proximal iteration"),
     ):
         _add_common(sub.add_parser(kind, help=help_text))
-
-    sweep = sub.add_parser("sweep", help="generic sweep over any problem kind")
-    sweep.add_argument("--kind", choices=list(KIND_DEFAULTS), default="bp")
-    _add_common(sweep)
     return parser
 
 
@@ -81,12 +76,7 @@ def resolve_config(argv) -> ExperimentConfig:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.command == "sweep":
-        kind = args.kind
-    elif args.command == "vi":
-        kind = "vi-affine"
-    else:
-        kind = args.command
+    kind = "vi-affine" if args.command == "vi" else args.command
     for name, default in KIND_DEFAULTS[kind].items():
         if getattr(args, name) is None:
             setattr(args, name, list(default) if isinstance(default, list) else default)

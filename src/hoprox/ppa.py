@@ -11,7 +11,9 @@ d(s) = (lam*M + s*I)^{-1} lam*F(x) and phi(s) = ||d(s)||, the shift is the
 unique root of the secular equation g(s) = phi(s)^(p-1) - s (Moré and
 Sorensen, "Computing a trust region step", 1983): phi is strictly
 decreasing because the symmetric part of M is PSD. A Newton iteration on g,
-kept inside a bracket by bisection or doubling, finds the root, and
+kept inside a bracket by bisection or doubling, finds the root to a relative
+tolerance, or stops once bisection cannot split the bracket (its ends are
+adjacent doubles) and takes the shift with the smallest |g| found. Then
 x_next = (lam*M + s*I)^{-1} (s*x - lam*q) is formed at it: from the
 eigendecomposition of lam*M when M is symmetric, and otherwise from the
 inverse the search already holds at the root, refined by one step of
@@ -140,10 +142,16 @@ def _secular_root(secular, p: float, s: float):
     ``secular(s)`` returns (phi(s), phi'(s)) and ``s`` is the starting
     shift. A Newton step that leaves the bracket [lo, hi] known so far is
     replaced by bisection, or by doubling while no upper end is known.
-    Returns (root, evaluations) for p > 1. Raises ``SubproblemError`` at the
-    first shift where phi, phi' or phi^(p-1) is not finite (lam*F(x_k) so
-    large that the evaluation overflows), since no bracket can be built
-    from it.
+    Returns (root, evaluations) for p > 1. A search ends in one of four ways:
+    - |g(s)| meets ``_root_tolerance(s)``, and s is returned;
+    - the bracket is used up: bisection lands on an end, so lo and hi are
+      adjacent doubles, or doubling overflows. The shift with the smallest
+      |g| is returned, or ``SubproblemError`` is raised when no upper end
+      is known;
+    - ``_MAX_EVALUATIONS`` is reached, which ends the same way;
+    - phi, phi' or phi^(p-1) is not finite (lam*F(x_k) so large that the
+      evaluation overflows), and ``SubproblemError`` is raised, since no
+      bracket can be built from it.
     """
     lo, hi = 0.0, np.inf
     best_s, best_g = s, np.inf
@@ -165,8 +173,6 @@ def _secular_root(secular, p: float, s: float):
             lo = s
         else:
             hi = s
-        if hi - lo <= 1e-16 * hi < np.inf:
-            break
         # the Newton step s - g/g' with power' = (p-1) phi^(p-2) phi' <= 0,
         # arranged as a ratio of positive sums: it stays positive and keeps
         # its relative accuracy when the root is many decades below s
@@ -174,6 +180,8 @@ def _secular_root(secular, p: float, s: float):
         s = (power - s * slope) / (1.0 - slope)
         if not lo < s < hi:
             s = 2.0 * lo if hi == np.inf else 0.5 * (lo + hi)
+            if not lo < s < hi:
+                break
     if hi == np.inf:
         raise SubproblemError(f"subproblem bracketing failure: g(s) > 0 up to s = {lo:.3e}")
     return best_s, evaluations

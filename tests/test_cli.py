@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hoprox.bench import ExperimentConfig
 from hoprox.cli import main, resolve_config
 from hoprox.problems import gen_bp, load_instance
 
@@ -36,23 +34,12 @@ class TestResolveConfig:
         assert cfg.eps == 0.0
         assert cfg.lambda_ppa == 1.0
 
-    def test_sweep_kind_switches_dims(self):
-        cfg = resolve_config(["sweep", "--kind", "mc", "--out", "x"])
-        assert (cfg.m, cfg.n, cfg.density) == (50, 50, 0.1)
-
     def test_sweep_explicit_dims_kept(self):
-        cfg = resolve_config(["sweep", "--kind", "mc", "--m", "8", "--n", "9", "--density", "0.3", "--out", "x"])
+        cfg = resolve_config(["mc", "--m", "8", "--n", "9", "--density", "0.3", "--out", "x"])
         assert (cfg.m, cfg.n, cfg.density) == (8, 9, 0.3)
 
-    @pytest.mark.parametrize("kind,command", [("bp", "bp"), ("mc", "mc"), ("vi-affine", "vi")])
-    def test_sweep_kind_matches_subcommand(self, kind, command):
-        swept = resolve_config(["sweep", "--kind", kind, "--out", "x"])
-        direct = resolve_config([command, "--out", "x"])
-        for f in dataclasses.fields(ExperimentConfig):
-            assert getattr(swept, f.name) == getattr(direct, f.name), f.name
-
     def test_sweep_keeps_bp_sized_dims_for_mc(self):
-        cfg = resolve_config(["sweep", "--kind", "mc", "--m", "100", "--n", "500", "--density", "0.2", "--out", "x"])
+        cfg = resolve_config(["mc", "--m", "100", "--n", "500", "--density", "0.2", "--out", "x"])
         assert (cfg.m, cfg.n, cfg.density) == (100, 500, 0.2)
         assert cfg.betas == [5.0]
 
@@ -61,10 +48,9 @@ class TestResolveConfig:
             resolve_config(["bp", "--eps", "-1", "--out", "x"])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("argv", [["vi"], ["sweep", "--kind", "vi-affine"]])
-    def test_vi_dump_instance_is_usage_error(self, argv, capsys):
+    def test_vi_dump_instance_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
-            resolve_config([*argv, "--dump-instance", "--out", "x"])
+            resolve_config(["vi", "--dump-instance", "--out", "x"])
         assert err.value.code == 2
         assert "--dump-instance" in capsys.readouterr().err
 
@@ -112,7 +98,7 @@ class TestResolveConfig:
             (["bp", "--eps", "nan"], "eps"),
             (["bp", "--beta", "2", "nan"], "beta"),
             (["mc", "--eps-sub", "nan"], "eps_sub"),
-            (["sweep", "--kind", "mc", "--p", "1", "nan"], "p"),
+            (["mc", "--p", "1", "nan"], "p"),
         ],
     )
     def test_bad_solver_value_is_usage_error(self, argv, field, tmp_path, capsys):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from hoprox.ppa import (
+    _MAX_EVALUATIONS,
     MonotoneOperator,
     PpaConfig,
     SubproblemError,
     _make_affine_stepper,
+    _secular_root,
     affine_operator,
     run_ppa,
 )
@@ -230,6 +232,16 @@ class TestStepRootSearch:
         for (_, lone), (_, mixed) in zip(alone, together):
             assert all(np.array_equal(a, b) for a, b in zip(lone, mixed))
 
+    @pytest.mark.parametrize("start", [1.0, 100.0])
+    def test_search_ends_on_spent_bracket(self, start):
+        # g jumps from +1e-3 to -1e-3 between 1.5 and the next double, so no
+        # shift meets the tolerance; the search ends once bisection of
+        # [1.5, 1.5 + ulp] lands on an end, and returns the better end
+        secular = lambda s: (1.501 if s <= 1.5 else 1.499, 0.0)
+        root, evaluations = _secular_root(secular, 2.0, start)
+        assert root == 1.5
+        assert evaluations < 100
+
     def test_non_finite_secular_function_raises(self):
         # (V^T lam*F)^2 overflows, so phi is NaN at the first shift
         op, x0 = gen_vi_affine(3, 0)
@@ -371,6 +383,9 @@ class TestRunPpa:
             x0 = rng.standard_normal(20)
             offset = -mat @ solution
             trace = run_ppa(affine_operator(mat, offset), x0, PpaConfig(p=p, lambda_ppa=1.0, max_iters=200))
+            # a search whose bracket shrinks to adjacent doubles ends there,
+            # not on the evaluation cap
+            assert max(trace.inner_solves) < _MAX_EVALUATIONS
             steps = np.array(trace.step_norms) ** p
             resid = np.array(trace.residual_norms)
             # the bound of perfbench/grid.py's criterion 3 check
