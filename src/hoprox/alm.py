@@ -6,9 +6,11 @@ the multiplier along the norm-power gradient of the new residual:
 
     mu_next = mu + beta^(1/p) * (Ax - b) / ||Ax - b||^(1 - 1/p).
 
-For p = 1 this is the classical method of multipliers. The update makes the
-dual optimality condition hold by construction (up to subsolver accuracy),
-so the primal residual ||Ax - b|| is the stopping quantity.
+For p = 1 this is the classical method of multipliers. mu_next is the
+vector whose image under A^T is the penalty gradient at the new x, so the
+x-update has already formed it and hands it back in its report. The update
+makes the dual optimality condition hold by construction (up to subsolver
+accuracy), so the primal residual ||Ax - b|| is the stopping quantity.
 """
 
 import time
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import as_vector
-from .prox import ProxFunction, norm_power_gradient
+from .prox import ProxFunction
 from .subsolver import PenaltyGradientOracle, minimize_composite
 
 
@@ -81,7 +83,9 @@ class AlmTrace:
 
     Each array is held once and shared, so treat them all as read-only:
     ``iterates[k + 1]`` is ``reports[k].solution``, and it is
-    ``iterates[k]`` itself when x-update k made no inner iteration.
+    ``iterates[k]`` itself when x-update k made no inner iteration;
+    ``multipliers[k + 1]`` is ``reports[k].multiplier``, and it is
+    ``multipliers[k]`` itself when that solution's residual is 0.
     """
 
     records: list = field(default_factory=list)
@@ -97,18 +101,6 @@ class AlmTrace:
     @property
     def outer_iterations(self) -> int:
         return len(self.records)
-
-
-def multiplier_update(multiplier: np.ndarray, residual: np.ndarray, cfg: AlmConfig) -> np.ndarray:
-    """Ascend the multiplier along the norm-power gradient of the residual.
-
-    The step norm equals beta^(1/p) * ||residual||^(1/p), and the update
-    satisfies  -residual + (1/beta) * ||d||^(p-1) * d = 0  exactly, where
-    d is the multiplier step.
-    """
-    multiplier = as_vector(multiplier)
-    residual = as_vector(residual)
-    return multiplier + cfg.beta ** (1.0 / cfg.p) * norm_power_gradient(residual, cfg.p)
 
 
 def run_alm(
@@ -129,8 +121,10 @@ def run_alm(
     so the first-iteration curvature never falls during a run, like FISTA's
     monotone backtracking estimate. The run never evaluates f: the records
     carry no objective (see ``OuterRecord``). The residual ``Ax - b`` is
-    computed once per iterate: each solve's report carries it to the
-    multiplier step and the next solve's entry check. The report also
+    computed once per iterate: each solve's report carries it to the next
+    solve's entry check. The multiplier step is the report's ``multiplier``,
+    the vector the solve formed for its last gradient (see
+    ``SubsolverReport``), so the run forms no other. The report also
     carries the subgradient of f at x from the solve's last accepted step,
     which stays one after the multiplier step since f and x do not change;
     the next solve tries it as a certificate before its entry prox. A solve
@@ -164,8 +158,7 @@ def run_alm(
         if not report.converged:
             trace.status = "subsolver_stalled"
             return trace
-        x, z = report.solution, report.residual
-        new_multiplier = multiplier_update(multiplier, z, cfg)
+        x, z, new_multiplier = report.solution, report.residual, report.multiplier
         elapsed_ms = (time.perf_counter() - t0) * 1e3
 
         residual_norm = float(np.linalg.norm(z))

@@ -160,23 +160,31 @@ def dump_instance(inst, path) -> None:
 
 
 def load_instance(path):
-    """Parse an instance written by ``dump_instance``."""
+    """Parse an instance written by ``dump_instance``.
+
+    Raises ValueError for a line with the wrong number of values, and
+    unless the mc indices are at least one, increasing and within [0, m * n).
+    """
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh]
     kind, m_str, n_str, density_str, seed_str = lines[0].split()
     m, n = int(m_str), int(n_str)
     density, seed = float(density_str), int(seed_str)
+
+    def row(i, size, dtype=float):
+        values = np.array([dtype(v) for v in lines[i].split()] if i < len(lines) else [], dtype=dtype)
+        if values.size != size:
+            raise ValueError(f"line {i + 1} has {values.size} values, expected {size}")
+        return values
+
     if kind == "bp":
-        a = np.array([[float(v) for v in lines[1 + i].split()] for i in range(m)])
-        u0 = np.array([float(v) for v in lines[1 + m].split()])
-        b = np.array([float(v) for v in lines[2 + m].split()])
-        return BpInstance(a=a, ground_truth=u0, b=b, density=density, seed=seed)
+        a = np.array([row(1 + i, n) for i in range(m)]).reshape(m, n)
+        return BpInstance(a=a, ground_truth=row(1 + m, n), b=row(2 + m, m), density=density, seed=seed)
     if kind == "mc":
-        count = int(lines[1])
-        indices = np.array([int(v) for v in lines[2].split()], dtype=int)
-        values = np.array([float(v) for v in lines[3].split()])
-        if indices.size != count or values.size != count:
-            raise ValueError("observation count does not match header")
+        (count,) = row(1, 1, int)
+        indices, values = row(2, count, int), row(3, count)
+        if count < 1 or indices[0] < 0 or indices[-1] >= m * n or np.any(np.diff(indices) <= 0):
+            raise ValueError(f"mc needs at least one index, increasing within [0, {m * n})")
         matrix = np.zeros(m * n)
         matrix[indices] = values
         return McInstance(

@@ -1,4 +1,4 @@
-"""Proximal oracles and the norm-power gradient map.
+"""Proximal oracles.
 
 The solvers treat a nonsmooth convex function through two callables: a value
 oracle and a scaled proximal oracle ``prox(v, t) = argmin_z t*f(z) +
@@ -27,21 +27,6 @@ class ProxFunction:
     prox: Callable[[np.ndarray, float], np.ndarray]
 
 
-def norm_power_gradient(x: np.ndarray, p: float) -> np.ndarray:
-    """Gradient of (1/(1+1/p)) * ||x||^(1+1/p), i.e. x / ||x||^(1-1/p).
-
-    Returns the zero vector at x = 0. The output norm is ||x||^(1/p); for
-    p = 1 this is the identity map.
-    """
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    x = np.asarray(x, dtype=float)
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
-        return np.zeros_like(x)
-    return x * norm ** (1.0 / p - 1.0)
-
-
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     """Componentwise shrinkage sign(v) * max(|v| - t, 0): the l1 prox.
 
@@ -66,5 +51,5 @@ def l1_norm() -> ProxFunction:
     """The l1 norm with its soft-thresholding prox."""
     return ProxFunction(
         value=lambda x: float(np.sum(np.abs(x))),
-        prox=lambda v, t: soft_threshold(v, t),
+        prox=soft_threshold,
     )

@@ -45,26 +45,33 @@ class PenaltyGradientOracle:
         self.multiplier = as_vector(multiplier)
         if self.multiplier.shape != self.b.shape:
             raise ValueError("multiplier and right-hand side dimensions differ")
-        self.p = float(p)
         self._beta_root = beta ** (1.0 / p)
+        self._power = 1.0 + 1.0 / p
+        self._value_coef = self._beta_root / self._power
+        self._direction_power = 1.0 / p - 1.0
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         return self.a_map.apply(x) - self.b
 
     def value_at_residual(self, r: np.ndarray, norm: float) -> float:
         """The penalty at ``r``, given its norm ``math.sqrt(r @ r)``."""
-        power = 1.0 + 1.0 / self.p
-        return float(self.multiplier @ r + self._beta_root / power * norm ** power)
+        return float(self.multiplier @ r + self._value_coef * norm ** self._power)
+
+    def dual_at_residual(self, r: np.ndarray, norm: float) -> np.ndarray:
+        """mu + d with d = beta^(1/p) * r * ||r||^(1/p - 1), given ``norm = math.sqrt(r @ r)``.
+
+        At r = 0 it is mu itself. The penalty gradient is A^T of this
+        vector, and at an x-update's solution it is the ALM's next
+        multiplier. The step d has norm beta^(1/p) * ||r||^(1/p) and solves
+        -r + (1/beta) * ||d||^(p-1) * d = 0; for p = 1 it is beta * r.
+        """
+        if not norm:
+            return self.multiplier
+        return self.multiplier + self._beta_root * (r * norm ** self._direction_power)
 
     def gradient_at_residual(self, r: np.ndarray, norm: float) -> np.ndarray:
-        """The penalty gradient at ``r``, given its norm ``math.sqrt(r @ r)``.
-
-        It is ``A^T(mu + beta^(1/p) * norm_power_gradient(r, p))`` written
-        out: ``math.sqrt(r @ r)`` is how ``np.linalg.norm`` computes a 1-d
-        real norm, so it is bitwise that expression.
-        """
-        direction = r * norm ** (1.0 / self.p - 1.0) if norm else np.zeros_like(r)
-        return self.a_map.adjoint(self.multiplier + self._beta_root * direction)
+        """The penalty gradient at ``r``, given its norm ``math.sqrt(r @ r)``."""
+        return self.a_map.adjoint(self.dual_at_residual(r, norm))
 
     def value_and_gradient_at_residual(self, r: np.ndarray) -> tuple[float, np.ndarray]:
         """Value and gradient for a 1-d float64 ``r``, from one norm of ``r``."""
@@ -123,9 +130,14 @@ class SubsolverReport:
     converge gives None. Pass it as ``subgradient`` to the next solve from
     ``solution`` with the same f.
 
-    ``solution`` and ``residual`` are the solver's own arrays, not copies:
-    when no iteration ran, ``solution`` is ``z0`` itself and ``residual``
-    the one passed in, if any. Treat them as read-only.
+    ``multiplier`` is ``oracle.dual_at_residual`` at ``residual``, whose
+    image under A^T is grad_psi(``solution``): the entry check's vector when
+    no iteration ran, else the last accepted step's. It is the ALM's next
+    multiplier.
+
+    ``solution``, ``residual`` and ``multiplier`` are the solver's own
+    arrays, not copies: when no iteration ran, ``solution`` is ``z0`` itself
+    and ``residual`` the one passed in, if any. Treat them as read-only.
     """
 
     solution: np.ndarray
@@ -138,6 +150,7 @@ class SubsolverReport:
     trials: int
     certified: bool
     subgradient: tuple[np.ndarray, float] | None
+    multiplier: np.ndarray
 
 
 def _grid_start(hint: float) -> float:
@@ -224,13 +237,8 @@ def minimize_composite(
     L = _grid_start(curvature_hint)
     prox_calls = trials = 0
 
-    def prox(point, scale):
-        nonlocal prox_calls
-        prox_calls += 1
-        return f.prox(point, scale)
-
     def stopping_test(z, grad_z, subgradient):
-        """(g_norm, certified): the certificate from ``(s, scale)`` if it holds, else the exact ||G(z)||."""
+        """(g_norm, certified): the certificate from ``(s, scale)`` if it holds, else ||G(z)|| from one prox."""
         if subgradient is not None:
             s, scale = subgradient
             u = grad_z + s
@@ -238,7 +246,7 @@ def minimize_composite(
             delta = 2.0 ** -52 * (scale + math.sqrt(grad_z @ grad_z))
             if g_norm <= (1.0 - _MARGIN) * eps_sub and delta <= _MARGIN * eps_sub:
                 return g_norm, True
-        d = z - prox(z - grad_z, 1.0)
+        d = z - f.prox(z - grad_z, 1.0)
         return math.sqrt(d @ d), False
 
     def step_subgradient(L, w, dx, grad_y):
@@ -253,56 +261,58 @@ def minimize_composite(
             raise ValueError(f"residual shape {r_x.shape} != {oracle.b.shape}")
     if subgradient is not None and subgradient[0].shape != x.shape:
         raise ValueError(f"subgradient shape {subgradient[0].shape} != {x.shape}")
-    psi_x, grad_x = oracle.value_and_gradient_at_residual(r_x)
+    r_norm = math.sqrt(r_x @ r_x)
+    psi_x = oracle.value_at_residual(r_x, r_norm)
+    dual = oracle.dual_at_residual(r_x, r_norm)
+    grad_x = oracle.a_map.adjoint(dual)
     g_norm, certified = stopping_test(x, grad_x, subgradient)
+    prox_calls += not certified
     if g_norm <= eps_sub:
-        return SubsolverReport(x, 0, g_norm, True, L, r_x, prox_calls, trials, certified, subgradient)
-
-    def attempt(L):
-        """The trial step at curvature L from the current (x, v, big_a) and its test."""
-        nonlocal trials
-        trials += 1
-        a = (1.0 + math.sqrt(1.0 + 4.0 * L * big_a)) / (2.0 * L)
-        a_new = big_a + a
-        tau = a / a_new
-        if big_a == 0.0:
-            # tau = 1, so y = 1*v + 0*x = x bitwise: reuse the entry check's oracles
-            y, psi_y, grad_y = x, psi_x, grad_x
-        else:
-            y = tau * v + (1.0 - tau) * x
-            psi_y, grad_y = oracle.value_and_gradient_at_residual(oracle.residual(y))
-        w = y - grad_y / L
-        x_trial = prox(w, 1.0 / L)
-        dx = x_trial - y
-        dx_sq = dx @ dx
-        r_trial = oracle.residual(x_trial)
-        r_norm = math.sqrt(r_trial @ r_trial)
-        psi_trial = oracle.value_at_residual(r_trial, r_norm)
-        upper = psi_y + grad_y @ dx + 0.5 * L * dx_sq + 0.5 * eps_acc * tau
-        passed = math.isfinite(psi_trial) and bool(psi_trial <= upper)
-        return passed, (x_trial, w, dx, dx_sq, grad_y, r_trial, r_norm, a_new, tau)
+        return SubsolverReport(x, 0, g_norm, True, L, r_x, prox_calls, trials, certified, subgradient, dual)
 
     for it in range(1, max_iters + 1):
-        passed, step = attempt(L)
-        while not passed:
+        # the curvature search: each trial step from the current (x, v, big_a)
+        while True:
+            trials += 1
+            a = (1.0 + math.sqrt(1.0 + 4.0 * L * big_a)) / (2.0 * L)
+            a_new = big_a + a
+            tau = a / a_new
+            if big_a == 0.0:
+                # tau = 1, so y = 1*v + 0*x = x bitwise: reuse the entry check's oracles
+                y, psi_y, grad_y = x, psi_x, grad_x
+            else:
+                y = tau * v + (1.0 - tau) * x
+                psi_y, grad_y = oracle.value_and_gradient_at_residual(oracle.residual(y))
+            w = y - grad_y / L
+            x_trial = f.prox(w, 1.0 / L)
+            prox_calls += 1
+            dx = x_trial - y
+            dx_sq = dx @ dx
+            r_trial = oracle.residual(x_trial)
+            r_norm = math.sqrt(r_trial @ r_trial)
+            psi_trial = oracle.value_at_residual(r_trial, r_norm)
+            upper = psi_y + grad_y @ dx + 0.5 * L * dx_sq + 0.5 * eps_acc * tau
+            if math.isfinite(psi_trial) and psi_trial <= upper:
+                break
             L *= 2.0
             if L > _L_CEIL:
                 raise RuntimeError("curvature backtracking diverged (L overflow)")
-            passed, step = attempt(L)
         if it == 1:
             first_L = L
 
-        x, w, dx, dx_sq, grad_y, r_x, r_norm, big_a, tau = step
+        x, r_x, big_a = x_trial, r_trial, a_new
         v = v + dx / tau
-        grad = oracle.gradient_at_residual(r_x, r_norm)
+        dual = oracle.dual_at_residual(r_x, r_norm)
+        grad = oracle.a_map.adjoint(dual)
         short = L * math.sqrt(dx_sq) <= 2.0 * eps_sub
         subgradient = step_subgradient(L, w, dx, grad_y) if short else None
         g_norm, certified = stopping_test(x, grad, subgradient)
+        prox_calls += not certified
         converged = g_norm <= eps_sub
         if converged and subgradient is None:
             subgradient = step_subgradient(L, w, dx, grad_y)
         L = max(0.5 * L, _L_FLOOR)
         if converged:
-            return SubsolverReport(x, it, g_norm, True, first_L, r_x, prox_calls, trials, certified, subgradient)
+            return SubsolverReport(x, it, g_norm, True, first_L, r_x, prox_calls, trials, certified, subgradient, dual)
 
-    return SubsolverReport(x, max_iters, g_norm, False, first_L, r_x, prox_calls, trials, False, None)
+    return SubsolverReport(x, max_iters, g_norm, False, first_L, r_x, prox_calls, trials, False, None, dual)

@@ -1,11 +1,12 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from hoprox import alm
-from hoprox.alm import AlmConfig, CompositeProblem, multiplier_update, run_alm
+from hoprox.alm import AlmConfig, CompositeProblem, run_alm
 from hoprox.bench import read_csv, write_csv
 from hoprox.operators import MatrixMap
 from hoprox.problems import bp_composite, gen_bp, gen_mc, mc_composite
@@ -13,6 +14,7 @@ from hoprox.prox import ProxFunction, l1_norm
 from hoprox.subsolver import PenaltyGradientOracle, gradient_map, minimize_composite
 
 from dual_oracle import dual_prox_oracle
+from norm_power import norm_power_gradient
 from zero_function import zero_function
 
 
@@ -31,38 +33,41 @@ def base_config(p=1.0, **overrides):
     return AlmConfig(**params)
 
 
+def next_multiplier(lam, z, p, beta):
+    """The multiplier after the step on residual z: the penalty oracle's dual vector at z."""
+    oracle = PenaltyGradientOracle(np.eye(z.size), np.zeros(z.size), lam, beta, p)
+    return oracle.dual_at_residual(z, math.sqrt(z @ z))
+
+
 class TestMultiplierUpdate:
+    # the step run_alm takes, as PenaltyGradientOracle.dual_at_residual forms it
     def test_zero_residual_fixed_point(self):
-        cfg = base_config(p=3.0)
         lam = np.array([1.0, -2.0])
-        assert np.array_equal(multiplier_update(lam, np.zeros(2), cfg), lam)
+        assert next_multiplier(lam, np.zeros(2), 3.0, 2.0) is lam
 
     def test_first_order_classical(self):
-        cfg = base_config(p=1.0, beta=2.5)
         lam = np.array([1.0, 0.0])
         z = np.array([0.2, -0.4])
-        assert np.allclose(multiplier_update(lam, z, cfg), lam + 2.5 * z, rtol=1e-14)
+        assert np.allclose(next_multiplier(lam, z, 1.0, 2.5), lam + 2.5 * z, rtol=1e-14)
 
     @pytest.mark.parametrize("p,beta", [(1.0, 2.0), (2.0, 1.0), (3.0, 5.0)])
     def test_update_identity(self, p, beta):
         # -z + (1/beta) * ||d||^(p-1) * d = 0 exactly, d the multiplier step
-        cfg = base_config(p=p, beta=beta)
         rng = np.random.default_rng(0)
         for _ in range(50):
             lam = rng.standard_normal(4)
             z = rng.standard_normal(4) * rng.uniform(1e-3, 1e2)
-            d = multiplier_update(lam, z, cfg) - lam
+            d = next_multiplier(lam, z, p, beta) - lam
             identity = -z + np.linalg.norm(d) ** (p - 1.0) * d / beta
             assert np.linalg.norm(identity) <= 1e-12 * max(1.0, np.linalg.norm(z))
 
     @pytest.mark.parametrize("p,beta", [(1.0, 2.0), (2.0, 1.0), (3.0, 5.0)])
     def test_step_norm_identity(self, p, beta):
-        cfg = base_config(p=p, beta=beta)
         rng = np.random.default_rng(1)
         for _ in range(50):
             lam = rng.standard_normal(3)
             z = rng.standard_normal(3) * rng.uniform(1e-3, 1e2)
-            d = multiplier_update(lam, z, cfg) - lam
+            d = next_multiplier(lam, z, p, beta) - lam
             expected = beta ** (1.0 / p) * np.linalg.norm(z) ** (1.0 / p)
             assert abs(np.linalg.norm(d) - expected) <= 1e-12 * expected
 
@@ -225,6 +230,29 @@ class TestCurvatureHintInAlm:
         assert len(calls) <= 0.75 * 656
 
 
+class TestMultiplierFromReport:
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("kind", ["bp", "mc"])
+    def test_multiplier_is_the_reports(self, kind, p):
+        # each multiplier step is the dual vector the x-update formed for its
+        # last gradient, or at entry when it made no inner iteration, as an
+        # x-update of the MC cell does for each p
+        if kind == "bp":
+            prob = bp_composite(gen_bp(5, 20, 0.2, 1))
+            cfg = base_config(p=p, eps=1e-3, eps_sub=1e-4)
+        else:
+            prob = mc_composite(gen_mc(50, 50, 0.1, 3))
+            cfg = AlmConfig(p=p, beta=1.0, eps=1e-3, eps_sub=0.1, max_outer=10, max_inner=50_000)
+        rows, cols = prob.a_map.shape
+        trace = run_alm(prob, np.zeros(cols), np.zeros(rows), cfg)
+        assert trace.outer_iterations >= 2
+        assert kind == "bp" or any(rep.iterations == 0 for rep in trace.reports)
+        for k, rep in enumerate(trace.reports):
+            assert trace.multipliers[k + 1] is rep.multiplier
+            expected = trace.multipliers[k] + cfg.beta ** (1.0 / p) * norm_power_gradient(rep.residual, p)
+            assert rep.multiplier.tobytes() == expected.tobytes()
+
+
 class CountingMap:
     """Delegates to a linear map and counts its ``apply`` calls."""
 
@@ -357,9 +385,8 @@ class TestDualProxOracle:
         oracle = PenaltyGradientOracle(prob.a_map, prob.b, np.zeros(2), cfg.beta, p)
         report = minimize_composite(oracle, prob.f, np.zeros(4), cfg.eps_sub, cfg.max_inner)
         assert report.converged
-        lam1 = multiplier_update(np.zeros(2), prob.a_map.apply(report.solution) - prob.b, cfg)
         u = dual_prox_oracle(prob, np.zeros(2), cfg)
-        assert np.linalg.norm(lam1 - u) <= 2e-3
+        assert np.linalg.norm(report.multiplier - u) <= 2e-3
 
     def test_large_duals_rejected(self):
         prob = CompositeProblem(f=l1_norm(), a_map=MatrixMap(np.eye(3)), b=np.zeros(3))

@@ -233,3 +233,31 @@ class TestInstanceSerialization:
         path.write_text("xy 2 2 0.5 0\n")
         with pytest.raises(ValueError, match="unknown instance kind"):
             load_instance(path)
+
+    # bp lines: 1 the header, 2..4 the rows of A, 5 the ground truth, 6 b
+    @pytest.mark.parametrize(
+        "line,count", [(2, 5), (5, 5), (6, 2), (6, 4)], ids=["short-row", "short-ground-truth", "short-b", "long-b"]
+    )
+    def test_malformed_bp_rejected(self, tmp_path, line, count):
+        # a ground truth or b one short loaded silently
+        path = tmp_path / "bp.txt"
+        dump_instance(gen_bp(3, 6, 0.5, seed=9), path)
+        lines = path.read_text().splitlines()
+        lines[line - 1] = " ".join((lines[line - 1].split() * 2)[:count])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^line {line} has {count} values"):
+            load_instance(path)
+
+    @pytest.mark.parametrize(
+        "indices,match",
+        [("0 3 35", "increasing"), ("-1 3 7", "increasing"), ("0 3 3", "increasing"),
+         ("0 7 3", "increasing"), ("0 3", "^line 3 has 2 values, expected 3")],
+        ids=["past-end", "negative", "repeated", "decreasing", "short"],
+    )
+    def test_malformed_mc_rejected(self, tmp_path, indices, match):
+        # an index >= m*n raised a bare IndexError, and a repeated one loaded
+        # with the matrix disagreeing with the observed values
+        path = tmp_path / "mc.txt"
+        path.write_text(f"mc 7 5 0.1 0\n3\n{indices}\n1.0 2.0 3.0\n")
+        with pytest.raises(ValueError, match=match):
+            load_instance(path)
