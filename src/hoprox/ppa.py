@@ -10,10 +10,13 @@ in the shift s = ||x_next - x||^(p-1) >= 0. With
 d(s) = (lam*M + s*I)^{-1} lam*F(x) and phi(s) = ||d(s)||, the shift is the
 unique root of the secular equation g(s) = phi(s)^(p-1) - s (Moré and
 Sorensen, "Computing a trust region step", 1983): phi is strictly
-decreasing because the symmetric part of M is PSD. A Newton iteration on g,
-kept inside a bracket by bisection or doubling, finds the root to a relative
-tolerance, or stops once bisection cannot split the bracket (its ends are
-adjacent doubles) and takes the shift with the smallest |g| found. Then
+decreasing because the symmetric part of M is PSD. Each step of the search
+goes to the root of the rational model phi(t) ~ c / (mu + t) fitted to phi
+and phi' at the current shift, which is exact when phi has one pole, so a
+far start costs a few evaluations. Kept inside a bracket by bisection or
+doubling, the search finds the root to a relative tolerance, or stops once
+bisection cannot split the bracket (its ends are adjacent doubles) and
+takes the shift with the smallest |g| found. Then
 x_next = (lam*M + s*I)^{-1} (s*x - lam*q) is formed at it: from the
 eigendecomposition of lam*M when M is symmetric, and otherwise from the
 inverse the search already holds at the root, refined by one step of
@@ -134,13 +137,51 @@ def _is_symmetric(mat: np.ndarray) -> bool:
 
 
 _MAX_EVALUATIONS = 500
+# cap on the Newton steps in u = log t of one model root: they fall
+# monotonically onto it, and reach the rounding level in at most 7 steps for
+# p from 1.01 to 20, c and mu from 1e-300 to 1e300
+_MODEL_NEWTON_STEPS = 10
+
+
+def _model_root(c: float, mu: float, p: float) -> float:
+    """Positive root t of (c / (mu + t))^(p-1) = t, for c > 0 and mu >= 0.
+
+    At p = 2 it is the root of t^2 + mu*t - c. Otherwise u = log t is the
+    root of h(u) = u + (p-1) log(mu + e^u) - (p-1) log c, which is
+    increasing and convex. Since mu + t is at least the larger of mu and t,
+    u starts at the smaller of (p-1)/p log c and (p-1) log(c/mu), no smaller
+    than the root, and Newton's iterates fall monotonically onto it. A
+    result of 0 (underflow) is left to the caller's safeguard.
+    """
+    if p == 2.0:
+        return 2.0 * c / (mu + math.hypot(mu, 2.0 * math.sqrt(c)))
+    q = p - 1.0
+    log_c = math.log(c)
+    u = q * log_c / p
+    if mu > 0.0:
+        u = min(u, q * (log_c - math.log(mu)))
+        for _ in range(_MODEL_NEWTON_STEPS):
+            t = math.exp(u)
+            total = mu + t
+            step = (u + q * (math.log(total) - log_c)) / (1.0 + q * t / total)
+            u -= step
+            if step <= 1e-15 * (1.0 + abs(u)):
+                break
+    return math.exp(u)
 
 
 def _secular_root(secular, p: float, s: float):
-    """Root of g(s) = phi(s)^(p-1) - s by a safeguarded Newton iteration.
+    """Root of g(s) = phi(s)^(p-1) - s by safeguarded rational-model steps.
 
     ``secular(s)`` returns (phi(s), phi'(s)) and ``s`` is the starting
-    shift. A Newton step that leaves the bracket [lo, hi] known so far is
+    shift. Each step goes to the root of the model phi(t) ~ c / (mu + t)
+    that matches phi and phi' at s (Moré and Sorensen, 1983; Bunch, Nielsen
+    and Sorensen, "Rank-one modification of the symmetric eigenproblem",
+    1978): mu + s = -phi/phi' and c = phi (mu + s), with mu clipped at 0,
+    which holds exactly for a monotone M. On symmetric operators 1/phi is
+    concave, so the model lies below phi and its root below the root of g.
+    A model root that is not finite and positive, or that leaves the
+    bracket [lo, hi] known so far, and any step where phi' >= 0, is
     replaced by bisection, or by doubling while no upper end is known.
     Returns (root, evaluations) for p > 1. A search ends in one of four ways:
     - |g(s)| meets ``_root_tolerance(s)``, and s is returned;
@@ -173,11 +214,14 @@ def _secular_root(secular, p: float, s: float):
             lo = s
         else:
             hi = s
-        # the Newton step s - g/g' with power' = (p-1) phi^(p-2) phi' <= 0,
-        # arranged as a ratio of positive sums: it stays positive and keeps
-        # its relative accuracy when the root is many decades below s
-        slope = (p - 1.0) * power / phi * dphi
-        s = (power - s * slope) / (1.0 - slope)
+        # NaN, for phi' >= 0 or an overflowed model, fails the bracket test
+        model = math.nan
+        if dphi < 0.0:
+            mu = max(-phi / dphi - s, 0.0)
+            c = phi * (mu + s)
+            if 0.0 < c < math.inf:
+                model = _model_root(c, mu, p)
+        s = model
         if not lo < s < hi:
             s = 2.0 * lo if hi == np.inf else 0.5 * (lo + hi)
             if not lo < s < hi:
@@ -188,24 +232,28 @@ def _secular_root(secular, p: float, s: float):
 
 
 def _make_affine_stepper(mat: np.ndarray, offset: np.ndarray, cfg: PpaConfig):
-    """Per-run step function for an affine operator: (x_k, F(x_k)) -> (x_next, evaluations).
+    """Per-run step function for an affine operator: (x_k, F(x_k), ||F(x_k)||) -> (x_next, evaluations).
 
-    Symmetric operators are eigendecomposed once, lam*M = V diag(l) V^T, so
-    with w = V^T lam*F(x_k) each secular evaluation costs O(n):
-    phi^2 = sum w_i^2 / (l_i + s)^2. Other operators invert lam*M + s*I
-    (one LU factorization) once per distinct shift, which gives both
-    d = (lam*M + s*I)^{-1} lam*F(x_k) and phi' = -d^T (lam*M + s*I)^{-1} d / phi.
-    Each search starts from the previous step's root, which the shrinking
-    steps keep close. ``invert`` keeps lam*M + s*I and its inverse for the
-    last shift asked for, and ``x_of`` forms x_next from the inverse at the
-    root: x = inverse @ rhs with rhs = s*x_k - lam*q, then one step of
-    iterative refinement x - inverse @ ((lam*M + s*I) @ x - rhs). Without
+    The caller hands over ||F(x_k)||, which it has already computed, for the
+    rounding-floor test. Symmetric operators are eigendecomposed once,
+    lam*M = V diag(l) V^T, so with w = V^T lam*F(x_k) each secular
+    evaluation costs O(n): phi^2 = sum w_i^2 / (l_i + s)^2. ``shift`` keeps
+    l + s for the last shift asked for, so x_next reuses the one the search
+    formed at its root, and p = 1 steps use l + 1 throughout. Other
+    operators invert lam*M + s*I (one LU factorization) once per distinct
+    shift, which gives both d = (lam*M + s*I)^{-1} lam*F(x_k) and
+    phi' = -d^T (lam*M + s*I)^{-1} d / phi. Each search starts from the
+    previous step's root, which the shrinking steps keep close. ``invert``
+    keeps lam*M + s*I and its inverse for the last shift asked for, and
+    ``x_of`` forms x_next from the inverse at the root: x = inverse @ rhs
+    with rhs = s*x_k - lam*q, then one step of iterative refinement
+    x - inverse @ ((lam*M + s*I) @ x - rhs). Without
     that step, rank-deficient operators break lam*||F(x_next)|| = step^p
     by up to 1e-8 of the problem's scale. The root is usually the search's
     last shift, so x_next costs no inversion, and the next step's first
     evaluation reuses the same inverse; a search that ends on an earlier
     shift inverts once more. At p = 1 the root s = 1 is known and counted
-    as one evaluation, and the run inverts once.
+    as one evaluation, and the run inverts once; rhs is then x_k - lam*q.
     """
     lam, p = cfg.lambda_ppa, cfg.p
     lam_mat = lam * mat
@@ -220,20 +268,28 @@ def _make_affine_stepper(mat: np.ndarray, offset: np.ndarray, cfg: PpaConfig):
 
     if _is_symmetric(mat):
         eigvals, eigvecs = np.linalg.eigh(lam_mat)
+        # eigvals + s for the last shift asked for; p = 1 only ever asks for s = 1
+        shifted_by, shifted_eigvals = 1.0, eigvals + 1.0
+
+        def shift(s):
+            nonlocal shifted_by, shifted_eigvals
+            if s != shifted_by:
+                shifted_by, shifted_eigvals = s, eigvals + s
+            return shifted_eigvals
 
         def secular_factory(lam_f):
             w_sq = (eigvecs.T @ lam_f) ** 2
 
             def secular(s):
-                shifted = eigvals + s
+                shifted = shift(s)
                 ratio = w_sq / shifted ** 2
                 phi = math.sqrt(ratio.sum())
                 return phi, -(ratio / shifted).sum() / phi
 
             return secular
 
-        def x_of(x_k, s):
-            return eigvecs @ ((eigvecs.T @ (s * x_k - lam_offset)) / (eigvals + s))
+        def x_of(rhs, s):
+            return eigvecs @ ((eigvecs.T @ rhs) / shift(s))
 
     else:
         eye = np.eye(offset.shape[0])
@@ -255,29 +311,27 @@ def _make_affine_stepper(mat: np.ndarray, offset: np.ndarray, cfg: PpaConfig):
 
             return secular
 
-        def x_of(x_k, s):
+        def x_of(rhs, s):
             shifted, inverse = invert(s)
-            rhs = s * x_k - lam_offset
             x = inverse @ rhs
             # one step of fixed-precision iterative refinement (Higham,
             # Accuracy and Stability of Numerical Algorithms, chapter 12)
             return x - inverse @ (shifted @ x - rhs)
 
-    def step(x_k: np.ndarray, f_k: np.ndarray):
+    def step(x_k: np.ndarray, f_k: np.ndarray, f_norm: float):
         nonlocal root
         lam_f = lam * f_k
         # a computed F(x_k) no larger than the rounding bound of M x_k + q
         # carries no correct digit, so the exact step is indistinguishable
         # from zero; NaN fails the comparison, and an overflowed bound
         # (which an overflowed ||F|| could meet) fails `< inf`
-        f_norm = math.sqrt(f_k @ f_k)
         bound = gamma * (mat_norm * math.sqrt(x_k @ x_k) + offset_norm)
         if lam_f @ lam_f == 0.0 or f_norm <= bound < math.inf:
             return x_k.copy(), 0
         if p == 1.0:
-            return x_of(x_k, 1.0), 1
+            return x_of(x_k - lam_offset, 1.0), 1
         root, evaluations = _secular_root(secular_factory(lam_f), p, root)
-        return x_of(x_k, root), evaluations
+        return x_of(root * x_k - lam_offset, root), evaluations
 
     return step
 
@@ -291,8 +345,8 @@ def run_ppa(op: MonotoneOperator, x0: np.ndarray, cfg: PpaConfig) -> PpaTrace:
     also stops on the zero step, which the stepper takes once F(x_k) is
     within the rounding bound of computing M x_k + q.
 
-    F is evaluated once per iterate, x0 included: F(x^{k+1}) gives the
-    residual of step k and is handed to step k + 1.
+    F is evaluated and normed once per iterate, x0 included: F(x^{k+1})
+    and its norm give the residual of step k and are handed to step k + 1.
 
     ``x0`` is copied once, so the caller may reuse it; the steps are new
     arrays and are stored as returned.
@@ -309,17 +363,19 @@ def run_ppa(op: MonotoneOperator, x0: np.ndarray, cfg: PpaConfig) -> PpaTrace:
         trace.distances_to_solution = [math.sqrt(error @ error)]
 
     f = op.evaluate(x)
+    f_norm = math.sqrt(f @ f)
     for _ in range(cfg.max_iters):
         t0 = time.perf_counter()
-        x_next, solves = stepper(x, f)
+        x_next, solves = stepper(x, f, f_norm)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
 
         f = op.evaluate(x_next)
+        f_norm = math.sqrt(f @ f)
         step = x_next - x
         step_norm = math.sqrt(step @ step)
         trace.iterates.append(x_next)
         trace.step_norms.append(step_norm)
-        trace.residual_norms.append(lam * math.sqrt(f @ f))
+        trace.residual_norms.append(lam * f_norm)
         trace.inner_solves.append(solves)
         trace.wall_ms.append(elapsed_ms)
         if x_star is not None:

@@ -10,7 +10,9 @@ A cell's digest covers:
   ``converged`` and ``final_grad_map_norm``.
 
 The file also records each cell's step count (PPA) or outer-step count
-(ALM), so that a differing cell shows how its run length moved.
+(ALM), and each PPA cell's evaluation total (the sum of ``inner_solves``),
+so that a differing cell shows how its run length and root-search work
+moved.
 
 Run from the repository root, once on each of two checkouts:
 
@@ -22,8 +24,8 @@ The cells are those of ``perfbench/grid.py`` (built by ``grid.build`` and
 solved by ``grid.solve``) on its default seeds, or on ``--seeds`` for every
 workload named. ``--compare`` reruns the workloads and seeds the file names,
 prints each cell whose digest differs (with both counts, as in
-``ppa-skew/s0-p2: 200 → 8 steps``, when the file has them), or that only
-one side has, and exits 1 if any does.
+``ppa-sym/s0-p2: 14 → 14 steps, 52 → 37 evaluations``, when the file has
+them), or that only one side has, and exits 1 if any does.
 
 Bitwise results depend on numpy, its BLAS, the BLAS thread count and the CPU
 features numpy dispatches on, so the file records them; digests from another
@@ -120,11 +122,13 @@ def environment() -> dict:
     }
 
 
-def cell_digests(workloads, seeds=None) -> tuple[dict, dict]:
+def cell_digests(workloads, seeds=None, evaluations=None) -> tuple[dict, dict]:
     """({"workload/cell": digest}, {"workload/cell": count}) over ``perfbench/grid.py``'s cells.
 
     The cells are those of the grid's default seeds or of ``seeds``; a
-    cell's count is its run's steps (PPA) or outer steps (ALM).
+    cell's count is its run's steps (PPA) or outer steps (ALM). When
+    ``evaluations`` is a dict, each PPA cell's evaluation total is stored
+    in it under the cell's name.
     """
     digests, counts = {}, {}
     for workload in workloads:
@@ -134,16 +138,21 @@ def cell_digests(workloads, seeds=None) -> tuple[dict, dict]:
             name = f"{workload}/{cell.name}"
             digests[name] = digest(cell.kind, trace, f)
             counts[name] = len(trace.step_norms) if cell.kind == "ppa" else trace.outer_iterations
+            if cell.kind == "ppa" and evaluations is not None:
+                evaluations[name] = int(sum(trace.inner_solves))
     return digests, counts
 
 
-def compare(before: dict, after: dict, counts_before=None, counts_after=None) -> list:
+def compare(before: dict, after: dict, counts_before=None, counts_after=None,
+            evaluations_before=None, evaluations_after=None) -> list:
     """Lines naming each cell whose digest differs, or that only one side has.
 
     A differing cell that both ``counts_before`` and ``counts_after`` hold
-    is named with both its counts.
+    is named with both its counts, and with both its evaluation totals when
+    ``evaluations_before`` and ``evaluations_after`` hold it too.
     """
     counts_before, counts_after = counts_before or {}, counts_after or {}
+    evaluations_before, evaluations_after = evaluations_before or {}, evaluations_after or {}
     lines = []
     for name in sorted(before.keys() | after.keys()):
         if name not in after or name not in before:
@@ -151,7 +160,10 @@ def compare(before: dict, after: dict, counts_before=None, counts_after=None) ->
         elif before[name] != after[name]:
             if name in counts_before and name in counts_after:
                 unit = "steps" if name.startswith("ppa") else "outer steps"
-                lines.append(f"{name}: {counts_before[name]} → {counts_after[name]} {unit}")
+                line = f"{name}: {counts_before[name]} → {counts_after[name]} {unit}"
+                if name in evaluations_before and name in evaluations_after:
+                    line += f", {evaluations_before[name]} → {evaluations_after[name]} evaluations"
+                lines.append(line)
             else:
                 lines.append(f"{name}: {before[name][:12]} != {after[name][:12]}")
     return lines
@@ -168,10 +180,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     env = environment()
+    evaluations = {}
     if args.write:
-        digests, counts = cell_digests(args.workloads, args.seeds)
+        digests, counts = cell_digests(args.workloads, args.seeds, evaluations)
         record = {"environment": env, "workloads": args.workloads, "seeds": args.seeds,
-                  "cells": digests, "counts": counts}
+                  "cells": digests, "counts": counts, "evaluations": evaluations}
         Path(args.write).write_text(json.dumps(record, indent=2) + "\n")
         print(f"wrote {len(digests)} cell digests to {args.write}")
         return 0
@@ -179,9 +192,10 @@ def main(argv=None) -> int:
     if recorded["environment"] != env:
         print(f"not comparable: {args.compare} comes from {recorded['environment']}, this run from {env}")
         return 2
-    digests, counts = cell_digests(recorded["workloads"], recorded["seeds"])
-    # files written before counts were recorded have none
-    differing = compare(recorded["cells"], digests, recorded.get("counts"), counts)
+    digests, counts = cell_digests(recorded["workloads"], recorded["seeds"], evaluations)
+    # files written before counts or evaluation totals were recorded have none
+    differing = compare(recorded["cells"], digests, recorded.get("counts"), counts,
+                        recorded.get("evaluations"), evaluations)
     for line in differing:
         print(line)
     equal = sum(recorded["cells"].get(name) == value for name, value in digests.items())

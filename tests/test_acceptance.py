@@ -357,20 +357,23 @@ def test_criterion_10_reproducibility(tmp_path):
 def test_ppa_battery_step_and_evaluation_totals(ppa_battery):
     # The PPA battery is the ppa-sym benchmark grid. Runs stop at the zero
     # step once F(x_k) is inside the rounding bound of M x_k + q; before
-    # that stop they took 4,259 steps and 7,898 secular evaluations.
+    # that stop they took 4,259 steps and 7,898 secular evaluations. The
+    # rational-model root search takes 3,944 evaluations where Newton on
+    # g took 4,711, over the same steps.
     runs, _ = ppa_battery
     steps = sum(len(trace.step_norms) for _, _, _, trace in runs)
     evaluations = sum(sum(trace.inner_solves) for _, _, _, trace in runs)
-    assert (steps, evaluations) == (2_673, 4_711)
+    assert (steps, evaluations) == (2_673, 3_944)
 
 
 def test_skew_battery_step_and_evaluation_totals(skew_battery):
     # The nonsymmetric step path: x_next comes from the root search's kept
-    # inverse, refined once. A change to that path moves these totals.
+    # inverse, refined once. A change to that path, or to the root search,
+    # moves these totals (Newton on g took 430 evaluations).
     steps = sum(len(trace.step_norms) for trace in skew_battery)
     evaluations = sum(sum(trace.inner_solves) for trace in skew_battery)
     converged = sum(trace.residual_norms[-1] <= 1e-8 for trace in skew_battery)
-    assert (steps, evaluations, converged) == (226, 430, 15)
+    assert (steps, evaluations, converged) == (226, 392, 15)
 
 
 def test_battery_prox_call_totals(bp_battery, mc_battery):

@@ -61,3 +61,25 @@ def test_cell_digests_record_each_run_length():
     assert sorted(digests) == sorted(counts) == ["ppa-skew/s0-p1", "ppa-skew/s0-p2", "ppa-skew/s0-p3"]
     # every skew cell stops at its zero step well inside the 200-step cap
     assert counts == {"ppa-skew/s0-p1": 49, "ppa-skew/s0-p2": 8, "ppa-skew/s0-p3": 7}
+
+
+def test_compare_names_both_evaluation_totals_of_a_differing_ppa_cell():
+    before = {"ppa-sym/s0-p2": "0" * 64, "ppa-sym/s0-p3": "1" * 64}
+    after = {"ppa-sym/s0-p2": "2" * 64, "ppa-sym/s0-p3": "3" * 64}
+    counts = {"ppa-sym/s0-p2": 14, "ppa-sym/s0-p3": 11}
+    # only s0-p2 has a total on both sides, as with a file written before totals were kept
+    assert compare(before, after, counts, counts, {"ppa-sym/s0-p2": 52}, {"ppa-sym/s0-p2": 37, "ppa-sym/s0-p3": 20}) == [
+        "ppa-sym/s0-p2: 14 → 14 steps, 52 → 37 evaluations",
+        "ppa-sym/s0-p3: 11 → 11 steps",
+    ]
+    assert compare(before, after, counts, counts) == ["ppa-sym/s0-p2: 14 → 14 steps", "ppa-sym/s0-p3: 11 → 11 steps"]
+
+
+def test_cell_digests_record_each_ppa_evaluation_total():
+    evaluations = {}
+    digests, counts = cell_digests(["ppa-skew"], seeds=[0], evaluations=evaluations)
+    assert sorted(evaluations) == sorted(digests)
+    # each run ends on its zero step, which takes no evaluation; a p = 1
+    # step takes one, and a p > 1 search at least one
+    assert evaluations["ppa-skew/s0-p1"] == counts["ppa-skew/s0-p1"] - 1
+    assert all(evaluations[name] >= counts[name] - 1 for name in digests)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hoprox import ppa
 from hoprox.ppa import (
     _MAX_EVALUATIONS,
     MonotoneOperator,
@@ -51,6 +52,18 @@ def one_step(op, x_k, cfg):
     residual = lam * (mat @ x_next + offset) + np.linalg.norm(step) ** (p - 1.0) * step
     assert np.linalg.norm(residual) <= 1e-10 * max(1.0, np.linalg.norm(lam * offset))
     return x_next
+
+
+def assert_step_identity(op, x0, trace, cfg):
+    # criterion 3 at every step, with the bound of perfbench/grid.py's check:
+    # lam*||F(x_next)|| = step^p up to 1e-8 relative and 1e-12 of the scale
+    mat, offset = op.affine_parts
+    steps = np.array(trace.step_norms) ** cfg.p
+    resid = np.array(trace.residual_norms)
+    scale = cfg.lambda_ppa * (
+        np.linalg.norm(mat) * (np.linalg.norm(x0) + np.linalg.norm(op.known_solution)) + np.linalg.norm(offset)
+    )
+    assert np.all(np.abs(resid - steps) <= 1e-8 * np.maximum(resid, steps) + 1e-12 * scale)
 
 
 def reference_step(mat, offset, x_k, p, lam):
@@ -145,9 +158,10 @@ class TestStepRootSearch:
         op, x0 = make_op(20, 0)
         mat, offset = op.affine_parts
         step = _make_affine_stepper(mat, offset, PpaConfig(p=3.0, lambda_ppa=1.0, max_iters=1))
-        x1, first = step(x0, mat @ x0 + offset)
+        f0 = mat @ x0 + offset
+        x1, first = step(x0, f0, np.linalg.norm(f0))
         # the second search from the same point starts at the first one's root
-        x1_again, second = step(x0, mat @ x0 + offset)
+        x1_again, second = step(x0, f0, np.linalg.norm(f0))
         assert first > 1 and second == 1
         assert np.array_equal(x1, x1_again)
 
@@ -155,12 +169,13 @@ class TestStepRootSearch:
     def test_step_takes_f_from_caller(self, make_op):
         op, x0 = make_op(20, 0)
         mat, offset = op.affine_parts
+        f0 = mat @ x0 + offset
         for p in (1.0, 2.0, 3.0):
             cfg = PpaConfig(p=p, lambda_ppa=1.0, max_iters=1)
             # a zero F is a zero step whatever x0 is, so the handed value is used
-            x_same, evaluations = _make_affine_stepper(mat, offset, cfg)(x0, np.zeros_like(x0))
+            x_same, evaluations = _make_affine_stepper(mat, offset, cfg)(x0, np.zeros_like(x0), 0.0)
             assert np.array_equal(x_same, x0) and evaluations == 0
-            x1, _ = _make_affine_stepper(mat, offset, cfg)(x0, mat @ x0 + offset)
+            x1, _ = _make_affine_stepper(mat, offset, cfg)(x0, f0, np.linalg.norm(f0))
             assert np.array_equal(x1, one_step(op, x0, cfg))
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -209,7 +224,12 @@ class TestStepRootSearch:
         def stepper(op):
             mat, offset = op.affine_parts
             step = _make_affine_stepper(mat, offset, cfg)
-            return lambda x: step(x, mat @ x + offset)
+
+            def advance_one(x):
+                f = mat @ x + offset
+                return step(x, f, np.linalg.norm(f))
+
+            return advance_one
 
         def advance(runs):
             # one step of each (stepper, iterates) in turn; returns the evaluation counts
@@ -241,6 +261,49 @@ class TestStepRootSearch:
         root, evaluations = _secular_root(secular, 2.0, start)
         assert root == 1.5
         assert evaluations < 100
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("start", [1e-40, 1.0, 1e40])
+    def test_one_pole_secular_function_is_solved_by_its_model(self, p, start):
+        # phi(s) = 7/(3 + s) is its own rational model, so the first model
+        # step lands on the root; from 1e40, where mu + s rounds to s, it
+        # clips mu at 0 and needs one more
+        secular = lambda s: (7.0 / (3.0 + s), -7.0 / (3.0 + s) ** 2)
+        root, evaluations = _secular_root(secular, p, start)
+        assert evaluations <= 3
+        assert abs((7.0 / (3.0 + root)) ** (p - 1.0) - root) <= 1e-9 * root
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("scale", [1e100, 1e140])
+    def test_far_start_first_step_is_cheap(self, monkeypatch, scale, p):
+        # the model step reaches a root many decades from the previous one in
+        # a few evaluations; Newton on g climbed to it from below by about
+        # x1.5 per evaluation, and from 1e140 ran out of its 500-evaluation
+        # cap with no upper end of the bracket
+        roots = []
+        search = ppa._secular_root
+
+        def recorded(secular, p, s):
+            root, evaluations = search(secular, p, s)
+            roots.append(root)
+            return root, evaluations
+
+        monkeypatch.setattr(ppa, "_secular_root", recorded)
+        op, x0 = gen_vi_affine(20, 0)
+        mat = op.affine_parts[0]
+        lam = 1.0
+        trace = run_ppa(op, scale * x0, PpaConfig(p=p, lambda_ppa=lam, max_iters=20))
+        assert trace.inner_solves[0] <= 5
+        assert len(roots) == len(trace.step_norms)
+        # The exact step is below the rounding of x_k (about 1e-49 of it), so
+        # the computed x_next - x_k is rounding noise and the identity is
+        # checked on the step each root defines: d = (lam*M + s*I)^{-1}
+        # lam*F(x_k) gives lam*F(x_k - d) = s*d, so lam*||F|| = ||d||^p
+        # reads s*||d|| = ||d||^p.
+        for x_k, root in zip(trace.iterates, roots):
+            d = np.linalg.solve(lam * mat + root * np.eye(20), lam * op.evaluate(x_k))
+            step = np.linalg.norm(d)
+            assert abs(root * step - step ** p) <= 1e-8 * max(root * step, step ** p)
 
     def test_non_finite_secular_function_raises(self):
         # (V^T lam*F)^2 overflows, so phi is NaN at the first shift
@@ -277,6 +340,19 @@ def rounding_bound(op, x):
     mat, offset = op.affine_parts
     unit = (offset.shape[0] + 1) * 2.0 ** -53
     return unit / (1.0 - unit) * (np.linalg.norm(mat) * np.linalg.norm(x) + np.linalg.norm(offset))
+
+
+class TestNonIntegerAndHigherOrders:
+    @pytest.mark.parametrize("p", [1.5, 2.5, 4.0])
+    @pytest.mark.parametrize("make_op", [gen_vi_affine, skew_operator], ids=["symmetric", "skew"])
+    def test_step_identity_and_search_length(self, make_op, p):
+        # p = 2 has a closed-form model root; other orders solve it by Newton in log t
+        cfg = PpaConfig(p=p, lambda_ppa=1.0, max_iters=50)
+        for seed in range(3):
+            op, x0 = make_op(20, seed)
+            trace = run_ppa(op, x0, cfg)
+            assert_step_identity(op, x0, trace, cfg)
+            assert max(trace.inner_solves) <= 10
 
 
 class TestRoundingFloorStop:
