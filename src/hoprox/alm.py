@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_vector
+from .linalg import as_vector, check_cap
 from .prox import ProxFunction
 from .subsolver import PenaltyGradientOracle, minimize_composite
 
@@ -51,9 +51,11 @@ class AlmConfig:
         # the checks are written so that NaN fails them
         if not self.p >= 1:
             raise ValueError(f"p must be >= 1, got {self.p}")
-        for name in ("beta", "eps", "eps_sub", "max_outer", "max_inner"):
+        for name in ("beta", "eps", "eps_sub"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        check_cap("max_outer", self.max_outer)
+        check_cap("max_inner", self.max_inner)
 
 
 @dataclass
@@ -122,15 +124,22 @@ def run_alm(
     monotone backtracking estimate. The run never evaluates f: the records
     carry no objective (see ``OuterRecord``). The residual ``Ax - b`` is
     computed once per iterate: each solve's report carries it to the next
-    solve's entry check. The multiplier step is the report's ``multiplier``,
+    solve's entry. The multiplier step is the report's ``multiplier``,
     the vector the solve formed for its last gradient (see
-    ``SubsolverReport``), so the run forms no other. The report also
-    carries the subgradient of f at x from the solve's last accepted step,
-    which stays one after the multiplier step since f and x do not change;
-    the next solve tries it as a certificate before its entry prox. A solve
+    ``SubsolverReport``), so the run forms no other.
+
+    At p = 1 each x-update first runs the subsolver's entry test: x often
+    already meets ``eps_sub`` after a multiplier step. The report carries
+    the subgradient of f at x from the solve's last accepted step, which
+    stays one after the multiplier step since f and x do not change; the
+    next solve tries it as a certificate before its entry prox. A solve
     with no inner iteration hands on the one it was given, and the first
-    has none. Stored reports hold None in place of it, so the trace keeps no
-    extra vector per outer step.
+    has none. At p > 1 the multiplier step beta^(1/p) r / ||r||^(1 - 1/p)
+    shrinks only like ||r||^(1/p), so x almost never passes the entry test:
+    each x-update skips it, saving one prox, takes at least one inner
+    iteration, and hands on no subgradient. Either way stored reports hold
+    None in place of the subgradient, so the trace keeps no extra vector
+    per outer step.
 
     ``x0`` and ``multiplier0`` are copied once; every later iterate and
     multiplier is stored as computed, shared with the reports (see
@@ -149,11 +158,16 @@ def run_alm(
     cumulative_inner = 0
     curvature_hint = 1.0
     subgradient = None
+    entry_test = cfg.p == 1
     for k in range(cfg.max_outer):
         t0 = time.perf_counter()
         oracle = PenaltyGradientOracle(prob.a_map, prob.b, multiplier, cfg.beta, cfg.p)
-        report = minimize_composite(oracle, prob.f, x, cfg.eps_sub, cfg.max_inner, curvature_hint, z, subgradient)
-        subgradient, report.subgradient = report.subgradient, None
+        report = minimize_composite(
+            oracle, prob.f, x, cfg.eps_sub, cfg.max_inner, curvature_hint, z, subgradient, entry_test
+        )
+        if entry_test:
+            subgradient = report.subgradient
+        report.subgradient = None
         trace.reports.append(report)
         if not report.converged:
             trace.status = "subsolver_stalled"

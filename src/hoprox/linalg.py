@@ -1,11 +1,23 @@
-"""Dense numeric kernels shared by the solvers.
+"""Dense numeric kernels and input checks shared by the solvers.
 
-Everything here operates on plain numpy arrays: vectors are 1-d float64
-arrays, matrices are 2-d float64 arrays in row-major layout. All functions
-are pure and deterministic.
+The kernels operate on plain numpy arrays: vectors are 1-d float64 arrays,
+matrices are 2-d float64 arrays in row-major layout. All functions are pure
+and deterministic.
 """
 
+import numbers
+
 import numpy as np
+
+
+def check_cap(name: str, value) -> None:
+    """Raise ValueError unless the iteration cap ``value`` is an integer >= 1.
+
+    A bool is rejected although Python counts it an integer; numpy integers
+    are accepted.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not value >= 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 def as_vector(x) -> np.ndarray:

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_vector, check_cap
 
 
 class SubproblemError(RuntimeError):
@@ -94,8 +94,7 @@ class PpaConfig:
             raise ValueError(f"p must be >= 1, got {self.p}")
         if not self.lambda_ppa > 0:
             raise ValueError(f"lambda_ppa must be positive, got {self.lambda_ppa}")
-        if not self.max_iters >= 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        check_cap("max_iters", self.max_iters)
         if not self.step_tol >= 0:
             raise ValueError(f"step_tol must be nonnegative, got {self.step_tol}")
 

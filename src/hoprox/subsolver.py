@@ -8,8 +8,9 @@ whose gradient is Hölder continuous with exponent 1/p. The solver is an
 accelerated proximal gradient method with a doubling/halving estimate of the
 local curvature, so it needs no smoothness constants up front. Termination
 uses the unit-scale gradient map G(x) = x - prox_f(x - grad_psi(x)), bounded
-first by a certificate that needs no prox, at entry too when the caller
-hands in a subgradient of f at the start (see ``minimize_composite``).
+first by a certificate that needs no prox, at entry too when the entry
+test runs and the caller hands in a subgradient of f at the start (see
+``minimize_composite``).
 """
 
 import math
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_vector
+from .linalg import as_vector, check_cap
 from .operators import MatrixMap
 from .prox import ProxFunction
 
@@ -110,8 +111,9 @@ class SubsolverReport:
     accepted trial's residual, or the entry residual when no iteration ran.
     ``prox_calls`` counts every ``f.prox`` call of the solve and ``trials``
     every curvature trial. Each trial calls the prox once, and so does each
-    stopping test that does not certify, the entry's included, so
-    ``prox_calls == trials + 1 + iterations - certified``.
+    stopping test that does not certify, the entry's included when it runs,
+    so ``prox_calls == trials + entry_test + iterations - certified`` for
+    the solve's ``entry_test`` (see ``minimize_composite``).
 
     ``certified`` says that the solve stopped on a certificate, without
     the stopping test's prox: after an accepted step, or at entry with 0
@@ -128,7 +130,7 @@ class SubsolverReport:
     + ||grad_psi(y)|| sizes the rounding in s. A solve with no iteration
     hands back the ``subgradient`` it was given, or None; one that did not
     converge gives None. Pass it as ``subgradient`` to the next solve from
-    ``solution`` with the same f.
+    ``solution`` with the same f and an entry test.
 
     ``multiplier`` is ``oracle.dual_at_residual`` at ``residual``, whose
     image under A^T is grad_psi(``solution``): the entry check's vector when
@@ -167,6 +169,7 @@ def minimize_composite(
     curvature_hint: float = 1.0,
     residual: np.ndarray | None = None,
     subgradient: tuple[np.ndarray, float] | None = None,
+    entry_test: bool = True,
 ) -> SubsolverReport:
     """Minimize psi + f until ||G(z)|| <= eps_sub.
 
@@ -189,8 +192,15 @@ def minimize_composite(
     FISTA's backtracking. The default hint 1 is the cold search 1, 2, 4, ...
     Later iterations start at half the last accepted L.
 
-    One stopping test runs at entry and after each accepted step. A
-    subgradient s of f at x gives x = prox_f(x + s), and nonexpansiveness
+    One stopping test runs after each accepted step, and at entry unless
+    ``entry_test`` is false. Without it the solve takes at least one step
+    and reads no ``subgradient``; iteration 1 still reuses the entry
+    residual and gradient, so skipping the test saves one prox and costs
+    no oracle call. That pays where z0 almost never meets the tolerance,
+    as after a pth-order ALM multiplier step with p > 1, whose norm
+    shrinks only like ||Ax - b||^(1/p).
+
+    A subgradient s of f at x gives x = prox_f(x + s), and nonexpansiveness
     of prox_f gives ||G(x)|| <= ||u|| with u = grad_psi(x) + s, for any
     convex f and psi. Handed ``(s, scale)``, the test stops on that
     certificate, with ``final_grad_map_norm`` = ||u|| and ``certified``
@@ -207,8 +217,8 @@ def minimize_composite(
     ||u|| >= L ||x - y|| - ||grad_psi(x) - grad_psi(y)||, a long step
     rarely certifies, and the gate spares its vector work.
 
-    At entry, s is ``subgradient``, when given: the ``(s, scale)`` of a
-    report whose solution is ``z0``, from a solve with the same f. psi may
+    At an entry test, s is ``subgradient``, when given: the ``(s, scale)``
+    of a report whose solution is ``z0``, from a solve with the same f. psi may
     differ, as it does after a multiplier step; s is still a subgradient of
     f at z0. A certificate there stops the solve with 0 iterations and 0
     prox calls.
@@ -226,8 +236,7 @@ def minimize_composite(
     """
     if not eps_sub > 0:
         raise ValueError(f"eps_sub must be positive, got {eps_sub}")
-    if not max_iters >= 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    check_cap("max_iters", max_iters)
     if not (math.isfinite(curvature_hint) and curvature_hint > 0):
         raise ValueError("curvature_hint must be positive and finite")
 
@@ -265,10 +274,11 @@ def minimize_composite(
     psi_x = oracle.value_at_residual(r_x, r_norm)
     dual = oracle.dual_at_residual(r_x, r_norm)
     grad_x = oracle.a_map.adjoint(dual)
-    g_norm, certified = stopping_test(x, grad_x, subgradient)
-    prox_calls += not certified
-    if g_norm <= eps_sub:
-        return SubsolverReport(x, 0, g_norm, True, L, r_x, prox_calls, trials, certified, subgradient, dual)
+    if entry_test:
+        g_norm, certified = stopping_test(x, grad_x, subgradient)
+        prox_calls += not certified
+        if g_norm <= eps_sub:
+            return SubsolverReport(x, 0, g_norm, True, L, r_x, prox_calls, trials, certified, subgradient, dual)
 
     for it in range(1, max_iters + 1):
         # the curvature search: each trial step from the current (x, v, big_a)

@@ -12,7 +12,9 @@ A cell's digest covers:
 The file also records each cell's step count (PPA) or outer-step count
 (ALM), and each PPA cell's evaluation total (the sum of ``inner_solves``),
 so that a differing cell shows how its run length and root-search work
-moved.
+moved. For each ALM cell it records a results-only digest, the full one
+without the reports' ``prox_calls``, and the cell's prox-call total, so
+that a change which only saves prox calls shows as such.
 
 Run from the repository root, once on each of two checkouts:
 
@@ -25,7 +27,9 @@ solved by ``grid.solve``) on its default seeds, or on ``--seeds`` for every
 workload named. ``--compare`` reruns the workloads and seeds the file names,
 prints each cell whose digest differs (with both counts, as in
 ``ppa-sym/s0-p2: 14 → 14 steps, 52 → 37 evaluations``, when the file has
-them), or that only one side has, and exits 1 if any does.
+them), or that only one side has, and exits 1 if any does. An ALM cell
+whose results digests are equal prints as
+``alm-mc/s0-p2-esub0.1: results equal, 1,247 → 747 prox calls``.
 
 Bitwise results depend on numpy, its BLAS, the BLAS thread count and the CPU
 features numpy dispatches on, so the file records them; digests from another
@@ -75,8 +79,12 @@ def _arrays(h, arrays) -> None:
         _update(h, str(array.dtype), array.shape, np.ascontiguousarray(array).tobytes())
 
 
-def digest(kind: str, trace, f=None) -> str:
-    """The sha256 of a ``PpaTrace`` (kind "ppa") or of an ``AlmTrace`` (kind "alm") with its objective ``f``."""
+def digest(kind: str, trace, f=None, prox_calls=True) -> str:
+    """The sha256 of a ``PpaTrace`` (kind "ppa") or of an ``AlmTrace`` (kind "alm") with its objective ``f``.
+
+    With ``prox_calls`` false an ALM digest leaves out the reports'
+    ``prox_calls``: it is then the digest of the results alone.
+    """
     h = hashlib.sha256()
     _update(h, kind)
     if kind == "ppa":
@@ -92,7 +100,7 @@ def digest(kind: str, trace, f=None) -> str:
         _arrays(h, trace.multipliers)
         _update(h, len(trace.reports))
         for rep in trace.reports:
-            _update(h, rep.iterations, rep.prox_calls, rep.trials, rep.certified, rep.converged)
+            _update(h, rep.iterations, rep.prox_calls if prox_calls else None, rep.trials, rep.certified, rep.converged)
             _update(h, _hex([rep.first_L_accepted, rep.final_grad_map_norm]))
     return h.hexdigest()
 
@@ -122,13 +130,14 @@ def environment() -> dict:
     }
 
 
-def cell_digests(workloads, seeds=None, evaluations=None) -> tuple[dict, dict]:
+def cell_digests(workloads, seeds=None, evaluations=None, results=None) -> tuple[dict, dict]:
     """({"workload/cell": digest}, {"workload/cell": count}) over ``perfbench/grid.py``'s cells.
 
     The cells are those of the grid's default seeds or of ``seeds``; a
     cell's count is its run's steps (PPA) or outer steps (ALM). When
     ``evaluations`` is a dict, each PPA cell's evaluation total is stored
-    in it under the cell's name.
+    in it under the cell's name. When ``results`` is a dict, each ALM cell's
+    ``{"digest": results-only digest, "prox_calls": total}`` is.
     """
     digests, counts = {}, {}
     for workload in workloads:
@@ -140,29 +149,45 @@ def cell_digests(workloads, seeds=None, evaluations=None) -> tuple[dict, dict]:
             counts[name] = len(trace.step_norms) if cell.kind == "ppa" else trace.outer_iterations
             if cell.kind == "ppa" and evaluations is not None:
                 evaluations[name] = int(sum(trace.inner_solves))
+            if cell.kind == "alm" and results is not None:
+                results[name] = {"digest": digest(cell.kind, trace, f, prox_calls=False),
+                                 "prox_calls": sum(rep.prox_calls for rep in trace.reports)}
     return digests, counts
 
 
 def compare(before: dict, after: dict, counts_before=None, counts_after=None,
-            evaluations_before=None, evaluations_after=None) -> list:
+            evaluations_before=None, evaluations_after=None, results_before=None, results_after=None) -> list:
     """Lines naming each cell whose digest differs, or that only one side has.
 
-    A differing cell that both ``counts_before`` and ``counts_after`` hold
-    is named with both its counts, and with both its evaluation totals when
-    ``evaluations_before`` and ``evaluations_after`` hold it too.
+    A differing cell that both ``results_before`` and ``results_after`` hold
+    with equal results digests is named as equal in results, with both its
+    prox-call totals. Any other differing cell that both ``counts_before``
+    and ``counts_after`` hold is named with both its counts, with both its
+    evaluation totals when ``evaluations_before`` and ``evaluations_after``
+    hold it too, and with both its prox-call totals when the results do.
     """
     counts_before, counts_after = counts_before or {}, counts_after or {}
     evaluations_before, evaluations_after = evaluations_before or {}, evaluations_after or {}
+    results_before, results_after = results_before or {}, results_after or {}
     lines = []
     for name in sorted(before.keys() | after.keys()):
         if name not in after or name not in before:
             lines.append(f"{name}: only in {'the file' if name in before else 'this run'}")
         elif before[name] != after[name]:
+            prox = None
+            if name in results_before and name in results_after:
+                old, new = results_before[name], results_after[name]
+                prox = f"{old['prox_calls']:,} → {new['prox_calls']:,} prox calls"
+                if old["digest"] == new["digest"]:
+                    lines.append(f"{name}: results equal, {prox}")
+                    continue
             if name in counts_before and name in counts_after:
                 unit = "steps" if name.startswith("ppa") else "outer steps"
                 line = f"{name}: {counts_before[name]} → {counts_after[name]} {unit}"
                 if name in evaluations_before and name in evaluations_after:
                     line += f", {evaluations_before[name]} → {evaluations_after[name]} evaluations"
+                if prox is not None:
+                    line += f", {prox}"
                 lines.append(line)
             else:
                 lines.append(f"{name}: {before[name][:12]} != {after[name][:12]}")
@@ -180,11 +205,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     env = environment()
-    evaluations = {}
+    evaluations, results = {}, {}
     if args.write:
-        digests, counts = cell_digests(args.workloads, args.seeds, evaluations)
+        digests, counts = cell_digests(args.workloads, args.seeds, evaluations, results)
         record = {"environment": env, "workloads": args.workloads, "seeds": args.seeds,
-                  "cells": digests, "counts": counts, "evaluations": evaluations}
+                  "cells": digests, "counts": counts, "evaluations": evaluations, "results": results}
         Path(args.write).write_text(json.dumps(record, indent=2) + "\n")
         print(f"wrote {len(digests)} cell digests to {args.write}")
         return 0
@@ -192,14 +217,17 @@ def main(argv=None) -> int:
     if recorded["environment"] != env:
         print(f"not comparable: {args.compare} comes from {recorded['environment']}, this run from {env}")
         return 2
-    digests, counts = cell_digests(recorded["workloads"], recorded["seeds"], evaluations)
-    # files written before counts or evaluation totals were recorded have none
+    digests, counts = cell_digests(recorded["workloads"], recorded["seeds"], evaluations, results)
+    # files written before counts, evaluation totals or results digests were recorded have none
     differing = compare(recorded["cells"], digests, recorded.get("counts"), counts,
-                        recorded.get("evaluations"), evaluations)
+                        recorded.get("evaluations"), evaluations, recorded.get("results"), results)
     for line in differing:
         print(line)
     equal = sum(recorded["cells"].get(name) == value for name, value in digests.items())
     print(f"{equal} of {len(recorded['cells'])} cells equal")
+    if "results" in recorded:
+        in_results = equal + sum(": results equal, " in line for line in differing)
+        print(f"{in_results} of {len(recorded['cells'])} cells equal in results")
     return 1 if differing else 0
 
 

@@ -236,7 +236,8 @@ class TestMultiplierFromReport:
     def test_multiplier_is_the_reports(self, kind, p):
         # each multiplier step is the dual vector the x-update formed for its
         # last gradient, or at entry when it made no inner iteration, as an
-        # x-update of the MC cell does for each p
+        # x-update of the MC cell does at p = 1; at p > 1 the x-updates skip
+        # the entry test, so none ends at entry (4 of 20 did with it)
         if kind == "bp":
             prob = bp_composite(gen_bp(5, 20, 0.2, 1))
             cfg = base_config(p=p, eps=1e-3, eps_sub=1e-4)
@@ -246,7 +247,7 @@ class TestMultiplierFromReport:
         rows, cols = prob.a_map.shape
         trace = run_alm(prob, np.zeros(cols), np.zeros(rows), cfg)
         assert trace.outer_iterations >= 2
-        assert kind == "bp" or any(rep.iterations == 0 for rep in trace.reports)
+        assert kind == "bp" or any(rep.iterations == 0 for rep in trace.reports) == (p == 1)
         for k, rep in enumerate(trace.reports):
             assert trace.multipliers[k + 1] is rep.multiplier
             expected = trace.multipliers[k] + cfg.beta ** (1.0 / p) * norm_power_gradient(rep.residual, p)
@@ -347,8 +348,8 @@ class TestSubgradientHandoff:
         prob, cfg = mc_cell(1.0, 40)
         handed = run_alm(prob, np.zeros(2500), np.zeros(250), cfg)
 
-        def without_handoff(oracle, f, x, eps_sub, max_iters, hint, residual, subgradient):
-            return minimize_composite(oracle, f, x, eps_sub, max_iters, hint, residual)
+        def without_handoff(oracle, f, x, eps_sub, max_iters, hint, residual, subgradient, entry_test):
+            return minimize_composite(oracle, f, x, eps_sub, max_iters, hint, residual, entry_test=entry_test)
 
         monkeypatch.setattr(alm, "minimize_composite", without_handoff)
         plain = run_alm(prob, np.zeros(2500), np.zeros(250), cfg)
@@ -356,6 +357,24 @@ class TestSubgradientHandoff:
         prox_calls = [sum(rep.prox_calls for rep in trace.reports) for trace in (handed, plain)]
         at_entry = sum(rep.certified and rep.iterations == 0 for rep in handed.reports)
         assert at_entry >= 1 and prox_calls[0] == prox_calls[1] - at_entry
+
+    def test_results_bitwise_without_entry_test_at_p_above_one(self, monkeypatch):
+        # after a p > 1 multiplier step x almost never meets eps_sub, so the
+        # x-updates skip the entry test and its prox; forcing it on must
+        # change nothing but the prox count, by one per x-update
+        prob, cfg = mc_cell(2.0, 40)
+        skipped = run_alm(prob, np.zeros(2500), np.zeros(250), cfg)
+
+        def with_entry_test(oracle, f, x, eps_sub, max_iters, hint, residual, subgradient, entry_test):
+            assert not entry_test and subgradient is None
+            return minimize_composite(oracle, f, x, eps_sub, max_iters, hint, residual)
+
+        monkeypatch.setattr(alm, "minimize_composite", with_entry_test)
+        tested = run_alm(prob, np.zeros(2500), np.zeros(250), cfg)
+        assert trace_bytes(skipped) == trace_bytes(tested)
+        assert all(rep.iterations >= 1 for rep in skipped.reports)
+        prox_calls = [sum(rep.prox_calls for rep in trace.reports) for trace in (skipped, tested)]
+        assert prox_calls[0] == prox_calls[1] - len(skipped.reports)
 
     def test_reports_do_not_keep_the_subgradient(self):
         # one n-vector per x-update would grow the trace by an iterate's size
@@ -416,6 +435,17 @@ class TestValidation:
             base_config(max_outer=0)
         with pytest.raises(ValueError):
             base_config(max_inner=0)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, np.float64(2.0), True, "3"])
+    @pytest.mark.parametrize("field", ["max_outer", "max_inner"])
+    def test_config_rejects_non_integer_caps(self, field, bad):
+        # a float cap would fail only later, inside range(), and True would run as 1
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            base_config(**{field: bad})
+
+    def test_config_accepts_numpy_integer_caps(self):
+        cfg = base_config(max_outer=np.int64(200), max_inner=np.int32(100_000))
+        assert run_alm(tiny_bp_problem(), np.zeros(2), np.zeros(1), cfg).converged
 
     @pytest.mark.parametrize("field", ["p", "beta", "eps", "eps_sub"])
     def test_config_rejects_nan(self, field):

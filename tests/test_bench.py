@@ -360,9 +360,11 @@ class TestRunSweep:
             outer, inner = run["outer_iterations"], run["inner_iterations"]
             assert run["status"] == "converged" and inner > 0
             assert inner == read_csv(tmp_path / run["csv"])[0][-1].cumulative_inner
-            # each x-update calls the prox at entry and once per iteration to
-            # stop, bar a certified stop; the other calls are trials
-            assert run["trials"] == run["prox_calls"] - outer - inner + run["certified"]
+            # each x-update calls the prox at entry (at p = 1 only) and once
+            # per iteration to stop, bar a certified stop; the other calls are
+            # trials
+            entry_tests = outer if run["p"] == 1 else 0
+            assert run["trials"] == run["prox_calls"] - entry_tests - inner + run["certified"]
 
     def test_cell_failure_recorded_and_sweep_continues(self, tmp_path, monkeypatch):
         calls = {"n": 0}

@@ -83,3 +83,44 @@ def test_cell_digests_record_each_ppa_evaluation_total():
     # step takes one, and a p > 1 search at least one
     assert evaluations["ppa-skew/s0-p1"] == counts["ppa-skew/s0-p1"] - 1
     assert all(evaluations[name] >= counts[name] - 1 for name in digests)
+
+
+def test_results_digest_leaves_out_only_prox_calls():
+    trace = alm_cell()
+    full, results = digest("alm", trace, l1_norm()), digest("alm", trace, l1_norm(), prox_calls=False)
+    trace.reports[0].prox_calls += 1
+    assert digest("alm", trace, l1_norm()) != full
+    assert digest("alm", trace, l1_norm(), prox_calls=False) == results
+    trace.reports[0].trials += 1
+    assert digest("alm", trace, l1_norm(), prox_calls=False) != results
+
+
+def test_compare_names_cells_equal_in_results_with_their_prox_totals():
+    before = {"alm-mc/s0-p2-esub0.1": "0" * 64, "alm-bp/s0-p2": "1" * 64, "alm-bp/s0-p1": "2" * 64}
+    after = {"alm-mc/s0-p2-esub0.1": "3" * 64, "alm-bp/s0-p2": "4" * 64, "alm-bp/s0-p1": "2" * 64}
+    counts = {"alm-mc/s0-p2-esub0.1": 500, "alm-bp/s0-p2": 4, "alm-bp/s0-p1": 88}
+    results_before = {"alm-mc/s0-p2-esub0.1": {"digest": "5" * 64, "prox_calls": 1247},
+                      "alm-bp/s0-p2": {"digest": "6" * 64, "prox_calls": 2508}}
+    results_after = {"alm-mc/s0-p2-esub0.1": {"digest": "5" * 64, "prox_calls": 747},
+                     "alm-bp/s0-p2": {"digest": "7" * 64, "prox_calls": 2505}}
+    assert compare(before, after, counts, counts, None, None, results_before, results_after) == [
+        "alm-bp/s0-p2: 4 → 4 outer steps, 2,508 → 2,505 prox calls",
+        "alm-mc/s0-p2-esub0.1: results equal, 1,247 → 747 prox calls",
+    ]
+    # a file written without results digests compares as before
+    assert compare(before, after, counts, counts, None, None, None, results_after) == [
+        "alm-bp/s0-p2: 4 → 4 outer steps",
+        "alm-mc/s0-p2-esub0.1: 500 → 500 outer steps",
+    ]
+
+
+def test_cell_digests_record_each_alm_results_digest_and_prox_total():
+    results = {}
+    digests, _ = cell_digests(["alm-bp"], seeds=[0], results=results)
+    assert sorted(results) == sorted(digests) == ["alm-bp/s0-p1", "alm-bp/s0-p2", "alm-bp/s0-p3"]
+    for name, record in results.items():
+        assert record["digest"] != digests[name]
+        assert isinstance(record["prox_calls"], int) and record["prox_calls"] > 0
+    ppa_results = {}
+    cell_digests(["ppa-skew"], seeds=[0], results=ppa_results)
+    assert ppa_results == {}

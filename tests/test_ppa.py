@@ -530,6 +530,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             PpaConfig(p=1.0, lambda_ppa=1.0, max_iters=10, step_tol=-1.0)
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0, np.float64(2.0), True, "3"])
+    def test_config_rejects_non_integer_cap(self, bad):
+        # a float cap would fail only later, inside range(), and True would run as 1
+        with pytest.raises(ValueError, match="^max_iters must be an integer"):
+            PpaConfig(p=2.0, lambda_ppa=1.0, max_iters=bad)
+
+    def test_config_accepts_numpy_integer_cap(self):
+        op, x0 = gen_vi_affine(6, 0)
+        trace = run_ppa(op, x0, PpaConfig(p=2.0, lambda_ppa=1.0, max_iters=np.int64(3)))
+        assert len(trace.step_norms) == 3
+
     @pytest.mark.parametrize("field", ["p", "lambda_ppa", "step_tol"])
     def test_config_rejects_nan(self, field):
         params = dict(p=2.0, lambda_ppa=1.0, max_iters=10, step_tol=0.0)

@@ -251,6 +251,22 @@ class TestMinimizeComposite:
             with pytest.raises(ValueError):
                 minimize_composite(oracle, zero_function(), np.zeros(2), 1e-6, 10, curvature_hint=hint)
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0, np.float64(2.0), True, "3"])
+    def test_non_integer_cap_rejected(self, bad):
+        # a float cap would fail only later, inside range(), and True would run as 1
+        oracle = PenaltyGradientOracle(np.eye(2), np.ones(2), np.zeros(2), 1.0, 1.0)
+        with pytest.raises(ValueError, match="^max_iters must be an integer"):
+            minimize_composite(oracle, zero_function(), np.zeros(2), 1e-6, bad)
+        assert minimize_composite(oracle, zero_function(), np.zeros(2), 1e-6, np.int64(10)).converged
+
+    def test_start_without_entry_test_takes_a_step(self):
+        # the start meets the tolerance, but without the entry test the solve
+        # only learns it after one step, and spends no entry prox
+        oracle = PenaltyGradientOracle(np.eye(2), np.zeros(2), np.zeros(2), 1.0, 2.0)
+        report = minimize_composite(oracle, zero_function(), np.zeros(2), 1e-8, 10, entry_test=False)
+        assert report.converged and report.iterations == 1
+        assert report.prox_calls == report.trials + report.iterations - report.certified
+
     def test_already_converged_start(self):
         oracle = PenaltyGradientOracle(np.eye(2), np.zeros(2), np.zeros(2), 1.0, 2.0)
         report = minimize_composite(oracle, zero_function(), np.zeros(2), 1e-8, 10, curvature_hint=12.0)
