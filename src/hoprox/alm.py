@@ -48,12 +48,12 @@ class AlmConfig:
     max_inner: int
 
     def __post_init__(self):
-        # the checks are written so that NaN fails them
-        if not self.p >= 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        # the checks are written so that NaN and infinities fail them
+        if not 1 <= self.p < np.inf:
+            raise ValueError(f"p must be finite and >= 1, got {self.p}")
         for name in ("beta", "eps", "eps_sub"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         check_cap("max_outer", self.max_outer)
         check_cap("max_inner", self.max_inner)
 

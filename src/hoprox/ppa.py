@@ -89,14 +89,14 @@ class PpaConfig:
     step_tol: float = 0.0
 
     def __post_init__(self):
-        # the checks are written so that NaN fails them
-        if not self.p >= 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
-        if not self.lambda_ppa > 0:
-            raise ValueError(f"lambda_ppa must be positive, got {self.lambda_ppa}")
+        # the checks are written so that NaN and infinities fail them
+        if not 1 <= self.p < math.inf:
+            raise ValueError(f"p must be finite and >= 1, got {self.p}")
+        if not 0 < self.lambda_ppa < math.inf:
+            raise ValueError(f"lambda_ppa must be positive and finite, got {self.lambda_ppa}")
         check_cap("max_iters", self.max_iters)
-        if not self.step_tol >= 0:
-            raise ValueError(f"step_tol must be nonnegative, got {self.step_tol}")
+        if not 0 <= self.step_tol < math.inf:
+            raise ValueError(f"step_tol must be nonnegative and finite, got {self.step_tol}")
 
 
 @dataclass

@@ -37,10 +37,10 @@ class PenaltyGradientOracle:
     """
 
     def __init__(self, a_map, b: np.ndarray, multiplier: np.ndarray, beta: float, p: float):
-        if not beta > 0:
-            raise ValueError(f"beta must be positive, got {beta}")
-        if not p >= 1:
-            raise ValueError(f"p must be >= 1, got {p}")
+        if not 0 < beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {beta}")
+        if not 1 <= p < math.inf:
+            raise ValueError(f"p must be finite and >= 1, got {p}")
         self.a_map = MatrixMap(a_map) if isinstance(a_map, np.ndarray) else a_map
         self.b = as_vector(b)
         self.multiplier = as_vector(multiplier)
@@ -234,8 +234,8 @@ def minimize_composite(
     ``z0`` or the report's arrays afterwards. ``f.prox`` must return a new
     array, since its output becomes the next iterate.
     """
-    if not eps_sub > 0:
-        raise ValueError(f"eps_sub must be positive, got {eps_sub}")
+    if not 0 < eps_sub < math.inf:
+        raise ValueError(f"eps_sub must be positive and finite, got {eps_sub}")
     check_cap("max_iters", max_iters)
     if not (math.isfinite(curvature_hint) and curvature_hint > 0):
         raise ValueError("curvature_hint must be positive and finite")

@@ -1,11 +1,14 @@
 """Acceptance suite: each numbered criterion at its stated tolerance.
 
 Every criterion test prints one `[PASS]`/`[FAIL]` line (run with ``pytest -s``
-to see them live). Expensive run batteries are shared through module-scoped
-fixtures; the runtime budgets are asserted on the batteries themselves. The
-last test pins the oracle counts that the subsolver reports on the batteries.
+to see them live). The four expensive run batteries are the benchmark's
+workloads: ``perfbench/grid.py`` builds, solves and checks their cells, and
+module-scoped fixtures share them; the runtime budgets are asserted on the
+batteries themselves. Every battery cell must pass ``grid.check``, and one
+table, ``BATTERY_COUNTS``, pins each battery's count totals.
 """
 
+import collections
 import time
 
 import numpy as np
@@ -13,11 +16,11 @@ import pytest
 
 from hoprox.alm import AlmConfig, run_alm
 from hoprox.bench import ExperimentConfig, RunManifest, run_sweep
-from hoprox.ppa import PpaConfig, affine_operator, run_ppa
-from hoprox.problems import bp_composite, gen_bp, gen_mc, gen_vi_affine, mc_composite
+from hoprox.problems import bp_composite, gen_bp
 from hoprox.prox import l1_norm
 from hoprox.subsolver import PenaltyGradientOracle, gradient_map, holder_constant, minimize_composite
 
+import grid
 from dual_oracle import dual_prox_oracle
 from spectral_norm import spectral_norm_estimate
 
@@ -35,73 +38,42 @@ def report(num, description, ok, detail=""):
 # ---------------------------------------------------------------- fixtures
 
 
+def solve_battery(workload):
+    """``perfbench/grid.py``'s cells of ``workload`` on its default seeds, solved and checked.
+
+    Returns the cells, their traces, each trace's ``grid.check`` outcome and
+    the seconds that building and solving took together.
+    """
+    start = time.perf_counter()
+    cells = grid.build(workload, grid.DEFAULT_SEEDS[workload])
+    traces = [grid.solve(cell) for cell in cells]
+    elapsed = time.perf_counter() - start
+    outcomes = [grid.check(cell, trace) for cell, trace in zip(cells, traces)]
+    return cells, traces, outcomes, elapsed
+
+
 @pytest.fixture(scope="module")
 def ppa_battery():
-    """10 random affine PSD instances (n=20), p in {1,2,3}, 200 iterations."""
-    start = time.perf_counter()
-    runs = []
-    for seed in range(10):
-        op, x0 = gen_vi_affine(20, seed)
-        for p in P_ORDERS:
-            cfg = PpaConfig(p=p, lambda_ppa=1.0, max_iters=200, step_tol=0.0)
-            runs.append((op, x0, cfg, run_ppa(op, x0, cfg)))
-    elapsed = time.perf_counter() - start
-    return runs, elapsed
+    """ppa-sym: 10 random affine PSD instances (n=20), p in {1,2,3}, 200 iterations."""
+    return solve_battery("ppa-sym")
 
 
 @pytest.fixture(scope="module")
 def skew_battery():
-    """The ppa-skew benchmark grid: M = QᵀQ + (S − Sᵀ), seeds 0..4, p in {1,2,3}, 200 iterations."""
-    runs = []
-    for seed in range(5):
-        # bracketed as perfbench/grid.py's skew_vi builds it, so that M rounds the same
-        rng = np.random.default_rng(seed)
-        q = rng.standard_normal((20, 20))
-        s = rng.standard_normal((20, 20))
-        mat = q.T @ q + (s - s.T)
-        solution = rng.standard_normal(20)
-        x0 = rng.standard_normal(20)
-        op = affine_operator(mat, -mat @ solution, known_solution=solution)
-        for p in P_ORDERS:
-            runs.append(run_ppa(op, x0, PpaConfig(p=p, lambda_ppa=1.0, max_iters=200)))
-    return runs
+    """ppa-skew: M = QᵀQ + (S − Sᵀ), seeds 0..4, p in {1,2,3}, 200 iterations."""
+    return solve_battery("ppa-skew")
 
 
 @pytest.fixture(scope="module")
 def bp_battery():
-    """Full-scale BP runs: seeds 0..4, p in {1,2,3}, beta=2, eps_sub=0.1."""
-    start = time.perf_counter()
-    outer_counts = {p: [] for p in P_ORDERS}
-    traces = []
-    for seed in range(5):
-        inst = gen_bp(100, 500, 0.2, seed)
-        prob = bp_composite(inst)
-        for p in P_ORDERS:
-            cfg = AlmConfig(p=p, beta=2.0, eps=1e-3, eps_sub=0.1, max_outer=500, max_inner=50_000)
-            trace = run_alm(prob, np.zeros(500), np.zeros(100), cfg)
-            outer_counts[p].append(trace.outer_iterations if trace.converged else cfg.max_outer)
-            traces.append((prob, cfg, trace))
-    elapsed = time.perf_counter() - start
-    return outer_counts, traces, elapsed
+    """alm-bp: full-scale BP runs, seeds 0..4, p in {1,2,3}, beta=2, eps_sub=0.1."""
+    return solve_battery("alm-bp")
 
 
 @pytest.fixture(scope="module")
 def mc_battery():
-    """MC runs: seeds 0..2, p in {1,2}, beta=5, eps_sub in {0.1, 0.01}."""
-    start = time.perf_counter()
-    outer_counts = {1.0: [], 2.0: []}
-    traces = []
-    for seed in range(3):
-        inst = gen_mc(50, 50, 0.1, seed)
-        prob = mc_composite(inst)
-        for eps_sub in (0.1, 0.01):
-            for p in (1.0, 2.0):
-                cfg = AlmConfig(p=p, beta=5.0, eps=1e-3, eps_sub=eps_sub, max_outer=500, max_inner=50_000)
-                trace = run_alm(prob, np.zeros(2500), np.zeros(250), cfg)
-                outer_counts[p].append(trace.outer_iterations if trace.converged else cfg.max_outer)
-                traces.append((prob, cfg, trace))
-    elapsed = time.perf_counter() - start
-    return outer_counts, traces, elapsed
+    """alm-mc: MC runs, seeds 0..2, p in {1,2}, beta=5, eps_sub in {0.1, 0.01}."""
+    return solve_battery("alm-mc")
 
 
 @pytest.fixture(scope="module")
@@ -121,9 +93,9 @@ def small_alm_battery():
 
 
 def test_criterion_1_fejer_contraction(ppa_battery):
-    runs, elapsed = ppa_battery
+    _, traces, _, elapsed = ppa_battery
     worst = -np.inf
-    for _, _, _, trace in runs:
+    for trace in traces:
         dist = np.array(trace.distances_to_solution)
         steps = np.array(trace.step_norms)
         worst = max(worst, float(np.max(dist[1:] ** 2 + steps ** 2 - dist[:-1] ** 2)))
@@ -136,10 +108,10 @@ def test_criterion_1_fejer_contraction(ppa_battery):
 
 
 def test_criterion_2_step_monotonicity_and_rate(ppa_battery):
-    runs, _ = ppa_battery
+    _, traces, _, _ = ppa_battery
     worst_mono = -np.inf
     worst_rate = -np.inf
-    for _, _, _, trace in runs:
+    for trace in traces:
         steps = np.array(trace.step_norms)
         d0 = trace.distances_to_solution[0]
         k = np.arange(len(steps))
@@ -154,10 +126,11 @@ def test_criterion_2_step_monotonicity_and_rate(ppa_battery):
 
 
 def test_criterion_3_residual_rate_and_identity(ppa_battery):
-    runs, _ = ppa_battery
+    cells, traces, _, _ = ppa_battery
     worst_rate = -np.inf
     worst_identity = -np.inf
-    for op, x0, cfg, trace in runs:
+    for cell, trace in zip(cells, traces):
+        op, x0, cfg = cell.problem, cell.x0, cell.cfg
         steps = np.array(trace.step_norms)
         resid = np.array(trace.residual_norms)
         d0 = trace.distances_to_solution[0]
@@ -204,12 +177,15 @@ def test_criterion_4_holder_bound():
 
 
 def test_criterion_5_structural_identities(bp_battery, mc_battery, small_alm_battery):
-    _, bp_traces, _ = bp_battery
-    _, mc_traces, _ = mc_battery
+    runs = [
+        (cell.problem, cell.cfg, trace)
+        for cells, traces, _, _ in (bp_battery, mc_battery)
+        for cell, trace in zip(cells, traces)
+    ]
     worst_update = -np.inf
     worst_norm = -np.inf
     checked = 0
-    for prob, cfg, trace in bp_traces + mc_traces + small_alm_battery:
+    for prob, cfg, trace in runs + small_alm_battery:
         beta, p = cfg.beta, cfg.p
         for k, rec in enumerate(trace.records):
             z = prob.a_map.apply(trace.iterates[k + 1]) - prob.b
@@ -255,9 +231,14 @@ def test_criterion_6_dual_prox_equivalence():
     )
 
 
+def censored_median(cells, outcomes, p):
+    """Median outer-iteration count of the order-``p`` cells, a non-converged one counted at ``max_outer``."""
+    return float(np.median([outcome.outer_iters for cell, outcome in zip(cells, outcomes) if cell.cfg.p == p]))
+
+
 def test_criterion_7_bp_ordering(bp_battery):
-    outer_counts, _, elapsed = bp_battery
-    med = {p: float(np.median(outer_counts[p])) for p in P_ORDERS}
+    cells, _, outcomes, elapsed = bp_battery
+    med = {p: censored_median(cells, outcomes, p) for p in P_ORDERS}
     ok = med[2.0] < med[1.0] and med[3.0] < med[1.0] and elapsed < 600.0
     report(
         7,
@@ -268,9 +249,9 @@ def test_criterion_7_bp_ordering(bp_battery):
 
 
 def test_criterion_8_mc_ordering(mc_battery):
-    outer_counts, _, elapsed = mc_battery
-    med1 = float(np.median(outer_counts[1.0]))
-    med2 = float(np.median(outer_counts[2.0]))
+    cells, _, outcomes, elapsed = mc_battery
+    med1 = censored_median(cells, outcomes, 1.0)
+    med2 = censored_median(cells, outcomes, 2.0)
     report(
         8,
         "MC: order 2 needs fewer outer iterations to r <= 1e-3 than order 1",
@@ -354,53 +335,62 @@ def test_criterion_10_reproducibility(tmp_path):
     report(10, "rerunning a manifest reproduces every CSV byte-for-byte", ok)
 
 
-def test_ppa_battery_step_and_evaluation_totals(ppa_battery):
-    # The PPA battery is the ppa-sym benchmark grid. Runs stop at the zero
-    # step once F(x_k) is inside the rounding bound of M x_k + q; before
-    # that stop they took 4,259 steps and 7,898 secular evaluations. The
-    # rational-model root search takes 3,944 evaluations where Newton on
-    # g took 4,711, over the same steps.
-    runs, _ = ppa_battery
-    steps = sum(len(trace.step_norms) for _, _, _, trace in runs)
-    evaluations = sum(sum(trace.inner_solves) for _, _, _, trace in runs)
-    assert (steps, evaluations) == (2_673, 3_944)
+# Each battery's totals under grid.FINGERPRINT's count names: grid.check's
+# counts summed over the cells, the prox calls the x-update reports count
+# (ALM only), and the number of converged cells. CHANGES.md tells what moved
+# each of them.
+BATTERY_COUNTS = {
+    "ppa-sym": {"ppa.steps": 2_673, "ppa.shifted_solves": 3_944, "converged": 19},
+    "ppa-skew": {"ppa.steps": 226, "ppa.shifted_solves": 392, "converged": 15},
+    "alm-bp": {
+        "alm.outer_iters": 652, "alm.low_inner_outer": 434, "subsolver.inner_iters": 13_097,
+        "subsolver.x_updates": 652, "prox.calls": 39_501, "converged": 15,
+    },
+    "alm-mc": {
+        "alm.outer_iters": 3_049, "alm.low_inner_outer": 2_969, "subsolver.inner_iters": 3_604,
+        "subsolver.x_updates": 3_049, "prox.calls": 7_783, "converged": 6,
+    },
+}
+BATTERIES = {"ppa-sym": "ppa_battery", "ppa-skew": "skew_battery", "alm-bp": "bp_battery", "alm-mc": "mc_battery"}
 
 
-def test_skew_battery_step_and_evaluation_totals(skew_battery):
-    # The nonsymmetric step path: x_next comes from the root search's kept
-    # inverse, refined once. A change to that path, or to the root search,
-    # moves these totals (Newton on g took 430 evaluations).
-    steps = sum(len(trace.step_norms) for trace in skew_battery)
-    evaluations = sum(sum(trace.inner_solves) for trace in skew_battery)
-    converged = sum(trace.residual_norms[-1] <= 1e-8 for trace in skew_battery)
-    assert (steps, evaluations, converged) == (226, 392, 15)
+@pytest.mark.parametrize("workload", grid.WORKLOADS)
+def test_battery_cells_pass_grid_check(workload, request):
+    cells, _, outcomes, _ = request.getfixturevalue(BATTERIES[workload])
+    failed = [f"{cell.name}: {outcome.failed}" for cell, outcome in zip(cells, outcomes) if outcome.failed]
+    assert not failed, f"{workload}: " + "; ".join(failed)
 
 
-def test_battery_prox_call_totals(bp_battery, mc_battery):
-    # The BP and MC batteries are the alm-bp and alm-mc benchmark grids, and
-    # these totals are the prox calls the benchmark's tracer counts on them:
-    # the reports' own counts must agree with it. The inner-iteration totals
-    # pin the stops: the entry certificate skips 1,032 of MC's entry proxes
-    # and moves none of them, and neither does skipping the entry test at
-    # p > 1 (39,529 and 9,297 prox calls with it).
-    _, bp_traces, _ = bp_battery
-    _, mc_traces, _ = mc_battery
-
-    def total(traces, name):
-        return sum(getattr(rep, name) for _, _, trace in traces for rep in trace.reports)
-
-    assert (total(bp_traces, "prox_calls"), total(mc_traces, "prox_calls")) == (39_501, 7_783)
-    assert (total(bp_traces, "iterations"), total(mc_traces, "iterations")) == (13_097, 3_604)
+@pytest.mark.parametrize("workload", grid.WORKLOADS)
+def test_battery_counts(workload, request):
+    # a workload added to the grid fails here until its counts are pinned
+    assert BATTERY_COUNTS.keys() == set(grid.WORKLOADS)
+    cells, traces, outcomes, _ = request.getfixturevalue(BATTERIES[workload])
+    counted = collections.Counter()
+    for outcome in outcomes:
+        counted.update(outcome.counts)
+    if cells[0].kind == "alm":
+        counted["prox.calls"] = sum(rep.prox_calls for trace in traces for rep in trace.reports)
+    counted["converged"] = sum(outcome.converged for outcome in outcomes)
+    pinned = BATTERY_COUNTS[workload]
+    wrong = [
+        f"{workload} {name}: pinned {pinned.get(name)}, counted {counted.get(name)}"
+        for name in sorted(pinned.keys() | counted.keys())
+        if pinned.get(name) != counted.get(name)
+    ]
+    assert not wrong, "; ".join(wrong)
 
 
 def test_battery_count_identity(bp_battery, mc_battery):
     # every trial calls the prox once, and so does every stopping test that
     # does not certify, the entry's included; run_alm runs the entry test at
     # p = 1 only, so a p > 1 x-update always takes a step
-    _, bp_traces, _ = bp_battery
-    _, mc_traces, _ = mc_battery
-    reports = [(cfg.p == 1, rep) for _, cfg, trace in bp_traces + mc_traces for rep in trace.reports]
-    assert len(reports) == 652 + 3_049
+    reports = [
+        (cell.cfg.p == 1, rep)
+        for cells, traces, _, _ in (bp_battery, mc_battery)
+        for cell, trace in zip(cells, traces)
+        for rep in trace.reports
+    ]
     for entry_test, rep in reports:
         assert rep.prox_calls == rep.trials + entry_test + rep.iterations - rep.certified
         assert entry_test or rep.iterations >= 1

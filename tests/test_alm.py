@@ -449,8 +449,9 @@ class TestValidation:
 
     @pytest.mark.parametrize("field", ["p", "beta", "eps", "eps_sub"])
     def test_config_rejects_nan(self, field):
-        with pytest.raises(ValueError, match=f"^{field} must"):
-            base_config(**{field: float("nan")})
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"^{field} must"):
+                base_config(**{field: bad})
 
     def test_adjoint_consistency_probe(self):
         inst = gen_bp(6, 15, 0.3, 4)

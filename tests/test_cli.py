@@ -99,6 +99,12 @@ class TestResolveConfig:
             (["bp", "--beta", "2", "nan"], "beta"),
             (["mc", "--eps-sub", "nan"], "eps_sub"),
             (["mc", "--p", "1", "nan"], "p"),
+            (["vi", "--lam", "inf"], "lambda_ppa"),
+            (["vi", "--p", "inf"], "p"),
+            (["vi", "--eps", "inf"], "step_tol"),
+            (["bp", "--beta", "inf"], "beta"),
+            (["bp", "--eps-sub", "inf"], "eps_sub"),
+            (["mc", "--eps=-inf"], "eps"),
         ],
     )
     def test_bad_solver_value_is_usage_error(self, argv, field, tmp_path, capsys):

@@ -457,16 +457,13 @@ class TestRunPpa:
             mat = q.T @ q + (s - s.T)
             solution = rng.standard_normal(20)
             x0 = rng.standard_normal(20)
-            offset = -mat @ solution
-            trace = run_ppa(affine_operator(mat, offset), x0, PpaConfig(p=p, lambda_ppa=1.0, max_iters=200))
+            op = affine_operator(mat, -mat @ solution, known_solution=solution)
+            cfg = PpaConfig(p=p, lambda_ppa=1.0, max_iters=200)
+            trace = run_ppa(op, x0, cfg)
             # a search whose bracket shrinks to adjacent doubles ends there,
             # not on the evaluation cap
             assert max(trace.inner_solves) < _MAX_EVALUATIONS
-            steps = np.array(trace.step_norms) ** p
-            resid = np.array(trace.residual_norms)
-            # the bound of perfbench/grid.py's criterion 3 check
-            scale = np.linalg.norm(mat) * (np.linalg.norm(x0) + np.linalg.norm(solution)) + np.linalg.norm(offset)
-            assert np.all(np.abs(resid - steps) <= 1e-8 * np.maximum(resid, steps) + 1e-12 * scale)
+            assert_step_identity(op, x0, trace, cfg)
 
     def test_deterministic_bitwise(self):
         op, x0 = gen_vi_affine(10, 6)
@@ -544,8 +541,9 @@ class TestValidation:
     @pytest.mark.parametrize("field", ["p", "lambda_ppa", "step_tol"])
     def test_config_rejects_nan(self, field):
         params = dict(p=2.0, lambda_ppa=1.0, max_iters=10, step_tol=0.0)
-        with pytest.raises(ValueError, match=f"^{field} must"):
-            PpaConfig(**{**params, field: float("nan")})
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"^{field} must"):
+                PpaConfig(**{**params, field: bad})
 
     def test_affine_operator_monotonicity_check(self):
         with pytest.raises(ValueError, match="monotone"):

@@ -103,7 +103,10 @@ class TestPenaltyGradient:
         with pytest.raises(ValueError):
             PenaltyGradientOracle(np.eye(3), np.ones(3), np.ones(2), 1.0, 1.0)
 
-    @pytest.mark.parametrize("beta,p", [(np.nan, 1.0), (0.0, 1.0), (1.0, np.nan), (1.0, 0.5)])
+    @pytest.mark.parametrize(
+        "beta,p",
+        [(np.nan, 1.0), (0.0, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (1.0, np.nan), (1.0, 0.5), (1.0, np.inf), (1.0, -np.inf)],
+    )
     def test_bad_beta_or_p_rejected(self, beta, p):
         with pytest.raises(ValueError, match="^(beta|p) must"):
             PenaltyGradientOracle(np.eye(2), np.ones(2), np.ones(2), beta, p)
@@ -242,7 +245,7 @@ class TestMinimizeComposite:
 
     def test_invalid_arguments(self):
         oracle = PenaltyGradientOracle(np.eye(2), np.ones(2), np.zeros(2), 1.0, 1.0)
-        for eps_sub in (0.0, np.nan):
+        for eps_sub in (0.0, np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="eps_sub"):
                 minimize_composite(oracle, zero_function(), np.zeros(2), eps_sub, 10)
         with pytest.raises(ValueError):
