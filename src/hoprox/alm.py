@@ -13,7 +13,6 @@ makes the dual optimality condition hold by construction (up to subsolver
 accuracy), so the primal residual ||Ax - b|| is the stopping quantity.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,25 +59,25 @@ class AlmConfig:
 
 @dataclass
 class OuterRecord:
-    """One outer iteration's CSV-visible quantities, bar the objective.
+    """What one outer step measures: ||Ax - b||, the multiplier step norm and the inner iterations.
 
-    The objective f(x) at the iterate is not recorded: ``bench.write_csv``
+    The residual is that of the step's new iterate. The step's number is
+    the record's index in ``AlmTrace.records``, and ``bench.write_csv``
+    derives the running sum of inner iterations from the records. The
+    objective f(x) at the iterate is not recorded: ``bench.write_csv``
     evaluates it from ``AlmTrace.iterates`` when it writes the CSV.
     """
 
-    iteration: int
     primal_residual: float
     multiplier_step_norm: float
     inner_iterations: int
-    cumulative_inner: int
-    wall_ms: float
 
 
 @dataclass
 class AlmTrace:
     """Full record of an ALM run.
 
-    ``records`` holds the serializable per-iteration rows; ``iterates``,
+    ``records`` holds one ``OuterRecord`` per outer step; ``iterates``,
     ``multipliers`` and ``reports`` keep the in-memory history for
     invariant checks. Of these only the objective f(``iterates[k + 1]``)
     of record k is serialized, by ``bench.write_csv``.
@@ -155,12 +154,10 @@ def run_alm(
         trace.status = "converged"
         return trace
 
-    cumulative_inner = 0
     curvature_hint = 1.0
     subgradient = None
     entry_test = cfg.p == 1
-    for k in range(cfg.max_outer):
-        t0 = time.perf_counter()
+    for _ in range(cfg.max_outer):
         oracle = PenaltyGradientOracle(prob.a_map, prob.b, multiplier, cfg.beta, cfg.p)
         report = minimize_composite(
             oracle, prob.f, x, cfg.eps_sub, cfg.max_inner, curvature_hint, z, subgradient, entry_test
@@ -173,21 +170,11 @@ def run_alm(
             trace.status = "subsolver_stalled"
             return trace
         x, z, new_multiplier = report.solution, report.residual, report.multiplier
-        elapsed_ms = (time.perf_counter() - t0) * 1e3
 
         residual_norm = float(np.linalg.norm(z))
-        cumulative_inner += report.iterations
         curvature_hint = report.first_L_accepted
-        trace.records.append(
-            OuterRecord(
-                iteration=k,
-                primal_residual=residual_norm,
-                multiplier_step_norm=float(np.linalg.norm(new_multiplier - multiplier)),
-                inner_iterations=report.iterations,
-                cumulative_inner=cumulative_inner,
-                wall_ms=elapsed_ms,
-            )
-        )
+        step_norm = float(np.linalg.norm(new_multiplier - multiplier))
+        trace.records.append(OuterRecord(residual_norm, step_norm, report.iterations))
         trace.iterates.append(x)
         trace.multipliers.append(new_multiplier)
         multiplier = new_multiplier

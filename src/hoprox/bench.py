@@ -1,15 +1,15 @@
 """Experiment sweeps: run solvers over a parameter grid and persist traces.
 
 Each sweep cell (seed, p, beta, eps_sub) produces one CSV with the fixed
-header ``iter,r_k,dual_step_norm,inner_iters,cum_inner,objective,wall_ms``.
+header ``iter,r_k,dual_step_norm,inner_iters,cum_inner,objective``.
 A JSON manifest written after all cells records the resolved config, the
 RNG algorithm, per-run artifact paths, each run's status (for VI runs
 ``converged`` when the last step was within ``eps``, else ``max_outer``)
 and final residual and, for ALM runs, the cell's total
 inner iterations, prox calls, curvature trials and certified stops, and
 suffices to regenerate every CSV byte-for-byte. Wall-clock timing is
-inherently non-reproducible, so persisted CSVs carry a zeroed wall_ms
-column; measured timings live in the trace and the manifest's metadata.
+inherently non-reproducible, so the CSVs carry none; each cell's measured
+time lives in the manifest.
 """
 
 import itertools
@@ -27,7 +27,7 @@ from .alm import AlmConfig, AlmTrace, OuterRecord, run_alm
 from .ppa import PpaConfig, PpaTrace, run_ppa
 from .problems import bp_composite, dump_instance, gen_bp, gen_mc, gen_vi_affine, mc_composite
 
-CSV_HEADER = "iter,r_k,dual_step_norm,inner_iters,cum_inner,objective,wall_ms"
+CSV_HEADER = "iter,r_k,dual_step_norm,inner_iters,cum_inner,objective"
 RNG_ALGORITHM = "numpy default_rng / PCG64"
 
 KINDS = ("bp", "mc", "vi-affine")
@@ -110,65 +110,57 @@ def _fmt(value: float) -> str:
 
 
 def write_csv(trace, path, f=None) -> None:
-    """Serialize a solver trace with 17-significant-digit decimals and every wall_ms written as 0.
+    """Serialize a solver trace, one row per step, with 17-significant-digit decimals.
 
-    An ``AlmTrace`` needs ``f``, the objective of the problem it solved: row
-    k's objective is ``f.value(trace.iterates[k + 1])``. An x-update with no
-    inner iteration leaves the iterate the same array, so its row reuses
-    the previous row's value rather than evaluate f (an SVD for matrix
-    completion) again at the same point. A ``PpaTrace`` has no objective;
-    its column is written as 0.
+    Each row is ``(r_k, step, inner, objective)`` from the trace, preceded
+    by its index ``iter`` and followed by ``cum_inner``, the running sum of
+    ``inner``. An ``AlmTrace`` needs ``f``, the objective of the problem it
+    solved: row k's objective is ``f.value(trace.iterates[k + 1])``. An
+    x-update with no inner iteration leaves the iterate the same array, so
+    its row reuses the previous row's value rather than evaluate f (an SVD
+    for matrix completion) again at the same point. A ``PpaTrace`` has no
+    objective; its column is written as 0.
     """
-    rows = []
     if isinstance(trace, AlmTrace):
         if f is None:
             raise TypeError("writing an AlmTrace needs the objective f of its problem")
+        rows = []
         objective = previous = None
         for rec, x in zip(trace.records, trace.iterates[1:]):
             if x is not previous:
                 objective, previous = float(f.value(x)), x
-            rows.append(
-                f"{rec.iteration},{_fmt(rec.primal_residual)},{_fmt(rec.multiplier_step_norm)},"
-                f"{rec.inner_iterations},{rec.cumulative_inner},{_fmt(objective)},0"
-            )
+            rows.append((rec.primal_residual, rec.multiplier_step_norm, rec.inner_iterations, objective))
     elif isinstance(trace, PpaTrace):
-        # VI runs have no objective function; that column is written as 0
-        cum = 0
-        for k, (step, resid, solves) in enumerate(zip(trace.step_norms, trace.residual_norms, trace.inner_solves)):
-            cum += solves
-            rows.append(f"{k},{_fmt(resid)},{_fmt(step)},{solves},{cum},{_fmt(0.0)},0")
+        rows = [(resid, step, solves, 0.0)
+                for resid, step, solves in zip(trace.residual_norms, trace.step_norms, trace.inner_solves)]
     else:
         raise TypeError(f"cannot serialize {type(trace).__name__}")
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+        cum_inner = 0
+        for k, (r_k, step, inner, objective) in enumerate(rows):
+            cum_inner += inner
+            fh.write(f"{k},{_fmt(r_k)},{_fmt(step)},{inner},{cum_inner},{_fmt(objective)}\n")
 
 
 def read_csv(path) -> tuple[list, list]:
     """Parse a trace CSV back into ``(records, objectives)``.
 
     ``records`` holds one ``OuterRecord`` per row and ``objectives`` the
-    row's objective column as a float, in the same order.
+    row's objective column as a float, in the same order. The derived
+    ``iter`` and ``cum_inner`` columns are not read.
     """
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
+    if not lines:
+        raise ValueError(f"{path} is empty; expected the CSV header {CSV_HEADER!r}")
     if lines[0] != CSV_HEADER:
         raise ValueError(f"unexpected CSV header: {lines[0]!r}")
     records, objectives = [], []
     for line in lines[1:]:
-        it, r_k, step, inner, cum, obj, wall = line.split(",")
-        records.append(
-            OuterRecord(
-                iteration=int(it),
-                primal_residual=float(r_k),
-                multiplier_step_norm=float(step),
-                inner_iterations=int(inner),
-                cumulative_inner=int(cum),
-                wall_ms=float(wall),
-            )
-        )
-        objectives.append(float(obj))
+        _, r_k, step, inner, _, objective = line.split(",")
+        records.append(OuterRecord(float(r_k), float(step), int(inner)))
+        objectives.append(float(objective))
     return records, objectives
 
 
@@ -307,16 +299,16 @@ def _text(x, y, s, anchor="start") -> str:
 def _panel(title, curves) -> list:
     """SVG elements of one panel at the origin; ``curves`` holds (label, records) pairs."""
     w, h = _PANEL_W - _LEFT - _RIGHT, _PANEL_H - _TOP - _BOTTOM
-    # runs of (iteration, log10 r_k): a line breaks where r_k is <= 0 or not finite, and a lone point is not drawn
+    # runs of (row index, log10 r_k): a line breaks where r_k is <= 0 or not finite, and a lone point is not drawn
     lines = []
     for _, records in curves:
-        points = [(rec.iteration, rec.primal_residual) for rec in records]
+        points = [(k, rec.primal_residual) for k, rec in enumerate(records)]
         runs = itertools.groupby(points, key=lambda pt: math.isfinite(pt[1]) and pt[1] > 0)
         lines.append([[(k, math.log10(r)) for k, r in run] for shown, run in runs if shown])
     logs = [log_r for segments in lines for segment in segments for _, log_r in segment]
     lo, hi = (math.floor(min(logs)), math.ceil(max(logs))) if logs else (0, 1)
     hi = max(hi, lo + 1)
-    xmax = max([rec.iteration for _, records in curves for rec in records] + [1])
+    xmax = max([len(records) - 1 for _, records in curves] + [1])
 
     def to_y(log_r):
         return _TOP + (hi - log_r) / (hi - lo) * (h - 1)

@@ -3,11 +3,12 @@
 A cell's digest covers:
 - PPA: the iterate bytes; the step, residual and distance lists as float
   hex; and ``inner_solves``.
-- ALM: the status; the records without ``wall_ms``, with floats as hex,
-  each with the objective f(``iterates[k + 1]``) that the CSV writes; the
-  iterate and multiplier bytes; and, per report, ``iterations``,
-  ``first_L_accepted``, ``prox_calls``, ``trials``, ``certified``,
-  ``converged`` and ``final_grad_map_norm``.
+- ALM: the status; each record with its index k and the running sum of
+  inner iterations, floats as hex, and with the objective
+  f(``iterates[k + 1]``) that the CSV writes; the iterate and multiplier
+  bytes; and, per report, ``iterations``, ``first_L_accepted``,
+  ``prox_calls``, ``trials``, ``certified``, ``converged`` and
+  ``final_grad_map_norm``.
 
 The file also records each cell's step count (PPA) or outer-step count
 (ALM), and each PPA cell's evaluation total (the sum of ``inner_solves``),
@@ -93,8 +94,10 @@ def digest(kind: str, trace, f=None, prox_calls=True) -> str:
         _update(h, trace.inner_solves)
     else:
         _update(h, trace.status, len(trace.records))
-        for rec, x in zip(trace.records, trace.iterates[1:]):
-            _update(h, rec.iteration, rec.inner_iterations, rec.cumulative_inner)
+        cumulative_inner = 0
+        for k, (rec, x) in enumerate(zip(trace.records, trace.iterates[1:])):
+            cumulative_inner += rec.inner_iterations
+            _update(h, k, rec.inner_iterations, cumulative_inner)
             _update(h, _hex([rec.primal_residual, rec.multiplier_step_norm, f.value(x)]))
         _arrays(h, trace.iterates)
         _arrays(h, trace.multipliers)

@@ -1,7 +1,7 @@
 """Acceptance suite: each numbered criterion at its stated tolerance.
 
-Every criterion test prints one `[PASS]`/`[FAIL]` line (run with ``pytest -s``
-to see them live). The four expensive run batteries are the benchmark's
+Every criterion test prints one `[PASS]`/`[FAIL]` line, and criteria 1–3 one
+per PPA battery (run with ``pytest -s`` to see them live). The four expensive run batteries are the benchmark's
 workloads: ``perfbench/grid.py`` builds, solves and checks their cells, and
 module-scoped fixtures share them; the runtime budgets are asserted on the
 batteries themselves. Every battery cell must pass ``grid.check``, and one
@@ -22,6 +22,7 @@ from hoprox.subsolver import PenaltyGradientOracle, gradient_map, holder_constan
 
 import grid
 from dual_oracle import dual_prox_oracle
+from ppa_bounds import worst_bound_values
 from spectral_norm import spectral_norm_estimate
 
 P_ORDERS = (1.0, 2.0, 3.0)
@@ -92,64 +93,54 @@ def small_alm_battery():
 # ---------------------------------------------------------------- criteria
 
 
-def test_criterion_1_fejer_contraction(ppa_battery):
-    _, traces, _, elapsed = ppa_battery
-    worst = -np.inf
-    for trace in traces:
-        dist = np.array(trace.distances_to_solution)
-        steps = np.array(trace.step_norms)
-        worst = max(worst, float(np.max(dist[1:] ** 2 + steps ** 2 - dist[:-1] ** 2)))
-    report(
-        1,
-        "Fejér contraction holds at every step of 30 PPA runs",
-        worst <= 1e-9 and elapsed < 10.0,
-        f"worst violation {worst:.2e}, battery {elapsed:.1f}s",
-    )
+def ppa_batteries(ppa_battery, skew_battery):
+    """Each PPA battery as (workload, cells, traces, seconds, worst value of each criterion 1–3 bound)."""
+    for workload, (cells, traces, _, elapsed) in (("ppa-sym", ppa_battery), ("ppa-skew", skew_battery)):
+        worst = worst_bound_values((trace, cell.cfg.p) for cell, trace in zip(cells, traces))
+        yield workload, cells, traces, elapsed, worst
 
 
-def test_criterion_2_step_monotonicity_and_rate(ppa_battery):
-    _, traces, _, _ = ppa_battery
-    worst_mono = -np.inf
-    worst_rate = -np.inf
-    for trace in traces:
-        steps = np.array(trace.step_norms)
-        d0 = trace.distances_to_solution[0]
-        k = np.arange(len(steps))
-        worst_mono = max(worst_mono, float(np.max(np.diff(steps))))
-        worst_rate = max(worst_rate, float(np.max(steps ** 2 - d0 ** 2 / (k + 1))))
-    report(
-        2,
-        "step norms nonincreasing and step^2 <= dist0^2/(k+1)",
-        worst_mono <= 1e-9 and worst_rate <= 1e-9,
-        f"monotonicity {worst_mono:.2e}, rate {worst_rate:.2e}",
-    )
-
-
-def test_criterion_3_residual_rate_and_identity(ppa_battery):
-    cells, traces, _, _ = ppa_battery
-    worst_rate = -np.inf
-    worst_identity = -np.inf
-    for cell, trace in zip(cells, traces):
-        op, x0, cfg = cell.problem, cell.x0, cell.cfg
-        steps = np.array(trace.step_norms)
-        resid = np.array(trace.residual_norms)
-        d0 = trace.distances_to_solution[0]
-        k = np.arange(len(steps))
-        worst_rate = max(worst_rate, float(np.max(resid - d0 ** cfg.p / (k + 1) ** (cfg.p / 2.0))))
-        # identity floor: cancellation noise of evaluating F near the solution
-        mat, offset = op.affine_parts
-        scale = cfg.lambda_ppa * (
-            np.linalg.norm(mat) * (np.linalg.norm(x0) + np.linalg.norm(op.known_solution))
-            + np.linalg.norm(offset)
+def test_criterion_1_fejer_contraction(ppa_battery, skew_battery):
+    for workload, _, traces, elapsed, worst in ppa_batteries(ppa_battery, skew_battery):
+        report(
+            1,
+            f"Fejér contraction holds at every step of {len(traces)} {workload} runs",
+            worst["fejer"] <= 1e-9 and elapsed < 10.0,
+            f"worst violation {worst['fejer']:.2e}, battery {elapsed:.1f}s",
         )
-        gap = np.abs(resid - steps ** cfg.p) - 1e-8 * np.maximum(resid, steps ** cfg.p)
-        worst_identity = max(worst_identity, float(np.max(gap - 1e-12 * scale)))
-    report(
-        3,
-        "lam*||F|| rate bound and identity lam*||F|| = step^p",
-        worst_rate <= 1e-9 and worst_identity <= 0.0,
-        f"rate {worst_rate:.2e}, identity slack {worst_identity:.2e}",
-    )
+
+
+def test_criterion_2_step_monotonicity_and_rate(ppa_battery, skew_battery):
+    for workload, _, _, _, worst in ppa_batteries(ppa_battery, skew_battery):
+        report(
+            2,
+            f"{workload} step norms nonincreasing and step^2 <= dist0^2/(k+1)",
+            worst["monotonicity"] <= 1e-9 and worst["step_rate"] <= 1e-9,
+            f"monotonicity {worst['monotonicity']:.2e}, rate {worst['step_rate']:.2e}",
+        )
+
+
+def test_criterion_3_residual_rate_and_identity(ppa_battery, skew_battery):
+    for workload, cells, traces, _, worst in ppa_batteries(ppa_battery, skew_battery):
+        worst_identity = -np.inf
+        for cell, trace in zip(cells, traces):
+            op, x0, cfg = cell.problem, cell.x0, cell.cfg
+            steps = np.array(trace.step_norms)
+            resid = np.array(trace.residual_norms)
+            # identity floor: cancellation noise of evaluating F near the solution
+            mat, offset = op.affine_parts
+            scale = cfg.lambda_ppa * (
+                np.linalg.norm(mat) * (np.linalg.norm(x0) + np.linalg.norm(op.known_solution))
+                + np.linalg.norm(offset)
+            )
+            gap = np.abs(resid - steps ** cfg.p) - 1e-8 * np.maximum(resid, steps ** cfg.p)
+            worst_identity = max(worst_identity, float(np.max(gap - 1e-12 * scale)))
+        report(
+            3,
+            f"{workload} lam*||F|| rate bound and identity lam*||F|| = step^p",
+            worst["residual_rate"] <= 1e-9 and worst_identity <= 0.0,
+            f"rate {worst['residual_rate']:.2e}, identity slack {worst_identity:.2e}",
+        )
 
 
 def test_criterion_4_holder_bound():

