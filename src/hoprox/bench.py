@@ -151,16 +151,20 @@ def read_csv(path) -> tuple[list, list]:
     ``iter`` and ``cum_inner`` columns are not read.
     """
     with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+        lines = [(number, line.rstrip("\n")) for number, line in enumerate(fh, 1) if line.strip()]
     if not lines:
         raise ValueError(f"{path} is empty; expected the CSV header {CSV_HEADER!r}")
-    if lines[0] != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header: {lines[0]!r}")
+    (_, header), *rows = lines
+    if header != CSV_HEADER:
+        raise ValueError(f"unexpected CSV header: {header!r}")
     records, objectives = [], []
-    for line in lines[1:]:
-        _, r_k, step, inner, _, objective = line.split(",")
-        records.append(OuterRecord(float(r_k), float(step), int(inner)))
-        objectives.append(float(objective))
+    for number, line in rows:
+        try:
+            _, r_k, step, inner, _, objective = line.split(",")
+            records.append(OuterRecord(float(r_k), float(step), int(inner)))
+            objectives.append(float(objective))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {number}: {exc}") from None
     return records, objectives
 
 

@@ -162,14 +162,23 @@ def dump_instance(inst, path) -> None:
 def load_instance(path):
     """Parse an instance written by ``dump_instance``.
 
-    Raises ValueError for a line with the wrong number of values, and
-    unless the mc indices are at least one, increasing and within [0, m * n).
+    Raises ValueError for a missing or malformed header line, for a line
+    with the wrong number of values, and unless the mc indices are at least
+    one, increasing and within [0, m * n).
     """
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh]
-    kind, m_str, n_str, density_str, seed_str = lines[0].split()
-    m, n = int(m_str), int(n_str)
-    density, seed = float(density_str), int(seed_str)
+    header = lines[0] if lines else ""
+    try:
+        kind, m_str, n_str, density_str, seed_str = header.split()
+        m, n, density, seed = int(m_str), int(n_str), float(density_str), int(seed_str)
+        if m < 1 or n < 1:  # the rows would be read from the wrong lines
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"{path} line 1: expected the header 'kind m n density seed' with integers m, n >= 1 and seed"
+            f" and a float density, got {header!r}"
+        ) from None
 
     def row(i, size, dtype=float):
         values = np.array([dtype(v) for v in lines[i].split()] if i < len(lines) else [], dtype=dtype)

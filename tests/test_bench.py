@@ -174,6 +174,18 @@ class TestWriteCsv:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is empty"):
             read_csv(path)
 
+    @pytest.mark.parametrize(
+        "row,error",
+        [("0,1,2,3", "not enough values to unpack"), ("0,1,2,x,0,1", "invalid literal for int")],
+        ids=["short-row", "non-integer-inner"],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, error):
+        # the bad row is line 4, after a good row and a blank line
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{CSV_HEADER}\n0,0.5,1.25,12,12,3.5\n\n{row}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 4: {error}"):
+            read_csv(path)
+
 
 class TestRunSweep:
     @pytest.mark.parametrize(
@@ -253,8 +265,11 @@ class TestRunSweep:
         assert second["final_residual"] == rows[-1].primal_residual < 1e-12
 
     def test_vi_dump_instance_rejected(self, tmp_path):
+        # the CLI's vi takes no --dump-instance, so only a config built in code reaches this check
         cfg = tiny_bp_config(tmp_path, kind="vi-affine", eps=0.0, dump_instances=True)
-        with pytest.raises(ValueError, match="dump-instance"):
+        with pytest.raises(ValueError, match="--dump-instance"):
+            cfg.validate()
+        with pytest.raises(ValueError, match="--dump-instance"):
             run_sweep(cfg)
         assert not any(tmp_path.iterdir())
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hoprox.cli import main, resolve_config
+from hoprox.bench import ExperimentConfig
+from hoprox.cli import build_parser, main, resolve_config
 from hoprox.problems import gen_bp, load_instance
 
 
@@ -33,6 +35,14 @@ class TestResolveConfig:
         assert cfg.kind == "vi-affine"
         assert cfg.eps == 0.0
         assert cfg.lambda_ppa == 1.0
+
+    @pytest.mark.parametrize("command", ["bp", "vi"])
+    def test_configs_share_no_default_list(self, command):
+        first = resolve_config([command, "--out", "x"])
+        first.betas.append(9.0)
+        first.eps_subs.append(9.0)
+        second = resolve_config([command, "--out", "x"])
+        assert (second.betas, second.eps_subs) == ([2.0], [0.1])
 
     def test_sweep_explicit_dims_kept(self):
         cfg = resolve_config(["mc", "--m", "8", "--n", "9", "--density", "0.3", "--out", "x"])
@@ -113,6 +123,34 @@ class TestResolveConfig:
             main([*argv, "--out", str(out)])
         assert err.value.code == 2
         assert f"error: {field} must" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bp", "mc", "vi"])
+    def test_each_flag_and_default_sets_one_config_field(self, command):
+        # a config field with no flag or default, or a flag no field takes, fails here
+        parsed = vars(build_parser().parse_args([command]))
+        del parsed["command"]
+        assert set(parsed) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["vi", "--m", "3"],
+            ["vi", "--density", "0.5"],
+            ["vi", "--beta", "2"],
+            ["vi", "--eps-sub", "0.1"],
+            ["vi", "--max-inner", "5"],
+            ["bp", "--lam", "2"],
+            ["mc", "--lam", "2"],
+        ],
+    )
+    def test_flag_the_solver_does_not_read_is_usage_error(self, argv, tmp_path, capsys):
+        # vi --m parsed as a prefix of --max-outer while prefixes were accepted
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--out", str(out)])
+        assert err.value.code == 2
+        assert f"error: unrecognized arguments: {' '.join(argv[1:])}\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_command_is_usage_error(self):

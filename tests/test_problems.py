@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,20 @@ class TestInstanceSerialization:
         assert header[0] == "bp"
         assert header[1:3] == ["3", "6"]
         assert float(header[3]) == 0.5 and int(header[4]) == 9
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "bp 2\n", "bp 3 6 0.5\n", "bp 3.0 6 0.5 9\n", "bp 3 6 x 9\n", "bp 3 6 0.5 9.5\n", "bp -1 2 0.5 0\n",
+         "mc 3 0 0.5 0\n"],
+        ids=["empty", "two-fields", "four-fields", "float-m", "bad-density", "float-seed", "negative-m", "zero-n"],
+    )
+    def test_malformed_header_rejected(self, tmp_path, text):
+        # an empty file raised a bare IndexError, a short header an unpack error,
+        # and bp with m = -1 read its header line as the ground truth
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 1: expected the header"):
+            load_instance(path)
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
