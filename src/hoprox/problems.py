@@ -162,7 +162,8 @@ def dump_instance(inst, path) -> None:
 def load_instance(path):
     """Parse an instance written by ``dump_instance``.
 
-    Raises ValueError for a missing or malformed header line, for a line
+    Raises ValueError, naming the file and the 1-based line, for a missing
+    or malformed header line, for a value that does not parse, for a line
     with the wrong number of values, and unless the mc indices are at least
     one, increasing and within [0, m * n).
     """
@@ -181,9 +182,12 @@ def load_instance(path):
         ) from None
 
     def row(i, size, dtype=float):
-        values = np.array([dtype(v) for v in lines[i].split()] if i < len(lines) else [], dtype=dtype)
+        try:
+            values = np.array([dtype(v) for v in lines[i].split()] if i < len(lines) else [], dtype=dtype)
+        except (ValueError, OverflowError) as err:
+            raise ValueError(f"{path} line {i + 1}: {err}") from None
         if values.size != size:
-            raise ValueError(f"line {i + 1} has {values.size} values, expected {size}")
+            raise ValueError(f"{path} line {i + 1}: expected {size} values, got {values.size}")
         return values
 
     if kind == "bp":
@@ -191,9 +195,11 @@ def load_instance(path):
         return BpInstance(a=a, ground_truth=row(1 + m, n), b=row(2 + m, m), density=density, seed=seed)
     if kind == "mc":
         (count,) = row(1, 1, int)
+        if count < 1:
+            raise ValueError(f"{path} line 2: expected an index count of at least 1, got {count}")
         indices, values = row(2, count, int), row(3, count)
-        if count < 1 or indices[0] < 0 or indices[-1] >= m * n or np.any(np.diff(indices) <= 0):
-            raise ValueError(f"mc needs at least one index, increasing within [0, {m * n})")
+        if indices[0] < 0 or indices[-1] >= m * n or np.any(np.diff(indices) <= 0):
+            raise ValueError(f"{path} line 3: mc indices must be increasing within [0, {m * n})")
         matrix = np.zeros(m * n)
         matrix[indices] = values
         return McInstance(

@@ -2,7 +2,7 @@
 
 psi is the shifted power penalty of a linear constraint residual,
 
-    psi(x) = mu @ (Ax - b) + beta^(1/p)/(1 + 1/p) * ||Ax - b||^(1 + 1/p),
+    psi(x) = mu^T (Ax - b) + beta^(1/p)/(1 + 1/p) * ||Ax - b||^(1 + 1/p),
 
 whose gradient is Hölder continuous with exponent 1/p. The solver is an
 accelerated proximal gradient method with a doubling/halving estimate of the
@@ -27,6 +27,9 @@ _L_CEIL = 1e60
 # a certified stop needs ||u|| <= (1 - _MARGIN) eps_sub and a rounding bound
 # on u of at most _MARGIN eps_sub (see minimize_composite)
 _MARGIN = 1e-6
+# Inner products call ndarray.dot, not @: the same BLAS call and bits on
+# contiguous float64, and @ takes nearly twice as long (a 500-vector inner
+# product 1.6 against 0.9 us; numpy 2.4.6, one OpenBLAS thread, Xeon).
 
 
 class PenaltyGradientOracle:
@@ -55,11 +58,11 @@ class PenaltyGradientOracle:
         return self.a_map.apply(x) - self.b
 
     def value_at_residual(self, r: np.ndarray, norm: float) -> float:
-        """The penalty at ``r``, given its norm ``math.sqrt(r @ r)``."""
-        return float(self.multiplier @ r + self._value_coef * norm ** self._power)
+        """The penalty at ``r``, given its norm ``math.sqrt(r.dot(r))``."""
+        return float(self.multiplier.dot(r) + self._value_coef * norm ** self._power)
 
     def dual_at_residual(self, r: np.ndarray, norm: float) -> np.ndarray:
-        """mu + d with d = beta^(1/p) * r * ||r||^(1/p - 1), given ``norm = math.sqrt(r @ r)``.
+        """mu + d with d = beta^(1/p) * r * ||r||^(1/p - 1), given ``norm = math.sqrt(r.dot(r))``.
 
         At r = 0 it is mu itself. The penalty gradient is A^T of this
         vector, and at an x-update's solution it is the ALM's next
@@ -71,17 +74,17 @@ class PenaltyGradientOracle:
         return self.multiplier + self._beta_root * (r * norm ** self._direction_power)
 
     def gradient_at_residual(self, r: np.ndarray, norm: float) -> np.ndarray:
-        """The penalty gradient at ``r``, given its norm ``math.sqrt(r @ r)``."""
+        """The penalty gradient at ``r``, given its norm ``math.sqrt(r.dot(r))``."""
         return self.a_map.adjoint(self.dual_at_residual(r, norm))
 
     def value_and_gradient_at_residual(self, r: np.ndarray) -> tuple[float, np.ndarray]:
         """Value and gradient for a 1-d float64 ``r``, from one norm of ``r``."""
-        norm = math.sqrt(r @ r)
+        norm = math.sqrt(r.dot(r))
         return self.value_at_residual(r, norm), self.gradient_at_residual(r, norm)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         r = self.residual(x)
-        return self.gradient_at_residual(r, math.sqrt(r @ r))
+        return self.gradient_at_residual(r, math.sqrt(r.dot(r)))
 
 
 def holder_constant(p: float, beta: float, a_norm: float) -> float:
@@ -107,8 +110,9 @@ class SubsolverReport:
     start already met the tolerance; either way it is at least that point.
     Passed back as ``curvature_hint``, it starts the next solve's first
     search where this one ended, so a chain of solves never lowers it.
-    ``residual`` is ``A @ solution - b`` as the solve computed it: the last
-    accepted trial's residual, or the entry residual when no iteration ran.
+    ``residual`` is ``a_map.apply(solution) - b`` as the solve computed it:
+    the last accepted trial's residual, or the entry residual when no
+    iteration ran.
     ``prox_calls`` counts every ``f.prox`` call of the solve and ``trials``
     every curvature trial. Each trial calls the prox once, and so does each
     stopping test that does not certify, the entry's included when it runs,
@@ -251,16 +255,16 @@ def minimize_composite(
         if subgradient is not None:
             s, scale = subgradient
             u = grad_z + s
-            g_norm = math.sqrt(u @ u)
-            delta = 2.0 ** -52 * (scale + math.sqrt(grad_z @ grad_z))
+            g_norm = math.sqrt(u.dot(u))
+            delta = 2.0 ** -52 * (scale + math.sqrt(grad_z.dot(grad_z)))
             if g_norm <= (1.0 - _MARGIN) * eps_sub and delta <= _MARGIN * eps_sub:
                 return g_norm, True
         d = z - f.prox(z - grad_z, 1.0)
-        return math.sqrt(d @ d), False
+        return math.sqrt(d.dot(d)), False
 
     def step_subgradient(L, w, dx, grad_y):
         """(s, scale) of the accepted step y + dx = prox_{f/L}(w), w = y - grad_y/L."""
-        return -(grad_y + L * dx), L * math.sqrt(w @ w) + math.sqrt(grad_y @ grad_y)
+        return -(grad_y + L * dx), L * math.sqrt(w.dot(w)) + math.sqrt(grad_y.dot(grad_y))
 
     if residual is None:
         r_x = oracle.residual(x)
@@ -270,7 +274,7 @@ def minimize_composite(
             raise ValueError(f"residual shape {r_x.shape} != {oracle.b.shape}")
     if subgradient is not None and subgradient[0].shape != x.shape:
         raise ValueError(f"subgradient shape {subgradient[0].shape} != {x.shape}")
-    r_norm = math.sqrt(r_x @ r_x)
+    r_norm = math.sqrt(r_x.dot(r_x))
     psi_x = oracle.value_at_residual(r_x, r_norm)
     dual = oracle.dual_at_residual(r_x, r_norm)
     grad_x = oracle.a_map.adjoint(dual)
@@ -297,11 +301,11 @@ def minimize_composite(
             x_trial = f.prox(w, 1.0 / L)
             prox_calls += 1
             dx = x_trial - y
-            dx_sq = dx @ dx
+            dx_sq = dx.dot(dx)
             r_trial = oracle.residual(x_trial)
-            r_norm = math.sqrt(r_trial @ r_trial)
+            r_norm = math.sqrt(r_trial.dot(r_trial))
             psi_trial = oracle.value_at_residual(r_trial, r_norm)
-            upper = psi_y + grad_y @ dx + 0.5 * L * dx_sq + 0.5 * eps_acc * tau
+            upper = psi_y + grad_y.dot(dx) + 0.5 * L * dx_sq + 0.5 * eps_acc * tau
             if math.isfinite(psi_trial) and psi_trial <= upper:
                 break
             L *= 2.0

@@ -1,9 +1,11 @@
+import math
 import re
 
 import numpy as np
 import pytest
 
 from hoprox.linalg import as_matrix
+from hoprox.operators import MatrixMap
 from hoprox.problems import (
     McInstance,
     bp_composite,
@@ -154,6 +156,27 @@ class TestMaskOperator:
         assert abs(prob.a_map.norm_estimate() - 1.0) <= 1e-9
 
 
+class TestMatrixMap:
+    # a 40 x 30 matrix in three layouts; the strided one is a view that
+    # MatrixMap keeps, so BLAS sees it only through ndarray.dot's copy
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_apply_and_adjoint_match_a_row_wise_fsum(self, layout):
+        rng = np.random.default_rng(11)
+        base = rng.standard_normal((40, 60))
+        mat = {"C": base[:, :30].copy(), "F": np.asfortranarray(base[:, :30]), "strided": base[:, ::2]}[layout]
+        op = MatrixMap(mat)
+        flags = op.mat.flags
+        assert (flags.c_contiguous, flags.f_contiguous) == {"C": (True, False), "F": (False, True),
+                                                           "strided": (False, False)}[layout]
+        x, y = rng.standard_normal(30), rng.standard_normal(40)
+        rows = mat.tolist()
+        apply_ref = [math.fsum(a * b for a, b in zip(row, x)) for row in rows]
+        adjoint_ref = [math.fsum(row[j] * b for row, b in zip(rows, y)) for j in range(30)]
+        # relative to |A||x| and |A^T||y|, the scale of each entry's rounding
+        assert np.all(np.abs(op.apply(x) - apply_ref) <= 1e-14 * (np.abs(mat) @ np.abs(x)))
+        assert np.all(np.abs(op.adjoint(y) - adjoint_ref) <= 1e-14 * (np.abs(mat).T @ np.abs(y)))
+
+
 class TestComposites:
     def test_bp_composite_wiring(self):
         inst = gen_bp(5, 12, 0.25, seed=0)
@@ -250,30 +273,51 @@ class TestInstanceSerialization:
         with pytest.raises(ValueError, match="unknown instance kind"):
             load_instance(path)
 
-    # bp lines: 1 the header, 2..4 the rows of A, 5 the ground truth, 6 b
+    # bp lines: 1 the header, 2..4 the rows of A (6 values), 5 the ground truth (6), 6 b (3)
     @pytest.mark.parametrize(
-        "line,count", [(2, 5), (5, 5), (6, 2), (6, 4)], ids=["short-row", "short-ground-truth", "short-b", "long-b"]
+        "line,count,expected",
+        [(2, 5, 6), (5, 5, 6), (6, 2, 3), (6, 4, 3)],
+        ids=["short-row", "short-ground-truth", "short-b", "long-b"],
     )
-    def test_malformed_bp_rejected(self, tmp_path, line, count):
+    def test_malformed_bp_rejected(self, tmp_path, line, count, expected):
         # a ground truth or b one short loaded silently
         path = tmp_path / "bp.txt"
         dump_instance(gen_bp(3, 6, 0.5, seed=9), path)
         lines = path.read_text().splitlines()
         lines[line - 1] = " ".join((lines[line - 1].split() * 2)[:count])
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"^line {line} has {count} values"):
+        message = f"^{re.escape(str(path))} line {line}: expected {expected} values, got {count}$"
+        with pytest.raises(ValueError, match=message):
+            load_instance(path)
+
+    def test_non_numeric_bp_value_rejected(self, tmp_path):
+        # a bad value named neither the file nor the line
+        path = tmp_path / "bp.txt"
+        path.write_text("bp 1 2 0.5 0\n1 x\n0 1\n1\n")
+        message = f"^{re.escape(str(path))} line 2: could not convert string to float: 'x'$"
+        with pytest.raises(ValueError, match=message):
             load_instance(path)
 
     @pytest.mark.parametrize(
         "indices,match",
-        [("0 3 35", "increasing"), ("-1 3 7", "increasing"), ("0 3 3", "increasing"),
-         ("0 7 3", "increasing"), ("0 3", "^line 3 has 2 values, expected 3")],
-        ids=["past-end", "negative", "repeated", "decreasing", "short"],
+        [("0 3 35", "mc indices must be increasing"), ("-1 3 7", "mc indices must be increasing"),
+         ("0 3 3", "mc indices must be increasing"), ("0 7 3", "mc indices must be increasing"),
+         ("0 3", "expected 3 values, got 2$"), ("0 x 7", "invalid literal for int\\(\\) with base 10: 'x'$")],
+        ids=["past-end", "negative", "repeated", "decreasing", "short", "non-numeric"],
     )
     def test_malformed_mc_rejected(self, tmp_path, indices, match):
         # an index >= m*n raised a bare IndexError, and a repeated one loaded
         # with the matrix disagreeing with the observed values
         path = tmp_path / "mc.txt"
         path.write_text(f"mc 7 5 0.1 0\n3\n{indices}\n1.0 2.0 3.0\n")
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 3: {match}"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_mc_count_below_one_rejected(self, tmp_path, count):
+        # a count of -1 was reported against the index line, as its value count
+        path = tmp_path / "mc.txt"
+        path.write_text(f"mc 7 5 0.1 0\n{count}\n0\n1.0\n")
+        message = f"^{re.escape(str(path))} line 2: expected an index count of at least 1, got {count}$"
+        with pytest.raises(ValueError, match=message):
             load_instance(path)

@@ -5,7 +5,9 @@
 Every other module-level function or class, every method of a class,
 every dataclass field and every plain attribute set on ``self`` must serve
 the library or the benchmark, and every parameter must be read by its
-function, or be listed below with the reason it stays.
+function, or be listed below with the reason it stays. The functions
+that run once per solver iteration compute their products with
+``ndarray.dot``, never ``@``.
 """
 
 import ast
@@ -42,6 +44,18 @@ FIELDS_KEPT_WITHOUT_READER = {
 
 # plain attributes, as Class.attribute, that nothing in src/hoprox or perfbench reads
 ATTRIBUTES_KEPT_WITHOUT_READER = {}
+
+# the code that runs once per solver iteration, by module: a module-level
+# function, a class, or Class.method, each with everything nested in it;
+# ``@`` costs about twice what ``ndarray.dot`` does on these small operands
+# with the same BLAS call, so none of it may use ``@``
+PER_ITERATION = {
+    "alm.py": ["run_alm"],
+    "operators.py": ["MatrixMap.apply", "MatrixMap.adjoint"],
+    "ppa.py": ["affine_operator", "_make_affine_stepper", "run_ppa"],
+    "prox.py": ["singular_value_threshold"],
+    "subsolver.py": ["PenaltyGradientOracle", "minimize_composite"],
+}
 
 # parameters, as function:parameter, that their function's body never reads;
 # a method is Class.method and a nested function outer.inner
@@ -233,3 +247,39 @@ def test_no_parameter_without_a_reader():
             unread |= {f"{name}:{param}" for param in params if param not in read}
     kept = set(PARAMETERS_KEPT_UNREAD)
     assert unread == kept, sorted(unread ^ kept)
+
+
+def _definition(tree, qualified):
+    """The module-level function or class, or Class.method, named ``qualified`` in ``tree``, or None."""
+    node = tree
+    for name in qualified.split("."):
+        node = next(
+            (
+                child
+                for child in node.body
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and child.name == name
+            ),
+            None,
+        )
+        if node is None:
+            return None
+    return node
+
+
+def test_no_matmul_in_per_iteration_code():
+    """No ``@`` or ``@=`` in the functions ``PER_ITERATION`` lists, which must all exist."""
+    offenders, missing = [], []
+    for module, names in PER_ITERATION.items():
+        tree = ast.parse((REPO / "src" / "hoprox" / module).read_text())
+        for qualified in names:
+            definition = _definition(tree, qualified)
+            if definition is None:
+                missing.append(f"{module}:{qualified}")
+                continue
+            offenders += [
+                f"{module}:{qualified} line {node.lineno}: {ast.unparse(node)}"
+                for node in ast.walk(definition)
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            ]
+    assert not missing, missing
+    assert not offenders, offenders
