@@ -37,22 +37,26 @@ class MatrixMap:
 class EntryMask:
     """Selection of a fixed set of entries from a row-major flattened matrix.
 
-    ``apply`` picks the observed entries in index order; ``adjoint`` scatters
-    them back with zeros elsewhere. The operator norm is exactly 1 whenever
-    the index set is nonempty. Inputs are checked for shape only: finiteness
-    is the caller's to validate, once, at a solver's entry.
+    The indices must be distinct integers (an integer dtype) within
+    [0, m * n). ``apply`` picks the observed entries in index order;
+    ``adjoint`` scatters them back with zeros elsewhere. The operator norm
+    is exactly 1 whenever the index set is nonempty. Inputs are checked for
+    shape only: finiteness is the caller's to validate, once, at a solver's
+    entry.
     """
 
     def __init__(self, flat_indices: np.ndarray, matrix_shape: tuple[int, int]):
-        idx = np.asarray(flat_indices, dtype=int)
+        idx = np.asarray(flat_indices)
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("index set must be a nonempty 1-d array")
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"mask indices must be integers, got dtype {idx.dtype}")
         size = matrix_shape[0] * matrix_shape[1]
         if idx.min() < 0 or idx.max() >= size:
             raise ValueError("mask index out of range")
         if np.unique(idx).size != idx.size:
             raise ValueError("mask indices must be distinct")
-        self.indices = idx
+        self.indices = idx.astype(int, copy=False)
         self.shape = (idx.size, size)
 
     def apply(self, x: np.ndarray) -> np.ndarray:

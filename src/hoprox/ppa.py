@@ -6,7 +6,7 @@ Each step solves, over the whole space,
 
 which for p = 1 is the classical proximal point step. For affine operators
 F(x) = M x + q the step reduces to a one-dimensional root-finding problem
-in the shift s = ||x_next - x||^(p-1) >= 0. With
+in the shift s = ||x_next - x||^(p-1) >= 0. With the step vector
 d(s) = (lam*M + s*I)^{-1} lam*F(x) and phi(s) = ||d(s)||, the shift is the
 unique root of the secular equation g(s) = phi(s)^(p-1) - s (Moré and
 Sorensen, "Computing a trust region step", 1983): phi is strictly
@@ -16,11 +16,14 @@ and phi' at the current shift, which is exact when phi has one pole, so a
 far start costs a few evaluations. Kept inside a bracket by bisection or
 doubling, the search finds the root to a relative tolerance, or stops once
 bisection cannot split the bracket (its ends are adjacent doubles) and
-takes the shift with the smallest |g| found. Then
-x_next = (lam*M + s*I)^{-1} (s*x - lam*q) is formed at it: from the
-eigendecomposition of lam*M when M is symmetric, and otherwise from the
-inverse the search already holds at the root, refined by one step of
-iterative refinement.
+takes the shift with the smallest |g| found. Then x_next is formed at it.
+When M is symmetric, ``affine_operator`` stores its eigendecomposition
+M = V diag(m) V^T, and the search works in eigen-coordinates: with
+l = lam*m and w = V^T lam*F(x), d(s) = V (w / (l + s)), and
+x_next = x - V (w / (l + s)). Otherwise
+x_next = (lam*M + s*I)^{-1} (s*x - lam*q) is formed from the inverse the
+search already holds at the root, refined by one step of iterative
+refinement.
 
 Once the computed F(x) is no larger than the rounding error bound of
 evaluating M x + q, gamma_{n+1} (||M||_F ||x|| + ||q||) with
@@ -53,12 +56,17 @@ class MonotoneOperator:
     ``evaluate`` returns F(x) as a 1-d float64 array. ``affine_parts``
     holds (M, q) when F(x) = M x + q; ``run_ppa`` needs it to solve each
     step exactly. ``evaluate`` must then compute M x + q as ``M.dot(x) + q``
-    does, because the step takes F(x_k) from it. ``known_solution`` is a
-    point with F(x*) = 0, used by tests that track distance to the solution.
+    does, because the step takes F(x_k) from it. ``eigen`` holds
+    (eigenvalues, eigenvectors) of a symmetric M as ``np.linalg.eigh(M)``
+    returns them; ``run_ppa`` then solves every step on it in
+    eigen-coordinates, and an affine operator without it takes the
+    nonsymmetric path. ``known_solution`` is a point with F(x*) = 0, used
+    by tests that track distance to the solution.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     affine_parts: Optional[tuple[np.ndarray, np.ndarray]] = None
+    eigen: Optional[tuple[np.ndarray, np.ndarray]] = None
     known_solution: Optional[np.ndarray] = None
 
 
@@ -67,19 +75,37 @@ def affine_operator(
     offset: np.ndarray,
     known_solution: Optional[np.ndarray] = None,
 ) -> MonotoneOperator:
-    """Build F(x) = mat.dot(x) + offset, checking that mat + mat.T is PSD."""
+    """Build F(x) = mat.dot(x) + offset, checking that mat + mat.T is PSD.
+
+    A matrix symmetric to 1e-12 of its largest entry is eigendecomposed
+    here, once, and the factorization is stored as ``eigen``; its smallest
+    eigenvalue is the monotonicity check. Other matrices are checked on the
+    eigenvalues of their symmetric part and carry no factorization.
+    ``known_solution``, when given, must have the operator's length.
+    """
     mat = as_matrix(mat)
     offset = as_vector(offset)
-    if mat.shape[0] != mat.shape[1] or mat.shape[0] != offset.shape[0]:
+    n = offset.shape[0]
+    if mat.shape != (n, n):
         raise ValueError("affine operator needs a square matrix and matching offset")
-    sym = 0.5 * (mat + mat.T)
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    if min_eig < -1e-10 * max(1.0, abs(mat).max()):
+    if known_solution is not None:
+        known_solution = as_vector(known_solution)
+        if known_solution.shape[0] != n:
+            raise ValueError(f"known_solution has length {known_solution.shape[0]}, the operator {n}")
+    scale = max(1.0, abs(mat).max())
+    eigen = None
+    if abs(mat - mat.T).max() <= 1e-12 * scale:
+        eigen = np.linalg.eigh(mat)
+        min_eig = float(eigen[0][0])
+    else:
+        min_eig = float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
+    if min_eig < -1e-10 * scale:
         raise ValueError(f"operator is not monotone: min eigenvalue {min_eig:.3e}")
     return MonotoneOperator(
         evaluate=lambda x: mat.dot(x) + offset,
         affine_parts=(mat, offset),
-        known_solution=None if known_solution is None else as_vector(known_solution),
+        eigen=eigen,
+        known_solution=known_solution,
     )
 
 
@@ -113,10 +139,12 @@ class PpaTrace:
     ``inner_solves[k]`` is the number of secular-function evaluations in
     step k's root search: 0 for a zero step (F(x^k) = 0 to working
     precision: within the rounding bound of M x^k + q), 1 for p = 1 (the
-    root s = 1 is known). On the nonsymmetric path these are not
-    factorizations: each search's first evaluation reuses the inverse at
-    the previous search's root. The benchmark's ``ppa.shifted_solves`` sums
-    this list, so it counts evaluations, not inversions.
+    root s = 1 is known). None of them is a factorization on a symmetric
+    operator: each is O(n) work on the eigendecomposition that
+    ``affine_operator`` stored. On the nonsymmetric path each search's
+    first evaluation reuses the inverse at the previous search's root. The
+    benchmark's ``ppa.shifted_solves`` sums this list, so it counts
+    evaluations, not factorizations or inversions.
     ``wall_ms[k]`` times step k's solve alone; every evaluation of F falls
     outside it.
     """
@@ -133,10 +161,6 @@ def _root_tolerance(s: float) -> float:
     # absolute 1e-12-level residuals, tightened to 1e-9 relative so the
     # optimality identity lam*||F|| = step^p survives at small steps
     return max(min(1e-12 * max(1.0, s), 1e-9 * s), 5e-16 * s)
-
-
-def _is_symmetric(mat: np.ndarray) -> bool:
-    return bool(abs(mat - mat.T).max() <= 1e-12 * max(1.0, abs(mat).max()))
 
 
 _MAX_EVALUATIONS = 500
@@ -234,33 +258,38 @@ def _secular_root(secular, p: float, s: float):
     return best_s, evaluations
 
 
-def _make_affine_stepper(mat: np.ndarray, offset: np.ndarray, cfg: PpaConfig):
+def _make_affine_stepper(op: MonotoneOperator, cfg: PpaConfig):
     """Per-run step function for an affine operator: (x_k, F(x_k), ||F(x_k)||) -> (x_next, evaluations).
 
     The caller hands over ||F(x_k)||, which it has already computed, for the
-    rounding-floor test. Symmetric operators are eigendecomposed once,
-    lam*M = V diag(l) V^T, so with w = V^T lam*F(x_k) each secular
-    evaluation costs O(n): phi^2 = sum w_i^2 / (l_i + s)^2. ``shift`` keeps
-    l + s for the last shift asked for, so x_next reuses the one the search
-    formed at its root, and p = 1 steps use l + 1 throughout. Other
-    operators invert lam*M + s*I (one LU factorization) once per distinct
-    shift, which gives both d = (lam*M + s*I)^{-1} lam*F(x_k) and
-    phi' = -d^T (lam*M + s*I)^{-1} d / phi. Each search starts from the
-    previous step's root, which the shrinking steps keep close. ``invert``
-    keeps lam*M + s*I and its inverse for the last shift asked for, and
-    ``x_of`` forms x_next from the inverse at the root: x = inverse rhs
-    with rhs = s*x_k - lam*q, then one step of iterative refinement
-    x - inverse ((lam*M + s*I) x - rhs). Without
-    that step, rank-deficient operators break lam*||F(x_next)|| = step^p
-    by up to 1e-8 of the problem's scale. The root is usually the search's
-    last shift, so x_next costs no inversion, and the next step's first
-    evaluation reuses the same inverse; a search that ends on an earlier
-    shift inverts once more. At p = 1 the root s = 1 is known and counted
-    as one evaluation, and the run inverts once; rhs is then x_k - lam*q.
+    rounding-floor test. Each search starts from the previous step's root,
+    which the shrinking steps keep close; at p = 1 the root s = 1 is known
+    and counted as one evaluation.
+
+    On an operator that stores ``eigen``, M = V diag(m) V^T, the run takes
+    l = lam*m and V from it and factorizes nothing. Each step forms
+    w = V^T lam*F(x_k) once, and each secular evaluation forms the step
+    vector in eigen-coordinates, d = w / (l + s): phi = sqrt(d.d) and
+    phi' = -d.(d / (l + s)) / phi, in O(n). The search keeps d for the last
+    shift it asked for, and x_next = x_k - V d. A step raises
+    ``SubproblemError`` when l or w is not finite (lam*M or lam*F(x_k)
+    overflows): an infinite l_i would zero d_i, and the search would run on
+    a secular function that is not the step's.
+
+    Other operators invert lam*M + s*I (one LU factorization) once per
+    distinct shift, which gives both d and phi' = -d^T (lam*M + s*I)^{-1} d
+    / phi. ``invert`` keeps lam*M + s*I and its inverse for the last shift
+    asked for, and ``x_of`` forms x_next from the inverse at the root:
+    x = inverse rhs with rhs = s*x_k - lam*q, then one step of iterative
+    refinement x - inverse ((lam*M + s*I) x - rhs). Without that step,
+    rank-deficient operators break lam*||F(x_next)|| = step^p by up to 1e-8
+    of the problem's scale. The root is usually the search's last shift, so
+    x_next costs no inversion, and the next step's first evaluation reuses
+    the same inverse; a search that ends on an earlier shift inverts once
+    more. At p = 1 the run inverts once.
     """
+    mat, offset = op.affine_parts
     lam, p = cfg.lambda_ppa, cfg.p
-    lam_mat = lam * mat
-    lam_offset = lam * offset
     root = 1.0
     # |fl(M x + q) - (M x + q)| <= gamma_{n+1} (|M||x| + |q|) componentwise
     # (Higham, Accuracy and Stability of Numerical Algorithms, section 3.5),
@@ -269,32 +298,51 @@ def _make_affine_stepper(mat: np.ndarray, offset: np.ndarray, cfg: PpaConfig):
     gamma = unit / (1.0 - unit)
     mat_norm, offset_norm = float(np.linalg.norm(mat)), float(np.linalg.norm(offset))
 
-    if _is_symmetric(mat):
-        eigvals, eigvecs = np.linalg.eigh(lam_mat)
-        # eigvals + s for the last shift asked for; p = 1 only ever asks for s = 1
-        shifted_by, shifted_eigvals = 1.0, eigvals + 1.0
+    def is_zero_step(x_k, lam_f_sq, f_norm):
+        # a computed F(x_k) no larger than the rounding bound of M x_k + q
+        # carries no correct digit, so the exact step is indistinguishable
+        # from zero; NaN fails the comparison, and an overflowed bound
+        # (which an overflowed ||F|| could meet) fails `< inf`
+        bound = gamma * (mat_norm * math.sqrt(x_k.dot(x_k)) + offset_norm)
+        return lam_f_sq == 0.0 or f_norm <= bound < math.inf
 
-        def shift(s):
-            nonlocal shifted_by, shifted_eigvals
-            if s != shifted_by:
-                shifted_by, shifted_eigvals = s, eigvals + s
-            return shifted_eigvals
+    if op.eigen is not None:
+        eigvals, eigvecs = lam * op.eigen[0], op.eigen[1]
+        eigvecs_t = eigvecs.T
+        finite_eigvals = bool(np.isfinite(eigvals).all())
+        eigvals_plus_one = eigvals + 1.0
+        # V^T lam*F(x_k) of the current step, and d for the last shift asked for
+        w, searched, d_searched = None, None, None
 
-        def secular_factory(lam_f):
-            w_sq = eigvecs.T.dot(lam_f) ** 2
+        def secular(s):
+            nonlocal searched, d_searched
+            shifted = eigvals + s
+            d = w / shifted
+            searched, d_searched = s, d
+            phi = math.sqrt(d.dot(d))
+            return phi, -d.dot(d / shifted) / phi
 
-            def secular(s):
-                shifted = shift(s)
-                ratio = w_sq / shifted ** 2
-                phi = math.sqrt(ratio.sum())
-                return phi, -(ratio / shifted).sum() / phi
-
-            return secular
-
-        def x_of(rhs, s):
-            return eigvecs.dot(eigvecs.T.dot(rhs) / shift(s))
+        def step(x_k: np.ndarray, f_k: np.ndarray, f_norm: float):
+            nonlocal w, root
+            lam_f = lam * f_k
+            lam_f_sq = lam_f.dot(lam_f)
+            if is_zero_step(x_k, lam_f_sq, f_norm):
+                return x_k.copy(), 0
+            w = eigvecs_t.dot(lam_f)
+            # ||w|| = ||lam*F(x_k)||, so w is finite when ||lam*F(x_k)||^2 is
+            if not (finite_eigvals and (lam_f_sq < math.inf or np.isfinite(w).all())):
+                raise SubproblemError(
+                    f"secular function not finite: lam*M or lam*F(x_k) overflows in eigen-coordinates (lam = {lam:.3e})"
+                )
+            if p == 1.0:
+                return x_k - eigvecs.dot(w / eigvals_plus_one), 1
+            root, evaluations = _secular_root(secular, p, root)
+            d = d_searched if root == searched else w / (eigvals + root)
+            return x_k - eigvecs.dot(d), evaluations
 
     else:
+        lam_mat = lam * mat
+        lam_offset = lam * offset
         eye = np.eye(offset.shape[0])
         inverted_shift, shifted, inverse = None, None, None
 
@@ -321,20 +369,15 @@ def _make_affine_stepper(mat: np.ndarray, offset: np.ndarray, cfg: PpaConfig):
             # Accuracy and Stability of Numerical Algorithms, chapter 12)
             return x - inverse.dot(shifted.dot(x) - rhs)
 
-    def step(x_k: np.ndarray, f_k: np.ndarray, f_norm: float):
-        nonlocal root
-        lam_f = lam * f_k
-        # a computed F(x_k) no larger than the rounding bound of M x_k + q
-        # carries no correct digit, so the exact step is indistinguishable
-        # from zero; NaN fails the comparison, and an overflowed bound
-        # (which an overflowed ||F|| could meet) fails `< inf`
-        bound = gamma * (mat_norm * math.sqrt(x_k.dot(x_k)) + offset_norm)
-        if lam_f.dot(lam_f) == 0.0 or f_norm <= bound < math.inf:
-            return x_k.copy(), 0
-        if p == 1.0:
-            return x_of(x_k - lam_offset, 1.0), 1
-        root, evaluations = _secular_root(secular_factory(lam_f), p, root)
-        return x_of(root * x_k - lam_offset, root), evaluations
+        def step(x_k: np.ndarray, f_k: np.ndarray, f_norm: float):
+            nonlocal root
+            lam_f = lam * f_k
+            if is_zero_step(x_k, lam_f.dot(lam_f), f_norm):
+                return x_k.copy(), 0
+            if p == 1.0:
+                return x_of(x_k - lam_offset, 1.0), 1
+            root, evaluations = _secular_root(secular_factory(lam_f), p, root)
+            return x_of(root * x_k - lam_offset, root), evaluations
 
     return step
 
@@ -356,7 +399,7 @@ def run_ppa(op: MonotoneOperator, x0: np.ndarray, cfg: PpaConfig) -> PpaTrace:
     """
     if op.affine_parts is None:
         raise ValueError("run_ppa needs an operator with affine_parts")
-    stepper = _make_affine_stepper(*op.affine_parts, cfg)
+    stepper = _make_affine_stepper(op, cfg)
     x = as_vector(x0)
     lam = cfg.lambda_ppa
     x_star = op.known_solution

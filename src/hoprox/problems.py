@@ -163,9 +163,9 @@ def load_instance(path):
     """Parse an instance written by ``dump_instance``.
 
     Raises ValueError, naming the file and the 1-based line, for a missing
-    or malformed header line, for a value that does not parse, for a line
-    with the wrong number of values, and unless the mc indices are at least
-    one, increasing and within [0, m * n).
+    or malformed header line, for a value that does not parse or is not
+    finite, for a line with the wrong number of values, and unless the mc
+    indices are at least one, increasing and within [0, m * n).
     """
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh]
@@ -188,6 +188,8 @@ def load_instance(path):
             raise ValueError(f"{path} line {i + 1}: {err}") from None
         if values.size != size:
             raise ValueError(f"{path} line {i + 1}: expected {size} values, got {values.size}")
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path} line {i + 1}: expected finite values, got {values[~np.isfinite(values)][0]}")
         return values
 
     if kind == "bp":

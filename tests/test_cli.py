@@ -202,9 +202,9 @@ class TestMain:
         assert [r["status"] for r in manifest["runs"]] == ["max_outer", "converged"]
 
     def test_vi_non_finite_step_fails_the_cell(self, tmp_path):
-        # lam*F overflows, so the step's root search cannot be solved
+        # lam*M's eigenvalues overflow, so the step has no finite secular function
         with np.errstate(over="ignore", invalid="ignore"):
-            code = run_cli(["vi", "--n", "3", "--lam", "1e300", "--p", "2", "--out", str(tmp_path)])
+            code = run_cli(["vi", "--n", "3", "--lam", "1e308", "--p", "2", "--out", str(tmp_path)])
         assert code == 1
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         [run] = manifest["runs"]

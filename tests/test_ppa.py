@@ -159,7 +159,7 @@ class TestStepRootSearch:
     def test_search_starts_at_previous_root(self, make_op):
         op, x0 = make_op(20, 0)
         mat, offset = op.affine_parts
-        step = _make_affine_stepper(mat, offset, PpaConfig(p=3.0, lambda_ppa=1.0, max_iters=1))
+        step = _make_affine_stepper(op, PpaConfig(p=3.0, lambda_ppa=1.0, max_iters=1))
         f0 = mat @ x0 + offset
         x1, first = step(x0, f0, np.linalg.norm(f0))
         # the second search from the same point starts at the first one's root
@@ -175,9 +175,9 @@ class TestStepRootSearch:
         for p in (1.0, 2.0, 3.0):
             cfg = PpaConfig(p=p, lambda_ppa=1.0, max_iters=1)
             # a zero F is a zero step whatever x0 is, so the handed value is used
-            x_same, evaluations = _make_affine_stepper(mat, offset, cfg)(x0, np.zeros_like(x0), 0.0)
+            x_same, evaluations = _make_affine_stepper(op, cfg)(x0, np.zeros_like(x0), 0.0)
             assert np.array_equal(x_same, x0) and evaluations == 0
-            x1, _ = _make_affine_stepper(mat, offset, cfg)(x0, f0, np.linalg.norm(f0))
+            x1, _ = _make_affine_stepper(op, cfg)(x0, f0, np.linalg.norm(f0))
             assert np.array_equal(x1, one_step(op, x0, cfg))
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -225,7 +225,7 @@ class TestStepRootSearch:
 
         def stepper(op):
             mat, offset = op.affine_parts
-            step = _make_affine_stepper(mat, offset, cfg)
+            step = _make_affine_stepper(op, cfg)
 
             def advance_one(x):
                 f = mat @ x + offset
@@ -308,11 +308,37 @@ class TestStepRootSearch:
             assert abs(root * step - step ** p) <= 1e-8 * max(root * step, step ** p)
 
     def test_non_finite_secular_function_raises(self):
-        # (V^T lam*F)^2 overflows, so phi is NaN at the first shift
+        # lam*M's largest eigenvalue, 3.3e308, overflows, so the step has
+        # no finite secular function
         op, x0 = gen_vi_affine(3, 0)
         with pytest.raises(SubproblemError, match="finite"):
             with np.errstate(over="ignore", invalid="ignore"):
-                run_ppa(op, x0, PpaConfig(p=2.0, lambda_ppa=1e200, max_iters=5))
+                run_ppa(op, x0, PpaConfig(p=2.0, lambda_ppa=1e308, max_iters=5))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_overflowing_lam_f_raises(self, p):
+        # lam*M's eigenvalues (up to 3.3e300) are finite, but lam*F(x0) and
+        # so w = V^T lam*F(x0) are not; the p = 1 step, which evaluates no
+        # secular function, raises too
+        op, x0 = gen_vi_affine(3, 0)
+        with pytest.raises(SubproblemError, match="^secular function not finite"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                run_ppa(op, 1e10 * x0, PpaConfig(p=p, lambda_ppa=1e300, max_iters=5))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("lam", [1e200, 1e300])
+    def test_lambda_whose_squares_overflow_still_solves(self, lam, p):
+        # w = V^T lam*F(x0) reaches 1e200 to 1e300, so w^2 would overflow,
+        # but d = w / (l + s) and phi = ||d|| do not: the first step lands
+        # on the rounding floor, then comes the zero step
+        op, x0 = gen_vi_affine(3, 0)
+        cfg = PpaConfig(p=p, lambda_ppa=lam, max_iters=5)
+        # the zero-step test's ||lam*F||^2 overflows to inf, rightly not 0
+        with np.errstate(over="ignore"):
+            trace = run_ppa(op, x0, cfg)
+        assert trace.inner_solves == [1 if p == 1.0 else 2, 0]
+        assert trace.step_norms[-1] == 0.0
+        assert_step_identity(op, x0, trace, cfg)
 
     def test_overflowing_power_raises(self):
         # phi ~ 1e100 is finite, but phi^(p-1) = phi^4 overflows a float
@@ -335,6 +361,119 @@ class TestStepRootSearch:
         with pytest.raises(SubproblemError, match="finite"):
             with np.errstate(over="ignore", invalid="ignore"):
                 run_ppa(op, 1e160 * x0, PpaConfig(p=2.0, lambda_ppa=1.0, max_iters=5))
+
+
+def rank_deficient_operator(n, seed):
+    # M = Q^T Q with a rank-5 Q: symmetric PSD with n - 5 zero eigenvalues
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((5, n))
+    mat = q.T @ q
+    solution = rng.standard_normal(n)
+    return affine_operator(mat, -mat @ solution, known_solution=solution), rng.standard_normal(n)
+
+
+class TestEigenCoordinateStep:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("lam", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("make_op", [gen_vi_affine, rank_deficient_operator], ids=["full-rank", "rank-deficient"])
+    def test_matches_dense_solve(self, monkeypatch, make_op, lam, p):
+        # phi, phi' at every shift the search evaluates, and x_next at its
+        # root, against d(s) = np.linalg.solve(lam*M + s*I, lam*F(x_k)).
+        # eigh and solve are backward stable, each exact for a matrix within
+        # about n*u*||lam*M + s*I|| of lam*M + s*I, so to first order
+        # ||d|| and d^T (lam*M + s*I)^{-1} d are off by at most n*u*kappa
+        # relative per solve (Higham, Accuracy and Stability of Numerical
+        # Algorithms, chapter 7), with kappa the 2-norm condition number of
+        # lam*M + s*I; phi' takes two solves on each side, phi one. The
+        # factor 10 covers the constants of the LAPACK bounds, and x_next
+        # adds the rounding u*||x_k|| of x_k - V d.
+        unit, n = 2.0 ** -53, 20
+        evaluated = []
+        search = ppa._secular_root
+
+        def recorded(secular, p, s):
+            def traced(t):
+                phi, dphi = secular(t)
+                evaluated[-1][1].append((t, phi, dphi))
+                return phi, dphi
+
+            evaluated.append([None, []])
+            root, evaluations = search(traced, p, s)
+            evaluated[-1][0] = root
+            return root, evaluations
+
+        monkeypatch.setattr(ppa, "_secular_root", recorded)
+        op, x0 = make_op(n, 0)
+        mat, offset = op.affine_parts
+        trace = run_ppa(op, x0, PpaConfig(p=p, lambda_ppa=lam, max_iters=8))
+        steps = [k for k, count in enumerate(trace.inner_solves) if count > 0]
+        if p == 1.0:
+            # the known root s = 1 takes no search
+            assert not evaluated
+            evaluated = [[1.0, []] for _ in steps]
+        assert len(evaluated) == len(steps) > 0
+
+        def reference(s, lam_f):
+            shifted = lam * mat + s * np.eye(n)
+            d = np.linalg.solve(shifted, lam_f)
+            phi = np.linalg.norm(d)
+            return d, phi, -d @ np.linalg.solve(shifted, d) / phi, 10 * n * unit * np.linalg.cond(shifted)
+
+        for k, (root, shifts) in zip(steps, evaluated):
+            x_k = trace.iterates[k]
+            lam_f = lam * (mat @ x_k + offset)
+            for s, phi, dphi in shifts:
+                _, phi_ref, dphi_ref, rel = reference(s, lam_f)
+                assert abs(phi - phi_ref) <= rel * phi_ref
+                assert abs(dphi - dphi_ref) <= 3 * rel * abs(dphi_ref)
+            d, _, _, rel = reference(root, lam_f)
+            x_ref = x_k - d
+            assert np.linalg.norm(trace.iterates[k + 1] - x_ref) <= rel * np.linalg.norm(d) + unit * np.linalg.norm(x_k)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_x_next_is_formed_at_the_root(self, monkeypatch, p):
+        # a search that ends on a spent bracket returns its best shift, which
+        # need not be the last one it evaluated; x_next must still be formed
+        # at the returned root
+        op, x0 = gen_vi_affine(20, 0)
+        cfg = PpaConfig(p=p, lambda_ppa=1.0, max_iters=5)
+        expected = run_ppa(op, x0, cfg).iterates
+        search = ppa._secular_root
+
+        def ends_on_earlier_shift(secular, p, s):
+            root, evaluations = search(secular, p, s)
+            secular(2.0 * root)
+            return root, evaluations + 1
+
+        monkeypatch.setattr(ppa, "_secular_root", ends_on_earlier_shift)
+        assert all(np.array_equal(a, b) for a, b in zip(run_ppa(op, x0, cfg).iterates, expected))
+
+    def test_each_operator_is_factorized_once(self, monkeypatch):
+        # affine_operator eigendecomposes a symmetric M once; run_ppa then
+        # factorizes nothing, whatever the order and lam. A nonsymmetric M
+        # is checked on its symmetric part's eigenvalues and stores nothing.
+        calls = []
+        for name in ("eigh", "eigvalsh", "inv", "solve", "cholesky"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _f=original: calls.append(_n) or _f(*a))
+        op, x0 = gen_vi_affine(20, 0)
+        assert calls == ["eigh"]
+        for p, lam in ((1.0, 1.0), (2.0, 0.5), (3.0, 2.0)):
+            run_ppa(op, x0, PpaConfig(p=p, lambda_ppa=lam, max_iters=20))
+        assert calls == ["eigh"]
+        skew, _ = skew_operator(20, 0)
+        assert calls == ["eigh", "eigvalsh"] and skew.eigen is None
+
+    def test_operator_without_factorization_takes_nonsymmetric_path(self, monkeypatch):
+        op, x0 = gen_vi_affine(20, 0)
+        plain = dataclasses.replace(op, eigen=None)
+        inverted = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(1) or inv(a))
+        cfg = PpaConfig(p=2.0, lambda_ppa=1.0, max_iters=20)
+        trace = run_ppa(plain, x0, cfg)
+        assert inverted
+        assert_step_identity(op, x0, trace, cfg)
 
 
 def rounding_bound(op, x):
@@ -555,6 +694,10 @@ class TestValidation:
     def test_affine_operator_monotonicity_check(self):
         with pytest.raises(ValueError, match="monotone"):
             affine_operator(-np.eye(3), np.zeros(3))
+
+    def test_affine_operator_rejects_known_solution_of_other_length(self):
+        with pytest.raises(ValueError, match="known_solution has length 4, the operator 3"):
+            affine_operator(np.eye(3), np.zeros(3), known_solution=np.zeros(4))
 
     def test_monotonicity_probe(self):
         op, _ = gen_vi_affine(7, 9)

@@ -299,6 +299,20 @@ class TestInstanceSerialization:
             load_instance(path)
 
     @pytest.mark.parametrize(
+        "text,line",
+        [("bp 1 2 0.5 0\n1 nan\n0 1\n1\n", 2), ("bp 1 2 0.5 0\n1 0\n0 -inf\n1\n", 3),
+         ("bp 1 2 0.5 0\n1 0\n0 1\ninf\n", 4), ("mc 7 5 0.1 0\n2\n0 3\n1.0 nan\n", 4)],
+        ids=["bp-row", "bp-ground-truth", "bp-b", "mc-values"],
+    )
+    def test_non_finite_value_rejected(self, tmp_path, text, line):
+        # a bp row "1 nan" loaded, and the error came later from bp_composite
+        # with no file or line
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line {line}: expected finite values, got"):
+            load_instance(path)
+
+    @pytest.mark.parametrize(
         "indices,match",
         [("0 3 35", "mc indices must be increasing"), ("-1 3 7", "mc indices must be increasing"),
          ("0 3 3", "mc indices must be increasing"), ("0 7 3", "mc indices must be increasing"),

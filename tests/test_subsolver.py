@@ -289,6 +289,12 @@ class TestEntryValidation:
             with pytest.raises(ValueError):
                 mask.adjoint(bad)
 
+    @pytest.mark.parametrize("bad", [np.array([0.5, 1.7]), np.array([0.0, 1.0]), np.array([True, False])])
+    def test_mask_rejects_non_integer_indices(self, bad):
+        # [0.5, 1.7] was truncated, silently, to entries 0 and 1
+        with pytest.raises(ValueError, match="mask indices must be integers"):
+            EntryMask(bad, (2, 2))
+
     def test_non_finite_start_rejected(self):
         oracle = PenaltyGradientOracle(np.eye(2), np.ones(2), np.zeros(2), 1.0, 1.0)
         for bad in (np.nan, np.inf, -np.inf):
