@@ -17,7 +17,7 @@ far start costs a few evaluations. Kept inside a bracket by bisection or
 doubling, the search finds the root to a relative tolerance, or stops once
 bisection cannot split the bracket (its ends are adjacent doubles) and
 takes the shift with the smallest |g| found. Then x_next is formed at it.
-When M is symmetric, ``affine_operator`` stores its eigendecomposition
+When M is symmetric, the operator stores its eigendecomposition
 M = V diag(m) V^T, and the search works in eigen-coordinates: with
 l = lam*m and w = V^T lam*F(x), d(s) = V (w / (l + s)), and
 x_next = x - V (w / (l + s)). Otherwise
@@ -49,6 +49,13 @@ class SubproblemError(RuntimeError):
     """A proximal subproblem could not be solved to its contract."""
 
 
+def _symmetric_eigen(mat: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """``np.linalg.eigh(mat)`` for a matrix symmetric to 1e-12 of its largest entry, else None."""
+    if abs(mat - mat.T).max() <= 1e-12 * max(1.0, abs(mat).max()):
+        return np.linalg.eigh(mat)
+    return None
+
+
 @dataclass(frozen=True)
 class MonotoneOperator:
     """Evaluation oracle for the operator F of a monotone VI.
@@ -56,18 +63,24 @@ class MonotoneOperator:
     ``evaluate`` returns F(x) as a 1-d float64 array. ``affine_parts``
     holds (M, q) when F(x) = M x + q; ``run_ppa`` needs it to solve each
     step exactly. ``evaluate`` must then compute M x + q as ``M.dot(x) + q``
-    does, because the step takes F(x_k) from it. ``eigen`` holds
-    (eigenvalues, eigenvectors) of a symmetric M as ``np.linalg.eigh(M)``
-    returns them; ``run_ppa`` then solves every step on it in
-    eigen-coordinates, and an affine operator without it takes the
-    nonsymmetric path. ``known_solution`` is a point with F(x*) = 0, used
-    by tests that track distance to the solution.
+    does, because the step takes F(x_k) from it. ``known_solution`` is a
+    point with F(x*) = 0, used by tests that track distance to the solution.
+
+    ``eigen`` is not an argument: every construction, ``dataclasses.replace``
+    included, works it out from ``affine_parts``, as ``np.linalg.eigh(M)``
+    when M is symmetric to 1e-12 of its largest entry and None otherwise.
+    ``run_ppa`` solves every step of a symmetric operator on it, in
+    eigen-coordinates.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     affine_parts: Optional[tuple[np.ndarray, np.ndarray]] = None
-    eigen: Optional[tuple[np.ndarray, np.ndarray]] = None
     known_solution: Optional[np.ndarray] = None
+    eigen: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        eigen = None if self.affine_parts is None else _symmetric_eigen(self.affine_parts[0])
+        object.__setattr__(self, "eigen", eigen)
 
 
 def affine_operator(
@@ -77,11 +90,10 @@ def affine_operator(
 ) -> MonotoneOperator:
     """Build F(x) = mat.dot(x) + offset, checking that mat + mat.T is PSD.
 
-    A matrix symmetric to 1e-12 of its largest entry is eigendecomposed
-    here, once, and the factorization is stored as ``eigen``; its smallest
+    The operator eigendecomposes a symmetric matrix once, and the smallest
     eigenvalue is the monotonicity check. Other matrices are checked on the
-    eigenvalues of their symmetric part and carry no factorization.
-    ``known_solution``, when given, must have the operator's length.
+    eigenvalues of their symmetric part. ``known_solution``, when given,
+    must have the operator's length.
     """
     mat = as_matrix(mat)
     offset = as_vector(offset)
@@ -92,21 +104,18 @@ def affine_operator(
         known_solution = as_vector(known_solution)
         if known_solution.shape[0] != n:
             raise ValueError(f"known_solution has length {known_solution.shape[0]}, the operator {n}")
-    scale = max(1.0, abs(mat).max())
-    eigen = None
-    if abs(mat - mat.T).max() <= 1e-12 * scale:
-        eigen = np.linalg.eigh(mat)
-        min_eig = float(eigen[0][0])
-    else:
-        min_eig = float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
-    if min_eig < -1e-10 * scale:
-        raise ValueError(f"operator is not monotone: min eigenvalue {min_eig:.3e}")
-    return MonotoneOperator(
+    op = MonotoneOperator(
         evaluate=lambda x: mat.dot(x) + offset,
         affine_parts=(mat, offset),
-        eigen=eigen,
         known_solution=known_solution,
     )
+    if op.eigen is not None:
+        min_eig = float(op.eigen[0][0])
+    else:
+        min_eig = float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
+    if min_eig < -1e-10 * max(1.0, abs(mat).max()):
+        raise ValueError(f"operator is not monotone: min eigenvalue {min_eig:.3e}")
+    return op
 
 
 @dataclass(frozen=True)
@@ -140,8 +149,8 @@ class PpaTrace:
     step k's root search: 0 for a zero step (F(x^k) = 0 to working
     precision: within the rounding bound of M x^k + q), 1 for p = 1 (the
     root s = 1 is known). None of them is a factorization on a symmetric
-    operator: each is O(n) work on the eigendecomposition that
-    ``affine_operator`` stored. On the nonsymmetric path each search's
+    operator: each is O(n) work on the eigendecomposition the operator
+    stores. On the nonsymmetric path each search's
     first evaluation reuses the inverse at the previous search's root. The
     benchmark's ``ppa.shifted_solves`` sums this list, so it counts
     evaluations, not factorizations or inversions.
@@ -266,15 +275,17 @@ def _make_affine_stepper(op: MonotoneOperator, cfg: PpaConfig):
     which the shrinking steps keep close; at p = 1 the root s = 1 is known
     and counted as one evaluation.
 
-    On an operator that stores ``eigen``, M = V diag(m) V^T, the run takes
-    l = lam*m and V from it and factorizes nothing. Each step forms
-    w = V^T lam*F(x_k) once, and each secular evaluation forms the step
-    vector in eigen-coordinates, d = w / (l + s): phi = sqrt(d.d) and
+    On a symmetric operator, whose ``eigen`` holds M = V diag(m) V^T, the
+    run takes l = lam*m and V from it and factorizes nothing. Each step
+    forms w = V^T lam*F(x_k) once, and each secular evaluation forms the
+    step vector in eigen-coordinates, d = w / (l + s): phi = sqrt(d.d) and
     phi' = -d.(d / (l + s)) / phi, in O(n). The search keeps d for the last
-    shift it asked for, and x_next = x_k - V d. A step raises
-    ``SubproblemError`` when l or w is not finite (lam*M or lam*F(x_k)
-    overflows): an infinite l_i would zero d_i, and the search would run on
-    a secular function that is not the step's.
+    shift it asked for, and x_next = x_k - V d; at p = 1, d = w / (l + 1).
+    A step raises ``SubproblemError`` when l is not finite (lam*M
+    overflows; an infinite l_i would zero d_i, and the search would run on
+    a secular function that is not the step's), or at p > 1 when w is not
+    (lam*F(x_k) overflows). A p = 1 step whose lam*F(x_k) overflows is
+    formed as V ((V^T (x_k - lam*q)) / (l + 1)), which never forms it.
 
     Other operators invert lam*M + s*I (one LU factorization) once per
     distinct shift, which gives both d and phi' = -d^T (lam*M + s*I)^{-1} d
@@ -328,14 +339,17 @@ def _make_affine_stepper(op: MonotoneOperator, cfg: PpaConfig):
             lam_f_sq = lam_f.dot(lam_f)
             if is_zero_step(x_k, lam_f_sq, f_norm):
                 return x_k.copy(), 0
+            if not finite_eigvals:
+                raise SubproblemError(f"secular function not finite: lam*M overflows in eigen-coordinates (lam = {lam:.3e})")
+            if p == 1.0:
+                if lam_f_sq < math.inf:
+                    return x_k - eigvecs.dot(eigvecs_t.dot(lam_f) / eigvals_plus_one), 1
+                # lam*F(x_k) overflows, but (lam*M + I)^{-1} (x_k - lam*q) need not
+                return eigvecs.dot(eigvecs_t.dot(x_k - lam * offset) / eigvals_plus_one), 1
             w = eigvecs_t.dot(lam_f)
             # ||w|| = ||lam*F(x_k)||, so w is finite when ||lam*F(x_k)||^2 is
-            if not (finite_eigvals and (lam_f_sq < math.inf or np.isfinite(w).all())):
-                raise SubproblemError(
-                    f"secular function not finite: lam*M or lam*F(x_k) overflows in eigen-coordinates (lam = {lam:.3e})"
-                )
-            if p == 1.0:
-                return x_k - eigvecs.dot(w / eigvals_plus_one), 1
+            if not (lam_f_sq < math.inf or np.isfinite(w).all()):
+                raise SubproblemError(f"secular function not finite: lam*F(x_k) overflows (lam = {lam:.3e})")
             root, evaluations = _secular_root(secular, p, root)
             d = d_searched if root == searched else w / (eigvals + root)
             return x_k - eigvecs.dot(d), evaluations

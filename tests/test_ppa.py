@@ -315,15 +315,25 @@ class TestStepRootSearch:
             with np.errstate(over="ignore", invalid="ignore"):
                 run_ppa(op, x0, PpaConfig(p=2.0, lambda_ppa=1e308, max_iters=5))
 
-    @pytest.mark.parametrize("p", [1.0, 2.0])
-    def test_overflowing_lam_f_raises(self, p):
+    def test_overflowing_lam_f_raises(self):
         # lam*M's eigenvalues (up to 3.3e300) are finite, but lam*F(x0) and
-        # so w = V^T lam*F(x0) are not; the p = 1 step, which evaluates no
-        # secular function, raises too
+        # so w = V^T lam*F(x0) are not
         op, x0 = gen_vi_affine(3, 0)
         with pytest.raises(SubproblemError, match="^secular function not finite"):
             with np.errstate(over="ignore", invalid="ignore"):
-                run_ppa(op, 1e10 * x0, PpaConfig(p=p, lambda_ppa=1e300, max_iters=5))
+                run_ppa(op, 1e10 * x0, PpaConfig(p=2.0, lambda_ppa=1e300, max_iters=5))
+
+    def test_p1_step_with_overflowing_lam_f_solves(self):
+        # lam*F(x0) overflows, but the p = 1 step (lam*M + I)^{-1} (x0 - lam*q)
+        # does not: it lands on the solution, then comes the zero step
+        op, x0 = gen_vi_affine(3, 0)
+        mat, offset = op.affine_parts
+        x0, lam = 1e10 * x0, 1e300
+        with np.errstate(over="ignore"):
+            trace = run_ppa(op, x0, PpaConfig(p=1.0, lambda_ppa=lam, max_iters=5))
+        assert trace.inner_solves == [1, 0]
+        expected = np.linalg.solve(lam * mat + np.eye(3), x0 - lam * offset)
+        assert np.allclose(trace.iterates[1], expected, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("lam", [1e200, 1e300])
@@ -464,16 +474,28 @@ class TestEigenCoordinateStep:
         skew, _ = skew_operator(20, 0)
         assert calls == ["eigh", "eigvalsh"] and skew.eigen is None
 
-    def test_operator_without_factorization_takes_nonsymmetric_path(self, monkeypatch):
+    def test_symmetric_operator_built_directly_takes_eigen_path(self, monkeypatch):
+        # the factorization comes from affine_parts, however the operator is
+        # built, so a plain MonotoneOperator gets it too and inverts nothing
         op, x0 = gen_vi_affine(20, 0)
-        plain = dataclasses.replace(op, eigen=None)
-        inverted = []
-        inv = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(1) or inv(a))
+        mat, offset = op.affine_parts
+        plain = MonotoneOperator(evaluate=op.evaluate, affine_parts=(mat, offset))
+        assert np.array_equal(plain.eigen[0], op.eigen[0])
+        monkeypatch.setattr(np.linalg, "inv", lambda a: pytest.fail("inverted lam*M + s*I"))
         cfg = PpaConfig(p=2.0, lambda_ppa=1.0, max_iters=20)
-        trace = run_ppa(plain, x0, cfg)
-        assert inverted
-        assert_step_identity(op, x0, trace, cfg)
+        expected = run_ppa(op, x0, cfg).iterates
+        assert all(np.array_equal(a, b) for a, b in zip(run_ppa(plain, x0, cfg).iterates, expected))
+
+    def test_eigen_follows_affine_parts(self):
+        op, _ = gen_vi_affine(6, 0)
+        with pytest.raises(TypeError):
+            MonotoneOperator(evaluate=op.evaluate, affine_parts=op.affine_parts, eigen=None)
+        symmetric, _ = gen_vi_affine(6, 1)
+        moved = dataclasses.replace(op, affine_parts=symmetric.affine_parts)
+        assert np.array_equal(moved.eigen[1], symmetric.eigen[1])
+        skew, _ = skew_operator(6, 0)
+        assert dataclasses.replace(op, affine_parts=skew.affine_parts).eigen is None
+        assert MonotoneOperator(evaluate=op.evaluate).eigen is None
 
 
 def rounding_bound(op, x):
