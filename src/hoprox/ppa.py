@@ -336,7 +336,8 @@ def _make_affine_stepper(op: MonotoneOperator, cfg: PpaConfig):
         def step(x_k: np.ndarray, f_k: np.ndarray, f_norm: float):
             nonlocal w, root
             lam_f = lam * f_k
-            lam_f_sq = lam_f.dot(lam_f)
+            # ||lam*F(x_k)||^2 as a Python float: 0 on underflow, inf on overflow, no warning
+            lam_f_sq = (lam * f_norm) * (lam * f_norm)
             if is_zero_step(x_k, lam_f_sq, f_norm):
                 return x_k.copy(), 0
             if not finite_eigvals:
@@ -386,7 +387,7 @@ def _make_affine_stepper(op: MonotoneOperator, cfg: PpaConfig):
         def step(x_k: np.ndarray, f_k: np.ndarray, f_norm: float):
             nonlocal root
             lam_f = lam * f_k
-            if is_zero_step(x_k, lam_f.dot(lam_f), f_norm):
+            if is_zero_step(x_k, (lam * f_norm) * (lam * f_norm), f_norm):
                 return x_k.copy(), 0
             if p == 1.0:
                 return x_of(x_k - lam_offset, 1.0), 1

@@ -28,33 +28,20 @@ class BpInstance:
     density: float
     seed: int
 
-    @property
-    def m(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[1]
-
 
 @dataclass(frozen=True)
 class McInstance:
-    """A matrix-completion instance: observed entries of a sparse matrix.
+    """A matrix-completion instance: the observed entries of a sparse ``shape`` matrix.
 
     ``observed_indices`` are row-major flat indices in increasing order and
-    ``observed_values`` the matching entries, so the right-hand side is
-    read off in a fixed row-major order.
+    ``observed_values`` the matching entries, the right-hand side in that order.
     """
 
-    matrix: np.ndarray
+    shape: tuple[int, int]
     observed_indices: np.ndarray
     observed_values: np.ndarray
     density: float
     seed: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
 
 
 def gen_bp(m: int, n: int, density: float, seed: int) -> BpInstance:
@@ -84,11 +71,9 @@ def gen_mc(m: int, n: int, density: float, seed: int) -> McInstance:
     rng = np.random.default_rng(seed)
     support = rng.choice(m * n, size=nnz, replace=False)
     values = rng.standard_normal(nnz)
-    matrix = np.zeros(m * n)
-    matrix[support] = values
     order = np.argsort(support)
     return McInstance(
-        matrix=matrix.reshape(m, n),
+        shape=(m, n),
         observed_indices=support[order],
         observed_values=values[order],
         density=density,
@@ -139,10 +124,15 @@ def gen_vi_affine(n: int, seed: int) -> tuple[MonotoneOperator, np.ndarray]:
 
 
 def dump_instance(inst, path) -> None:
-    """Write an instance as plain text: a header line, then the entries."""
+    """Write an instance as plain text, one line per item, floats with 17 significant digits.
+
+    After the header ``kind m n density seed``, bp writes the m rows of A, the
+    ground truth, then b; mc the count, the row-major flat indices, then the values.
+    """
     lines = []
     if isinstance(inst, BpInstance):
-        lines.append(f"bp {inst.m} {inst.n} {inst.density:.17g} {inst.seed}")
+        m, n = inst.a.shape
+        lines.append(f"bp {m} {n} {inst.density:.17g} {inst.seed}")
         for row in inst.a:
             lines.append(" ".join(f"{v:.17g}" for v in row))
         lines.append(" ".join(f"{v:.17g}" for v in inst.ground_truth))
@@ -157,58 +147,3 @@ def dump_instance(inst, path) -> None:
         raise TypeError(f"cannot serialize {type(inst).__name__}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_instance(path):
-    """Parse an instance written by ``dump_instance``.
-
-    Raises ValueError, naming the file and the 1-based line, for a missing
-    or malformed header line, for a value that does not parse or is not
-    finite, for a line with the wrong number of values, and unless the mc
-    indices are at least one, increasing and within [0, m * n).
-    """
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    header = lines[0] if lines else ""
-    try:
-        kind, m_str, n_str, density_str, seed_str = header.split()
-        m, n, density, seed = int(m_str), int(n_str), float(density_str), int(seed_str)
-        if m < 1 or n < 1:  # the rows would be read from the wrong lines
-            raise ValueError
-    except ValueError:
-        raise ValueError(
-            f"{path} line 1: expected the header 'kind m n density seed' with integers m, n >= 1 and seed"
-            f" and a float density, got {header!r}"
-        ) from None
-
-    def row(i, size, dtype=float):
-        try:
-            values = np.array([dtype(v) for v in lines[i].split()] if i < len(lines) else [], dtype=dtype)
-        except (ValueError, OverflowError) as err:
-            raise ValueError(f"{path} line {i + 1}: {err}") from None
-        if values.size != size:
-            raise ValueError(f"{path} line {i + 1}: expected {size} values, got {values.size}")
-        if not np.isfinite(values).all():
-            raise ValueError(f"{path} line {i + 1}: expected finite values, got {values[~np.isfinite(values)][0]}")
-        return values
-
-    if kind == "bp":
-        a = np.array([row(1 + i, n) for i in range(m)]).reshape(m, n)
-        return BpInstance(a=a, ground_truth=row(1 + m, n), b=row(2 + m, m), density=density, seed=seed)
-    if kind == "mc":
-        (count,) = row(1, 1, int)
-        if count < 1:
-            raise ValueError(f"{path} line 2: expected an index count of at least 1, got {count}")
-        indices, values = row(2, count, int), row(3, count)
-        if indices[0] < 0 or indices[-1] >= m * n or np.any(np.diff(indices) <= 0):
-            raise ValueError(f"{path} line 3: mc indices must be increasing within [0, {m * n})")
-        matrix = np.zeros(m * n)
-        matrix[indices] = values
-        return McInstance(
-            matrix=matrix.reshape(m, n),
-            observed_indices=indices,
-            observed_values=values,
-            density=density,
-            seed=seed,
-        )
-    raise ValueError(f"unknown instance kind {kind!r}")

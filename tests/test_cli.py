@@ -10,7 +10,7 @@ import pytest
 
 from hoprox.bench import ExperimentConfig
 from hoprox.cli import build_parser, main, resolve_config
-from hoprox.problems import gen_bp, load_instance
+from hoprox.problems import gen_bp
 
 
 def run_cli(args):
@@ -187,10 +187,12 @@ class TestMain:
             ]
         )
         assert code == 0
-        loaded = load_instance(tmp_path / "bp_seed7.instance.txt")
+        # after the header, the rows of A, the ground truth, then b, as generated
+        lines = (tmp_path / "bp_seed7.instance.txt").read_text().splitlines()[1:]
         fresh = gen_bp(4, 10, 0.3, 7)
-        assert np.array_equal(loaded.a, fresh.a)
-        assert np.array_equal(loaded.b, fresh.b)
+        assert len(lines) == 4 + 2
+        for line, expected in zip(lines, [*fresh.a, fresh.ground_truth, fresh.b]):
+            assert np.array([float(v) for v in line.split()]).tobytes() == expected.tobytes()
 
     def test_vi_run(self, tmp_path):
         code = run_cli(

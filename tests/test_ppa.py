@@ -343,8 +343,9 @@ class TestStepRootSearch:
         # on the rounding floor, then comes the zero step
         op, x0 = gen_vi_affine(3, 0)
         cfg = PpaConfig(p=p, lambda_ppa=lam, max_iters=5)
-        # the zero-step test's ||lam*F||^2 overflows to inf, rightly not 0
-        with np.errstate(over="ignore"):
+        # the zero-step test's ||lam*F||^2 overflows to inf, rightly not 0,
+        # as a Python float, so numpy warns of nothing
+        with np.errstate(all="raise"):
             trace = run_ppa(op, x0, cfg)
         assert trace.inner_solves == [1 if p == 1.0 else 2, 0]
         assert trace.step_norms[-1] == 0.0

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from hoprox.problems import (
     gen_bp,
     gen_mc,
     gen_vi_affine,
-    load_instance,
     mc_composite,
     nuclear_norm_on_vectors,
 )
@@ -101,14 +99,14 @@ class TestGenMc:
 
     def test_row_major_order_and_values(self):
         inst = gen_mc(6, 7, 0.3, seed=2)
+        assert inst.shape == (6, 7)
         assert np.all(np.diff(inst.observed_indices) > 0)
-        assert np.array_equal(inst.matrix.ravel()[inst.observed_indices], inst.observed_values)
 
     def test_deterministic_bitwise(self):
         a = gen_mc(8, 8, 0.2, seed=5)
         b = gen_mc(8, 8, 0.2, seed=5)
-        assert np.array_equal(a.matrix, b.matrix)
         assert np.array_equal(a.observed_indices, b.observed_indices)
+        assert a.observed_values.tobytes() == b.observed_values.tobytes()
 
 
 class TestMaskOperator:
@@ -198,7 +196,9 @@ class TestComposites:
     def test_mc_composite_feasible_point(self):
         inst = gen_mc(5, 5, 0.2, seed=6)
         prob = mc_composite(inst)
-        assert np.allclose(prob.a_map.apply(inst.matrix.ravel()), prob.b)
+        dense = np.zeros(math.prod(inst.shape))
+        dense[inst.observed_indices] = inst.observed_values
+        assert np.allclose(prob.a_map.apply(dense), prob.b)
 
     def test_nuclear_value_midpoint_convexity(self):
         f = nuclear_norm_on_vectors(4, 5)
@@ -226,23 +226,24 @@ class TestGenViAffine:
 
 class TestInstanceSerialization:
     def test_bp_round_trip(self, tmp_path):
+        # after the header, the m rows of A, the ground truth, then b
         inst = gen_bp(6, 15, 0.3, seed=7)
         path = tmp_path / "bp.instance.txt"
         dump_instance(inst, path)
-        loaded = load_instance(path)
-        assert np.array_equal(loaded.a, inst.a)
-        assert np.array_equal(loaded.ground_truth, inst.ground_truth)
-        assert np.array_equal(loaded.b, inst.b)
-        assert loaded.density == inst.density and loaded.seed == inst.seed
+        lines = path.read_text().splitlines()[1:]
+        assert len(lines) == 6 + 2
+        for line, expected in zip(lines, [*inst.a, inst.ground_truth, inst.b]):
+            assert np.array([float(v) for v in line.split()]).tobytes() == expected.tobytes()
 
     def test_mc_round_trip(self, tmp_path):
+        # after the header, the count, the indices, then the values
         inst = gen_mc(7, 5, 0.2, seed=8)
         path = tmp_path / "mc.instance.txt"
         dump_instance(inst, path)
-        loaded = load_instance(path)
-        assert np.array_equal(loaded.matrix, inst.matrix)
-        assert np.array_equal(loaded.observed_indices, inst.observed_indices)
-        assert np.array_equal(loaded.observed_values, inst.observed_values)
+        count, indices, values = path.read_text().splitlines()[1:]
+        assert int(count) == inst.observed_indices.size
+        assert np.array_equal([int(i) for i in indices.split()], inst.observed_indices)
+        assert np.array([float(v) for v in values.split()]).tobytes() == inst.observed_values.tobytes()
 
     def test_header_line(self, tmp_path):
         inst = gen_bp(3, 6, 0.5, seed=9)
@@ -252,86 +253,3 @@ class TestInstanceSerialization:
         assert header[0] == "bp"
         assert header[1:3] == ["3", "6"]
         assert float(header[3]) == 0.5 and int(header[4]) == 9
-
-    @pytest.mark.parametrize(
-        "text",
-        ["", "bp 2\n", "bp 3 6 0.5\n", "bp 3.0 6 0.5 9\n", "bp 3 6 x 9\n", "bp 3 6 0.5 9.5\n", "bp -1 2 0.5 0\n",
-         "mc 3 0 0.5 0\n"],
-        ids=["empty", "two-fields", "four-fields", "float-m", "bad-density", "float-seed", "negative-m", "zero-n"],
-    )
-    def test_malformed_header_rejected(self, tmp_path, text):
-        # an empty file raised a bare IndexError, a short header an unpack error,
-        # and bp with m = -1 read its header line as the ground truth
-        path = tmp_path / "bad.txt"
-        path.write_text(text)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 1: expected the header"):
-            load_instance(path)
-
-    def test_unknown_kind_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("xy 2 2 0.5 0\n")
-        with pytest.raises(ValueError, match="unknown instance kind"):
-            load_instance(path)
-
-    # bp lines: 1 the header, 2..4 the rows of A (6 values), 5 the ground truth (6), 6 b (3)
-    @pytest.mark.parametrize(
-        "line,count,expected",
-        [(2, 5, 6), (5, 5, 6), (6, 2, 3), (6, 4, 3)],
-        ids=["short-row", "short-ground-truth", "short-b", "long-b"],
-    )
-    def test_malformed_bp_rejected(self, tmp_path, line, count, expected):
-        # a ground truth or b one short loaded silently
-        path = tmp_path / "bp.txt"
-        dump_instance(gen_bp(3, 6, 0.5, seed=9), path)
-        lines = path.read_text().splitlines()
-        lines[line - 1] = " ".join((lines[line - 1].split() * 2)[:count])
-        path.write_text("\n".join(lines) + "\n")
-        message = f"^{re.escape(str(path))} line {line}: expected {expected} values, got {count}$"
-        with pytest.raises(ValueError, match=message):
-            load_instance(path)
-
-    def test_non_numeric_bp_value_rejected(self, tmp_path):
-        # a bad value named neither the file nor the line
-        path = tmp_path / "bp.txt"
-        path.write_text("bp 1 2 0.5 0\n1 x\n0 1\n1\n")
-        message = f"^{re.escape(str(path))} line 2: could not convert string to float: 'x'$"
-        with pytest.raises(ValueError, match=message):
-            load_instance(path)
-
-    @pytest.mark.parametrize(
-        "text,line",
-        [("bp 1 2 0.5 0\n1 nan\n0 1\n1\n", 2), ("bp 1 2 0.5 0\n1 0\n0 -inf\n1\n", 3),
-         ("bp 1 2 0.5 0\n1 0\n0 1\ninf\n", 4), ("mc 7 5 0.1 0\n2\n0 3\n1.0 nan\n", 4)],
-        ids=["bp-row", "bp-ground-truth", "bp-b", "mc-values"],
-    )
-    def test_non_finite_value_rejected(self, tmp_path, text, line):
-        # a bp row "1 nan" loaded, and the error came later from bp_composite
-        # with no file or line
-        path = tmp_path / "bad.txt"
-        path.write_text(text)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line {line}: expected finite values, got"):
-            load_instance(path)
-
-    @pytest.mark.parametrize(
-        "indices,match",
-        [("0 3 35", "mc indices must be increasing"), ("-1 3 7", "mc indices must be increasing"),
-         ("0 3 3", "mc indices must be increasing"), ("0 7 3", "mc indices must be increasing"),
-         ("0 3", "expected 3 values, got 2$"), ("0 x 7", "invalid literal for int\\(\\) with base 10: 'x'$")],
-        ids=["past-end", "negative", "repeated", "decreasing", "short", "non-numeric"],
-    )
-    def test_malformed_mc_rejected(self, tmp_path, indices, match):
-        # an index >= m*n raised a bare IndexError, and a repeated one loaded
-        # with the matrix disagreeing with the observed values
-        path = tmp_path / "mc.txt"
-        path.write_text(f"mc 7 5 0.1 0\n3\n{indices}\n1.0 2.0 3.0\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 3: {match}"):
-            load_instance(path)
-
-    @pytest.mark.parametrize("count", [0, -1])
-    def test_mc_count_below_one_rejected(self, tmp_path, count):
-        # a count of -1 was reported against the index line, as its value count
-        path = tmp_path / "mc.txt"
-        path.write_text(f"mc 7 5 0.1 0\n{count}\n0\n1.0\n")
-        message = f"^{re.escape(str(path))} line 2: expected an index count of at least 1, got {count}$"
-        with pytest.raises(ValueError, match=message):
-            load_instance(path)

@@ -24,7 +24,6 @@ HP_NAME = re.compile(r"\bhp\.([A-Za-z_]\w*)")
 KEPT_WITHOUT_CALLER = {
     "gradient_map": "independent reference for the subsolver's inline stopping test (criteria 4 and 9)",
     "holder_constant": "reference the subsolver's curvature estimates are tested against",
-    "load_instance": "reader of the library's own instance text format",
 }
 
 # methods, as Class.method, that neither src/hoprox nor perfbench calls
