@@ -6,7 +6,13 @@ psi is the shifted power penalty of a linear constraint residual,
 
 whose gradient is Hölder continuous with exponent 1/p. The solver is an
 accelerated proximal gradient method with a doubling/halving estimate of the
-local curvature, so it needs no smoothness constants up front. Termination
+local curvature, so it needs no smoothness constants up front. A trial step
+of length 1/L passes when psi stays below its quadratic model plus the slack
+eps_sub^2 tau / (16 L), tau the step's share of the accumulated coefficient.
+The slack keeps the test passable for a gradient that is only Hölder
+continuous, and the 1/L keeps it below the decrease of every step whose
+gradient map the stop still has to shrink (the derivation is in
+``minimize_composite``). Termination
 uses the unit-scale gradient map G(x) = x - prox_f(x - grad_psi(x)), bounded
 first by a certificate that needs no prox, at entry too when the entry
 test runs and the caller hands in a subgradient of f at the start (see
@@ -177,14 +183,45 @@ def minimize_composite(
 ) -> SubsolverReport:
     """Minimize psi + f until ||G(z)|| <= eps_sub.
 
-    The curvature estimate L doubles whenever the trial point fails the
-    quadratic upper-bound test and halves once per accepted iterate. The
-    test carries the additive slack (eps_sub^2/16) * a/A that keeps it
-    passable for merely Hölder-smooth psi; weighting by the step's share
-    a/A of the accumulated coefficient makes the slack vanish as iterations
-    accumulate, so the curvature estimate turns honest near the solution.
-    Non-convergence within ``max_iters`` is reported via the ``converged``
-    flag, not raised.
+    The curvature estimate L doubles whenever the trial point x+ = y + dx
+    fails the quadratic upper-bound test
+
+        psi(x+) <= psi(y) + <grad_psi(y), dx> + (L/2) ||dx||^2 + eps_sub^2 tau / (16 L),
+
+    and halves once per accepted iterate; tau = a/A is the step's share of
+    the accumulated coefficient. Non-convergence within ``max_iters`` is
+    reported via the ``converged`` flag, not raised.
+
+    The slack is delta/2 with delta = eps_acc tau / L and eps_acc =
+    eps_sub^2 / 8. grad_psi is Hölder continuous with exponent nu = 1/p and
+    some constant H, and Nesterov's lemma (Universal gradient methods for
+    convex optimization problems, Math. Program. 152, 2015) says the test
+    with slack delta/2 passes once L >= (1/delta)^((1-nu)/(1+nu))
+    H^(2/(1+nu)). With delta = eps_acc tau / L that holds once
+
+        L >= H^(1/nu) (eps_acc tau)^(-(1-nu)/(2 nu)) = H^p (eps_acc tau)^(-(p-1)/2);
+
+    at p = 1 that is H, the Lipschitz constant, whatever the slack. As
+    tau -> 0 the bound grows like tau^(-(p-1)/2), faster than the
+    tau^(-(p-1)/(p+1)) of a slack without the 1/L: at p = 3 like 1/tau
+    against 1/sqrt(tau). tau falls like 2/k over k iterations, so at p = 3
+    the bound rises linearly in k, to about k H^3 / (2 eps_acc), far below
+    ``_L_CEIL`` (about 2^199) within any cap one can run. Each search ends
+    in any case: with G_L = L (y - x+), whose norm only grows with L, the
+    Hölder bound passes the test without slack once
+    L^nu >= 2 H ||G_L||^(nu-1) / (1 + nu), and dx = 0 passes it outright.
+
+    A ||G|| <= eps_sub stop needs no larger slack. G_L is the gradient map
+    of the 1/L step, and with convex psi and f a passed test gives
+    psi(x+) + f(x+) <= psi(y) + f(y) - ||G_L||^2 / (2L) + slack.
+    While ||G_L|| >= eps_sub the decrease is at least eps_sub^2 / (2L), at
+    least 8 times the slack at any L, so the slack never hides a step that the
+    stop still needs (||G|| <= ||G_L|| for L >= 1). A slack without the
+    1/L, eps_sub^2 tau / 16, lets psi + f rise on steps with ||G_L|| up to
+    eps_sub sqrt(tau L / 8), above eps_sub once tau L > 8: on matrix
+    completion at p = 2 and eps_sub = 0.1 its iteration-1 value 6.25e-4
+    exceeded the penalty's power term (about 2e-4), x drifted, and the ALM
+    stalled at ||Ax - b|| of about 2.75e-3.
 
     Iteration 1 is special: with nothing accumulated yet, a = 1/L and the
     extrapolated point y is the start x for every trial L. It therefore
@@ -244,7 +281,6 @@ def minimize_composite(
     if not (math.isfinite(curvature_hint) and curvature_hint > 0):
         raise ValueError("curvature_hint must be positive and finite")
 
-    eps_acc = eps_sub ** 2 / 8.0
     x = v = as_vector(z0)
     big_a = 0.0
     L = _grid_start(curvature_hint)
@@ -305,7 +341,7 @@ def minimize_composite(
             r_trial = oracle.residual(x_trial)
             r_norm = math.sqrt(r_trial.dot(r_trial))
             psi_trial = oracle.value_at_residual(r_trial, r_norm)
-            upper = psi_y + grad_y.dot(dx) + 0.5 * L * dx_sq + 0.5 * eps_acc * tau
+            upper = psi_y + grad_y.dot(dx) + 0.5 * L * dx_sq + eps_sub ** 2 * tau / (16.0 * L)
             if math.isfinite(psi_trial) and psi_trial <= upper:
                 break
             L *= 2.0

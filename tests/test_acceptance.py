@@ -227,28 +227,58 @@ def censored_median(cells, outcomes, p):
     return float(np.median([outcome.outer_iters for cell, outcome in zip(cells, outcomes) if cell.cfg.p == p]))
 
 
+def order_totals(cells, traces, orders):
+    """Each order's inner iterations, prox calls and trials, summed over its cells' x-update reports."""
+    totals = []
+    for p in orders:
+        reports = [rep for cell, trace in zip(cells, traces) if cell.cfg.p == p for rep in trace.reports]
+        inner = sum(rep.iterations for rep in reports)
+        prox = sum(rep.prox_calls for rep in reports)
+        trials = sum(rep.trials for rep in reports)
+        totals.append(f"p{p:g} {inner}/{prox}/{trials}")
+    return "inner/prox/trials " + " ".join(totals)
+
+
 def test_criterion_7_bp_ordering(bp_battery):
-    cells, _, outcomes, elapsed = bp_battery
+    cells, traces, outcomes, elapsed = bp_battery
     med = {p: censored_median(cells, outcomes, p) for p in P_ORDERS}
     ok = med[2.0] < med[1.0] and med[3.0] < med[1.0] and elapsed < 600.0
     report(
         7,
         "BP: higher order needs fewer outer iterations to r <= 1e-3",
         ok,
-        f"medians p1={med[1.0]:g} p2={med[2.0]:g} p3={med[3.0]:g}, battery {elapsed:.0f}s",
+        f"medians p1={med[1.0]:g} p2={med[2.0]:g} p3={med[3.0]:g}, "
+        f"{order_totals(cells, traces, P_ORDERS)}, battery {elapsed:.0f}s",
     )
 
 
 def test_criterion_8_mc_ordering(mc_battery):
-    cells, _, outcomes, elapsed = mc_battery
+    cells, traces, outcomes, elapsed = mc_battery
     med1 = censored_median(cells, outcomes, 1.0)
     med2 = censored_median(cells, outcomes, 2.0)
     report(
         8,
         "MC: order 2 needs fewer outer iterations to r <= 1e-3 than order 1",
         med2 < med1 and elapsed < 600.0,
-        f"medians p1={med1:g} p2={med2:g} (max_outer-censored), battery {elapsed:.0f}s",
+        f"medians p1={med1:g} p2={med2:g} (max_outer-censored), "
+        f"{order_totals(cells, traces, (1.0, 2.0))}, battery {elapsed:.0f}s",
     )
+
+
+def test_mc_order_2_coarse_cells_converge(mc_battery):
+    # the alm-mc cells with p = 2 and eps_sub = 0.1, on the battery's seeds and
+    # on held-out seeds 5-7. They stalled at max_outer with ||Ax - b|| near
+    # 2.75e-3 while the subsolver's curvature slack did not shrink with 1/L
+    def coarse(cell):
+        return cell.cfg.p == 2.0 and cell.cfg.eps_sub == 0.1
+
+    cells, _, outcomes, _ = mc_battery
+    runs = [(cell, outcome) for cell, outcome in zip(cells, outcomes) if coarse(cell)]
+    runs += [(cell, grid.check(cell, grid.solve(cell))) for cell in grid.build("alm-mc", (5, 6, 7)) if coarse(cell)]
+    assert len(runs) == 6
+    bad = [f"{cell.name}: {outcome.failed or 'not converged'}" for cell, outcome in runs
+           if outcome.failed or not outcome.converged]
+    assert not bad, "; ".join(bad)
 
 
 def _reference_prox_gradient(a, b, multiplier, beta, p, x0, iters):
@@ -334,12 +364,12 @@ BATTERY_COUNTS = {
     "ppa-sym": {"ppa.steps": 2_673, "ppa.shifted_solves": 3_944, "converged": 19},
     "ppa-skew": {"ppa.steps": 226, "ppa.shifted_solves": 392, "converged": 15},
     "alm-bp": {
-        "alm.outer_iters": 652, "alm.low_inner_outer": 434, "subsolver.inner_iters": 13_097,
-        "subsolver.x_updates": 652, "prox.calls": 39_501, "converged": 15,
+        "alm.outer_iters": 644, "alm.low_inner_outer": 409, "subsolver.inner_iters": 12_645,
+        "subsolver.x_updates": 644, "prox.calls": 38_131, "converged": 15,
     },
     "alm-mc": {
-        "alm.outer_iters": 3_049, "alm.low_inner_outer": 2_969, "subsolver.inner_iters": 3_604,
-        "subsolver.x_updates": 3_049, "prox.calls": 7_783, "converged": 6,
+        "alm.outer_iters": 1_569, "alm.low_inner_outer": 1_495, "subsolver.inner_iters": 2_095,
+        "subsolver.x_updates": 1_569, "prox.calls": 6_117, "converged": 9,
     },
 }
 BATTERIES = {"ppa-sym": "ppa_battery", "ppa-skew": "skew_battery", "alm-bp": "bp_battery", "alm-mc": "mc_battery"}

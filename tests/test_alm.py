@@ -215,15 +215,15 @@ class TestCurvatureHintInAlm:
             assert objective == prob.f.value(trace.iterates[k + 1])
 
     def test_prox_call_count(self):
-        # 656 prox calls (SVDs) before each x-update's first search started
-        # at the previous x-update's curvature; 367 with that and the entry
-        # certificate
+        # the bound is from 656 prox calls (SVDs) when this cell stalled for
+        # 60 outer steps and each x-update's first search started from 1;
+        # with the curvature slack scaled by 1/L the cell converges in 6
         prob, cfg = mc_cell(2.0, 60)
         calls = []
         counted = ProxFunction(prob.f.value, lambda v, t: calls.append(t) or prob.f.prox(v, t))
         trace = run_alm(CompositeProblem(counted, prob.a_map, prob.b), np.zeros(2500), np.zeros(250), cfg)
-        assert trace.outer_iterations == 60
-        assert len(calls) <= 0.75 * 656
+        assert trace.converged and trace.outer_iterations == 6
+        assert len(calls) == 175 <= 0.75 * 656
 
 
 class TestMultiplierFromReport:
@@ -266,16 +266,22 @@ class CountingMap:
 
 class TestResidualHandoff:
     def test_apply_count(self):
-        # 2,933 applies for these 88 outer steps when run_alm recomputed
-        # A x - b after each x-update and each x-update's entry check
-        # recomputed it again; the x-update now returns it and the next
-        # one takes it, 2 applies fewer per outer step
+        # each x-update returns A x - b and the next one takes it, so the
+        # start's residual is the only apply outside the trials: each trial
+        # applies A to its trial point, each trial after iteration 1 also to
+        # its y, and iteration 1 searches log2(first_L_accepted / hint) + 1
+        # trials up from the hint
         prob = bp_composite(gen_bp(100, 500, 0.2, 0))
         counted = CountingMap(prob.a_map)
         cfg = AlmConfig(p=1.0, beta=2.0, eps=1e-3, eps_sub=0.1, max_outer=500, max_inner=50_000)
         trace = run_alm(CompositeProblem(prob.f, counted, prob.b), np.zeros(500), np.zeros(100), cfg)
-        assert trace.converged and trace.outer_iterations == 88
-        assert counted.applies == 2933 - 2 * 88
+        assert trace.converged and trace.outer_iterations == 95
+        hint, derived = 1.0, 1
+        for rep in trace.reports:
+            if rep.iterations:
+                derived += 2 * rep.trials - (int(math.log2(rep.first_L_accepted / hint)) + 1)
+            hint = rep.first_L_accepted
+        assert counted.applies == derived == 2748
 
     def test_reports_carry_the_iterates_residual(self):
         prob, cfg = mc_cell(1.0, 20)

@@ -12,6 +12,7 @@ from hoprox.alm import AlmConfig, CompositeProblem, run_alm
 from hoprox.problems import gen_bp, gen_mc, mc_composite, nuclear_norm_on_vectors
 from hoprox.prox import ProxFunction, l1_norm
 from hoprox.subsolver import (
+    _L_CEIL,
     PenaltyGradientOracle,
     _grid_start,
     gradient_map,
@@ -369,8 +370,8 @@ class TestCurvatureHint:
     @pytest.mark.parametrize(
         "kind,p,iterations,prox_calls,trials,first_l",
         [
-            ("bp", 1.0, 559, 1687, 1127, 2048.0),
-            ("bp", 2.0, 138, 420, 281, 128.0),
+            ("bp", 1.0, 557, 1681, 1123, 2048.0),
+            ("bp", 2.0, 136, 414, 277, 128.0),
             ("bp", 3.0, 67, 204, 136, 64.0),
             ("mc", 1.0, 40, 122, 81, 8.0),
             ("mc", 2.0, 14, 41, 26, 1.0),
@@ -513,6 +514,53 @@ def extended_gradient_map_norm(a, b, multiplier, p, kind, x):
     return float(np.sqrt(d @ d))
 
 
+# (seed, log_a, log_b, log_eps, kind) of extreme_scale_case
+EXTREME_SCALE_EXAMPLES = [
+    dict(seed=3, log_a=-1.66, log_b=0.18, log_eps=-10.0, kind="zero"),
+    dict(seed=22, log_a=-0.53, log_b=0.0, log_eps=-8.0, kind="l1"),
+    dict(seed=291, log_a=-1.23, log_b=1.41, log_eps=-9.0, kind="l1"),
+    dict(seed=11, log_a=-0.43, log_b=1.69, log_eps=-12.0, kind="l1"),
+    dict(seed=12, log_a=-0.39, log_b=2.34, log_eps=-10.0, kind="l1"),
+]
+# (seed, eps_sub, kind) of rounded_step_case
+ROUNDED_STEP_CASES = [(1, 1e-8, "l1"), (29, 1e-10, "l1"), (30, 1e-12, "l1"), (34, 1e-12, "zero")]
+
+
+def with_examples(cases):
+    """A hypothesis ``@example`` for each keyword dict in ``cases``."""
+
+    def decorate(test):
+        for case in cases:
+            test = example(**case)(test)
+        return test
+
+    return decorate
+
+
+def extreme_scale_case(seed, log_a, log_b, log_eps, kind):
+    """Oracle (p = 2, beta = 1), f and eps_sub = 10^log_eps, with A over 10^log_a and b over 10^log_b.
+
+    f is ||.||_1 for kind "l1", else 0; the multiplier is random.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((4, 8)) * 10.0 ** log_a
+    b = rng.standard_normal(4) * 10.0 ** log_b
+    oracle = PenaltyGradientOracle(a, b, rng.standard_normal(4), 1.0, 2.0)
+    return oracle, l1_norm() if kind == "l1" else zero_function(), 10.0 ** log_eps
+
+
+def rounded_step_case(seed, eps_sub, kind):
+    """Oracle (p = 2, beta = 1), f and eps_sub, with A and b over random decades.
+
+    f is ||.||_1 for kind "l1", else 0; the multiplier is random.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((4, 8)) * 10 ** rng.uniform(-1, 1)
+    b = rng.standard_normal(4) * 10 ** rng.uniform(0, 3)
+    oracle = PenaltyGradientOracle(a, b, rng.standard_normal(4), 1.0, 2.0)
+    return oracle, l1_norm() if kind == "l1" else zero_function(), eps_sub
+
+
 class TestStoppingCertificate:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -570,29 +618,22 @@ class TestStoppingCertificate:
         log_eps=st.floats(-12.0, -6.0),
         kind=st.sampled_from(["l1", "zero"]),
     )
-    @example(seed=3, log_a=-1.66, log_b=0.18, log_eps=-10.0, kind="zero")
-    @example(seed=22, log_a=-0.53, log_b=0.0, log_eps=-8.0, kind="l1")
-    @example(seed=291, log_a=-1.23, log_b=1.41, log_eps=-9.0, kind="l1")
-    @example(seed=11, log_a=-0.43, log_b=1.69, log_eps=-12.0, kind="l1")
-    @example(seed=12, log_a=-0.39, log_b=2.34, log_eps=-10.0, kind="l1")
+    @with_examples(EXTREME_SCALE_EXAMPLES)
     def test_certified_stop_at_extreme_scales(self, seed, log_a, log_b, log_eps, kind):
         # A and b scaled over four and five decades and eps_sub down to 1e-12:
         # each certified stop must bound the gradient map computed in extended
         # precision. The first three examples certify; without the rounding
         # bound on u the last two certify too, with ||G|| 1.5e4 and 692 times
         # eps_sub. Random draws certify mostly at eps_sub >= 1e-8
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((4, 8)) * 10.0 ** log_a
-        b = rng.standard_normal(4) * 10.0 ** log_b
-        multiplier = rng.standard_normal(4)
-        eps_sub = 10.0 ** log_eps
-        oracle = PenaltyGradientOracle(a, b, multiplier, 1.0, 2.0)
-        f = l1_norm() if kind == "l1" else zero_function()
+        oracle, f, eps_sub = extreme_scale_case(seed, log_a, log_b, log_eps, kind)
         report = minimize_composite(oracle, f, np.zeros(8), eps_sub, 2000)
         event(f"certified: {report.certified}")
         if report.certified:
             assert report.final_grad_map_norm <= (1.0 - 1e-6) * eps_sub
-            assert extended_gradient_map_norm(a, b, multiplier, 2.0, kind, report.solution) <= eps_sub
+            exact = extended_gradient_map_norm(
+                oracle.a_map.mat, oracle.b, oracle.multiplier, 2.0, kind, report.solution
+            )
+            assert exact <= eps_sub
 
     def quadratic_case(self):
         # psi = ||0.1 x - b||^2 / 2 has curvature 0.01, so from x0 = 0 iteration
@@ -617,18 +658,12 @@ class TestStoppingCertificate:
         assert report.final_grad_map_norm == (u_norm if certified else exact)
         assert report.prox_calls == 2 + (not certified)
 
-    @pytest.mark.parametrize(
-        "seed,eps_sub,kind", [(1, 1e-8, "l1"), (29, 1e-10, "l1"), (30, 1e-12, "l1"), (34, 1e-12, "zero")]
-    )
+    @pytest.mark.parametrize("seed,eps_sub,kind", ROUNDED_STEP_CASES)
     def test_rounded_step_does_not_certify(self, seed, eps_sub, kind):
         # badly scaled A and b: near the solution L grows to 2^28 and beyond, the
         # step x - y rounds to nothing and L (x - y) loses about L ulp(y), so ||u||
         # came out at or below eps_sub while the exact ||G|| was far above it
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((4, 8)) * 10 ** rng.uniform(-1, 1)
-        b = rng.standard_normal(4) * 10 ** rng.uniform(0, 3)
-        oracle = PenaltyGradientOracle(a, b, rng.standard_normal(4), 1.0, 2.0)
-        f = l1_norm() if kind == "l1" else zero_function()
+        oracle, f, eps_sub = rounded_step_case(seed, eps_sub, kind)
         report = minimize_composite(oracle, f, np.zeros(8), eps_sub, 20_000)
         assert report.converged
         exact = np.linalg.norm(gradient_map(oracle, f, report.solution))
@@ -641,6 +676,26 @@ class TestStoppingCertificate:
         assert report.converged and report.certified
         exact = np.linalg.norm(gradient_map(oracle, zero_function(), report.solution))
         assert report.final_grad_map_norm == pytest.approx(exact, rel=1e-9)
+
+
+class TestCurvatureCeiling:
+    @pytest.mark.parametrize(
+        "case,max_iters",
+        [(extreme_scale_case(**c), 2000) for c in EXTREME_SCALE_EXAMPLES]
+        + [(rounded_step_case(*c), 20_000) for c in ROUNDED_STEP_CASES],
+        ids=[f"extreme-s{c['seed']}" for c in EXTREME_SCALE_EXAMPLES]
+        + [f"rounded-s{c[0]}" for c in ROUNDED_STEP_CASES],
+    )
+    def test_accepted_curvature_stays_below_ceiling(self, case, max_iters):
+        # the badly scaled solves of TestStoppingCertificate drive L highest;
+        # a search that passes _L_CEIL raises. Each trial's prox takes the
+        # step 1/L and each search ends on the trial it accepts, so the
+        # largest accepted L is 1 / the smallest step
+        oracle, f, eps_sub = case
+        steps = []
+        counted = ProxFunction(f.value, lambda v, t: steps.append(t) or f.prox(v, t))
+        minimize_composite(oracle, counted, np.zeros(8), eps_sub, max_iters)
+        assert 1.0 / min(steps) <= _L_CEIL * 2.0 ** -40
 
 
 def entry_case(seed, log_a, log_b, log_eps, kind, log_d):
