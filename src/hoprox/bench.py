@@ -17,7 +17,7 @@ import json
 import math
 import time
 import traceback
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -73,36 +73,13 @@ class ExperimentConfig:
                 raise ValueError(f"density must leave at least one sample, but round({self.density} * {size}) = 0")
         if self.kind == "vi-affine" and self.dump_instances:
             raise ValueError("--dump-instance writes bp and mc instances only, not vi-affine")
-        # the solver configs check p, beta, eps_sub, eps, lambda_ppa and the caps
-        for cell in _grid(self):
-            _solver_config(self, *cell)
-        # each run id names a CSV, so a repeated id would overwrite a cell's output
-        run_ids = [_run_id(self.kind, seed, *cell) for seed in self.seeds for cell in _grid(self)]
+        # _cells builds every solver config, which checks p, beta, eps_sub, eps,
+        # lambda_ppa and the caps; each run id names a CSV, so a repeated id
+        # would overwrite a cell's output
+        run_ids = [run_id for seed in self.seeds for run_id, *_ in _cells(self, seed)]
         repeated = sorted({run_id for run_id in run_ids if run_ids.count(run_id) > 1})
         if repeated:
             raise ValueError(f"run ids must be distinct; repeated: {', '.join(repeated)}")
-
-
-@dataclass
-class RunManifest:
-    """Resolved sweep description plus per-run artifact bookkeeping."""
-
-    config: dict
-    rng_algorithm: str = RNG_ALGORITHM
-    runs: list = field(default_factory=list)
-    created_utc: str = ""
-    total_wall_ms: float = 0.0
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2)
-            fh.write("\n")
-
-    @staticmethod
-    def load(path) -> "RunManifest":
-        with open(path) as fh:
-            raw = json.load(fh)
-        return RunManifest(**raw)
 
 
 def _fmt(value: float) -> str:
@@ -168,32 +145,24 @@ def read_csv(path) -> tuple[list, list]:
     return records, objectives
 
 
-def _run_id(kind: str, seed, p, beta, eps_sub) -> str:
-    if kind == "vi-affine":
-        return f"vi_seed{seed}_p{p:g}"
-    return f"{kind}_seed{seed}_p{p:g}_beta{beta:g}_esub{eps_sub:g}"
+def _cells(cfg: ExperimentConfig, seed) -> list:
+    """(run id, p, beta, eps_sub, solver config) of each cell on ``seed``; raises ValueError on a bad value.
 
-
-def _grid(cfg: ExperimentConfig) -> list:
-    """The (p, beta, eps_sub) cells run on each seed; vi-affine cells have no beta or eps_sub."""
+    A vi-affine cell has no beta or eps_sub and takes a PpaConfig, the others an AlmConfig.
+    """
     if cfg.kind == "vi-affine":
-        return [(p, None, None) for p in cfg.p_values]
-    return list(itertools.product(cfg.p_values, cfg.betas, cfg.eps_subs))
+        return [(f"vi_seed{seed}_p{p:g}", p, None, None,
+                 PpaConfig(p=p, lambda_ppa=cfg.lambda_ppa, max_iters=cfg.max_outer, step_tol=cfg.eps))
+                for p in cfg.p_values]
+    return [(f"{cfg.kind}_seed{seed}_p{p:g}_beta{beta:g}_esub{eps_sub:g}", p, beta, eps_sub,
+             AlmConfig(p, beta, cfg.eps, eps_sub, cfg.max_outer, cfg.max_inner))
+            for p, beta, eps_sub in itertools.product(cfg.p_values, cfg.betas, cfg.eps_subs)]
 
 
-def _solver_config(cfg: ExperimentConfig, p, beta, eps_sub):
-    """The PpaConfig (vi-affine) or AlmConfig of one cell; raises ValueError on a bad value."""
-    if cfg.kind == "vi-affine":
-        return PpaConfig(p=p, lambda_ppa=cfg.lambda_ppa, max_iters=cfg.max_outer, step_tol=cfg.eps)
-    return AlmConfig(p, beta, cfg.eps, eps_sub, cfg.max_outer, cfg.max_inner)
-
-
-def run_cell(cfg: ExperimentConfig, problem, p, beta, eps_sub):
-    """Run one cell on its ``CompositeProblem`` (ALM) or (operator, x0) pair (vi-affine)."""
-    solver_cfg = _solver_config(cfg, p, beta, eps_sub)
-    if cfg.kind == "vi-affine":
-        op, x0 = problem
-        return run_ppa(op, x0, solver_cfg)
+def run_cell(problem, solver_cfg):
+    """Run a PpaConfig on its (operator, x0) pair, or an AlmConfig on its ``CompositeProblem``."""
+    if isinstance(solver_cfg, PpaConfig):
+        return run_ppa(*problem, solver_cfg)
     rows, cols = problem.a_map.shape
     return run_alm(problem, np.zeros(cols), np.zeros(rows), solver_cfg)
 
@@ -206,19 +175,19 @@ def _make_instance(cfg: ExperimentConfig, seed):
     return gen_vi_affine(cfg.n, seed)
 
 
-def run_sweep(cfg: ExperimentConfig) -> RunManifest:
-    """Run the Cartesian grid of (seed, p, beta, eps_sub) and persist artifacts.
+def run_sweep(cfg: ExperimentConfig) -> dict:
+    """Run the Cartesian grid of (seed, p, beta, eps_sub), persist artifacts, and return the manifest.
 
     The instance for a given seed, and its composite problem, is generated
     once and shared across all parameter combinations so curves are directly
     comparable. Solver failures are recorded per cell and do not abort the
-    sweep.
+    sweep. The manifest is the dict that ``manifest.json`` holds.
     """
     cfg.validate()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    manifest = RunManifest(config=asdict(cfg))
+    manifest = {"config": asdict(cfg), "rng_algorithm": RNG_ALGORITHM, "runs": []}
     sweep_start = time.perf_counter()
 
     for seed in cfg.seeds:
@@ -229,8 +198,7 @@ def run_sweep(cfg: ExperimentConfig) -> RunManifest:
         if cfg.kind != "vi-affine":
             problem = bp_composite(instance) if cfg.kind == "bp" else mc_composite(instance)
 
-        for p, beta, eps_sub in _grid(cfg):
-            run_id = _run_id(cfg.kind, seed, p, beta, eps_sub)
+        for run_id, p, beta, eps_sub, solver_cfg in _cells(cfg, seed):
             csv_name = f"{run_id}.csv"
             entry = {
                 "id": run_id,
@@ -242,11 +210,11 @@ def run_sweep(cfg: ExperimentConfig) -> RunManifest:
             }
             t0 = time.perf_counter()
             try:
-                trace = run_cell(cfg, problem, p, beta, eps_sub)
+                trace = run_cell(problem, solver_cfg)
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
                 entry["status"] = f"failed: {exc}"
                 entry["error"] = traceback.format_exc(limit=3)
-                manifest.runs.append(entry)
+                manifest["runs"].append(entry)
                 continue
             entry["wall_ms_measured"] = (time.perf_counter() - t0) * 1e3
             if isinstance(trace, AlmTrace):
@@ -267,22 +235,25 @@ def run_sweep(cfg: ExperimentConfig) -> RunManifest:
                 entry["outer_iterations"] = len(trace.step_norms)
                 entry["final_residual"] = trace.residual_norms[-1]
             write_csv(trace, out / csv_name, problem.f if isinstance(trace, AlmTrace) else None)
-            manifest.runs.append(entry)
+            manifest["runs"].append(entry)
 
-    manifest.created_utc = datetime.now(timezone.utc).isoformat()
-    manifest.total_wall_ms = (time.perf_counter() - sweep_start) * 1e3
-    manifest.save(out / "manifest.json")
+    manifest["created_utc"] = datetime.now(timezone.utc).isoformat()
+    manifest["total_wall_ms"] = (time.perf_counter() - sweep_start) * 1e3
+    # a numpy scalar in the config is written as its Python number; any other
+    # non-JSON value raises TypeError here, before the file is opened
+    text = json.dumps(manifest, indent=2, default=np.generic.item)
+    (out / "manifest.json").write_text(text + "\n")
     return manifest
 
 
-def sweep_failed(manifest: RunManifest) -> bool:
+def sweep_failed(manifest: dict) -> bool:
     """True when any cell raised or its inner solver stalled.
 
     Hitting max_outer is a legitimate experimental outcome (a residual
     curve that flattens above the tolerance), not a failure.
     """
     bad = ("failed", "subsolver_stalled")
-    return any(str(run.get("status", "")).startswith(bad) for run in manifest.runs)
+    return any(str(run.get("status", "")).startswith(bad) for run in manifest["runs"])
 
 
 _PANEL_W, _PANEL_H = 480, 360
@@ -343,18 +314,20 @@ def _panel(title, curves) -> list:
     return out
 
 
-def emit_plots(manifest: RunManifest, out_dir=None) -> Path:
+def emit_plots(manifest: dict) -> Path:
     """Render the sweep's primal-residual curves to ``residuals.svg`` and return its path.
 
     One panel per (beta, eps_sub) combination in numeric order, two to a
     row, and one line per (p, seed), on a log-scale residual axis with
     decade gridlines. Each successful run's CSV is read once, by
     ``read_csv``. The figure is SVG text written by the standard library
-    alone: no script, plotting library or numpy is involved. To re-render
-    a finished sweep, call ``emit_plots(RunManifest.load(path))``.
+    alone: no script, plotting library or numpy is involved. The figure
+    goes to the directory ``manifest["config"]["out_dir"]``, where the CSVs
+    are. To re-render a finished sweep, call
+    ``emit_plots(json.loads(path.read_text()))`` on its ``manifest.json``.
     """
-    out = Path(out_dir if out_dir is not None else manifest.config["out_dir"])
-    runs = [r for r in manifest.runs if not str(r.get("status", "")).startswith("failed")]
+    out = Path(manifest["config"]["out_dir"])
+    runs = [r for r in manifest["runs"] if not str(r.get("status", "")).startswith("failed")]
     multi_seed = len({r["seed"] for r in runs}) > 1
     panels = []
     for beta, eps_sub in sorted({(r["beta"], r["eps_sub"]) for r in runs}):

@@ -89,7 +89,7 @@ def main(argv=None) -> int:
     cfg = resolve_config(argv)
     manifest = run_sweep(cfg)
     emit_plots(manifest)
-    for run in manifest.runs:
+    for run in manifest["runs"]:
         print(f"{run['id']}: {run['status']} ({run.get('outer_iterations', '-')} outer iterations)")
     print(f"manifest: {cfg.out_dir}/manifest.json")
     if sweep_failed(manifest):

@@ -9,13 +9,14 @@ table, ``BATTERY_COUNTS``, pins each battery's count totals.
 """
 
 import collections
+import json
 import time
 
 import numpy as np
 import pytest
 
 from hoprox.alm import AlmConfig, run_alm
-from hoprox.bench import ExperimentConfig, RunManifest, run_sweep
+from hoprox.bench import ExperimentConfig, run_sweep
 from hoprox.problems import bp_composite, gen_bp
 from hoprox.prox import l1_norm
 from hoprox.subsolver import PenaltyGradientOracle, gradient_map, holder_constant, minimize_composite
@@ -347,11 +348,11 @@ def test_criterion_10_reproducibility(tmp_path):
     for i, params in enumerate(configs):
         first = tmp_path / f"run{i}_a"
         run_sweep(ExperimentConfig(out_dir=str(first), **params))
-        manifest = RunManifest.load(first / "manifest.json")
+        manifest = json.loads((first / "manifest.json").read_text())
         second = tmp_path / f"run{i}_b"
-        rerun_cfg = ExperimentConfig(**{**manifest.config, "out_dir": str(second)})
+        rerun_cfg = ExperimentConfig(**{**manifest["config"], "out_dir": str(second)})
         run_sweep(rerun_cfg)
-        for run in manifest.runs:
+        for run in manifest["runs"]:
             ok = ok and (first / run["csv"]).read_bytes() == (second / run["csv"]).read_bytes()
     report(10, "rerunning a manifest reproduces every CSV byte-for-byte", ok)
 

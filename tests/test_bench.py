@@ -1,3 +1,4 @@
+import json
 import re
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -13,7 +14,6 @@ from hoprox.alm import AlmConfig, AlmTrace, OuterRecord, run_alm
 from hoprox.bench import (
     CSV_HEADER,
     ExperimentConfig,
-    RunManifest,
     emit_plots,
     read_csv,
     run_sweep,
@@ -200,24 +200,24 @@ class TestRunSweep:
         # with no record the last iterate is x0 = 0, whose residual is ||b||; it
         # was written as 0.0, which reads as solved
         manifest = run_sweep(tiny_bp_config(tmp_path, p_values=[1.0], **overrides))
-        (run,) = manifest.runs
+        (run,) = manifest["runs"]
         assert (run["status"], run["outer_iterations"]) == (status, 0)
         assert run["final_residual"] == np.linalg.norm(gen_bp(5, 20, 0.2, 0).b) > 0
 
     def test_bp_sweep_artifacts(self, tmp_path):
         manifest = run_sweep(tiny_bp_config(tmp_path))
-        assert len(manifest.runs) == 3
-        for run in manifest.runs:
+        assert len(manifest["runs"]) == 3
+        for run in manifest["runs"]:
             assert run["status"] == "converged"
             assert run["final_residual"] == read_csv(tmp_path / run["csv"])[0][-1].primal_residual
         assert (tmp_path / "manifest.json").exists()
-        assert manifest.rng_algorithm == bench.RNG_ALGORITHM
+        assert manifest["rng_algorithm"] == bench.RNG_ALGORITHM
         assert not sweep_failed(manifest)
 
     def test_determinism_bitwise(self, tmp_path):
         m1 = run_sweep(tiny_bp_config(tmp_path / "a"))
         m2 = run_sweep(tiny_bp_config(tmp_path / "b"))
-        for r1, r2 in zip(m1.runs, m2.runs):
+        for r1, r2 in zip(m1["runs"], m2["runs"]):
             assert r1["csv"] == r2["csv"]
             b1 = (tmp_path / "a" / r1["csv"]).read_bytes()
             b2 = (tmp_path / "b" / r2["csv"]).read_bytes()
@@ -225,11 +225,29 @@ class TestRunSweep:
 
     def test_manifest_rerun_reproduces(self, tmp_path):
         run_sweep(tiny_bp_config(tmp_path / "a"))
-        loaded = RunManifest.load(tmp_path / "a" / "manifest.json")
-        cfg = ExperimentConfig(**{**loaded.config, "out_dir": str(tmp_path / "b")})
+        loaded = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        cfg = ExperimentConfig(**{**loaded["config"], "out_dir": str(tmp_path / "b")})
         run_sweep(cfg)
-        for run in loaded.runs:
+        for run in loaded["runs"]:
             assert (tmp_path / "a" / run["csv"]).read_bytes() == (tmp_path / "b" / run["csv"]).read_bytes()
+
+    def test_numpy_integers_written_as_numbers(self, tmp_path):
+        # validate accepts numpy integers; the manifest must hold them as JSON numbers
+        cfg = tiny_bp_config(
+            tmp_path, seeds=[np.int64(0), np.int64(1)], m=np.int64(5), max_outer=np.int64(300), p_values=[1.0]
+        )
+        manifest = run_sweep(cfg)
+        assert json.loads((tmp_path / "manifest.json").read_text()) == manifest
+        assert [run["id"] for run in manifest["runs"]] == ["bp_seed0_p1_beta2_esub0.01", "bp_seed1_p1_beta2_esub0.01"]
+
+    def test_value_json_cannot_hold_leaves_no_manifest(self, tmp_path):
+        # a Path out_dir works for the CSVs, but the manifest holds only JSON values
+        cfg = tiny_bp_config(tmp_path, p_values=[1.0])
+        cfg.out_dir = tmp_path
+        with pytest.raises(TypeError, match=type(tmp_path).__name__):
+            run_sweep(cfg)
+        assert (tmp_path / "bp_seed0_p1_beta2_esub0.01.csv").exists()
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_instance_shared_across_p(self, tmp_path):
         cfg = tiny_bp_config(tmp_path, dump_instances=True)
@@ -243,8 +261,8 @@ class TestRunSweep:
             tmp_path, kind="vi-affine", n=10, p_values=[1.0, 2.0], eps=0.0, max_outer=20
         )
         manifest = run_sweep(cfg)
-        assert len(manifest.runs) == 2
-        for run in manifest.runs:
+        assert len(manifest["runs"]) == 2
+        for run in manifest["runs"]:
             assert run["status"] == "max_outer"
             rows, _ = read_csv(tmp_path / run["csv"])
             assert len(rows) == 20
@@ -256,7 +274,7 @@ class TestRunSweep:
         cfg = tiny_bp_config(
             tmp_path, kind="vi-affine", n=10, p_values=[1.0, 2.0], eps=0.0, max_outer=100
         )
-        first, second = run_sweep(cfg).runs
+        first, second = run_sweep(cfg)["runs"]
         assert (first["status"], first["outer_iterations"]) == ("max_outer", 100)
         assert second["status"] == "converged"
         assert second["outer_iterations"] < 100
@@ -365,7 +383,7 @@ class TestRunSweep:
     )
     def test_time_kept_in_manifest_not_csv(self, tmp_path, overrides):
         manifest = run_sweep(tiny_bp_config(tmp_path, **overrides))
-        for run in manifest.runs:
+        for run in manifest["runs"]:
             header, *rows = (tmp_path / run["csv"]).read_text().splitlines()
             assert header == CSV_HEADER and "wall" not in header
             assert rows and all(len(row.split(",")) == len(CSV_HEADER.split(",")) for row in rows)
@@ -381,8 +399,8 @@ class TestRunSweep:
 
         monkeypatch.setattr(bench, "bp_composite", counted_bp)
         manifest = run_sweep(tiny_bp_config(tmp_path))
-        assert sum(run["prox_calls"] for run in manifest.runs) == len(calls)
-        for run in manifest.runs:
+        assert sum(run["prox_calls"] for run in manifest["runs"]) == len(calls)
+        for run in manifest["runs"]:
             outer, inner = run["outer_iterations"], run["inner_iterations"]
             assert run["status"] == "converged" and inner > 0
             assert inner == sum(rec.inner_iterations for rec in read_csv(tmp_path / run["csv"])[0])
@@ -396,16 +414,16 @@ class TestRunSweep:
         calls = {"n": 0}
         original = bench.run_cell
 
-        def flaky(cfg, instance, p, beta, eps_sub):
+        def flaky(problem, solver_cfg):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise RuntimeError("boom")
-            return original(cfg, instance, p, beta, eps_sub)
+            return original(problem, solver_cfg)
 
         monkeypatch.setattr(bench, "run_cell", flaky)
         manifest = run_sweep(tiny_bp_config(tmp_path))
-        assert len(manifest.runs) == 3
-        statuses = [r["status"] for r in manifest.runs]
+        assert len(manifest["runs"]) == 3
+        statuses = [r["status"] for r in manifest["runs"]]
         assert sum(s.startswith("failed") for s in statuses) == 1
         assert sweep_failed(manifest)
 
@@ -419,7 +437,7 @@ class TestEmitPlots:
         # two panels to a row
         assert (width, height) == (2 * 480, 2 * 360)
         assert sorted(titles) == sorted(f"beta={beta}, eps_sub=0.01" for beta in ("0.5", "2", "5", "10"))
-        assert reads == Counter({tmp_path / run["csv"]: 1 for run in manifest.runs})
+        assert reads == Counter({tmp_path / run["csv"]: 1 for run in manifest["runs"]})
 
     def test_panels_in_numeric_order(self, tmp_path):
         cfg = tiny_bp_config(tmp_path, betas=[0.5, 2.0, 5.0, 10.0], p_values=[1.0])
@@ -432,11 +450,11 @@ class TestEmitPlots:
         reads = count_reads(monkeypatch)
         width, height, titles, _ = read_svg(emit_plots(manifest))
         assert (width, height, titles) == (480, 360, ["beta=2, eps_sub=0.01"])
-        assert reads == Counter({tmp_path / manifest.runs[0]["csv"]: 1})
+        assert reads == Counter({tmp_path / manifest["runs"][0]["csv"]: 1})
 
     def test_missing_csv_rejected(self, tmp_path):
         manifest = run_sweep(tiny_bp_config(tmp_path))
-        (tmp_path / manifest.runs[0]["csv"]).unlink()
+        (tmp_path / manifest["runs"][0]["csv"]).unlink()
         with pytest.raises(FileNotFoundError):
             emit_plots(manifest)
         assert not (tmp_path / "residuals.svg").exists()
@@ -450,7 +468,7 @@ class TestEmitPlots:
         assert (width, height, titles) == (480, 360, ["beta=2, eps_sub=0.01"])
         # every residual is positive and finite, so each curve is one polyline
         # through all its rows, in p order, followed by one legend swatch per curve
-        rows = [read_csv(tmp_path / run["csv"])[0] for run in manifest.runs]
+        rows = [read_csv(tmp_path / run["csv"])[0] for run in manifest["runs"]]
         assert all(len(recs) > 1 and all(0 < rec.primal_residual < np.inf for rec in recs) for recs in rows)
         assert [n for n, _ in lines] == [len(recs) for recs in rows] + [2] * len(rows)
         assert len({stroke for _, stroke in lines}) >= 2
@@ -460,10 +478,22 @@ class TestEmitPlots:
         csv = "\n".join([CSV_HEADER] + [f"{k},{r},0,1,{k + 1},0" for k, r in enumerate(residuals)])
         (tmp_path / "r.csv").write_text(csv + "\n")
         runs = [{"id": "r", "csv": "r.csv", "seed": 0, "p": 2.0, "beta": 2.0, "eps_sub": 0.01, "status": "converged"}]
-        lines = read_svg(emit_plots(RunManifest(config={}, runs=runs), tmp_path))[3]
+        lines = read_svg(emit_plots({"config": {"out_dir": str(tmp_path)}, "runs": runs}))[3]
         # three two-point pieces of the curve and the legend swatch, all in the curve's colour
         assert [n for n, _ in lines] == [2, 2, 2, 2]
         assert len({stroke for _, stroke in lines}) == 1
+
+    @pytest.mark.parametrize(
+        "overrides", [dict(), dict(kind="vi-affine", n=6, eps=0.0, max_outer=10)], ids=["bp", "vi"]
+    )
+    def test_rerender_from_manifest_file(self, tmp_path, overrides):
+        # a finished sweep is re-rendered from the manifest.json it wrote
+        manifest = run_sweep(tiny_bp_config(tmp_path, seeds=[0, 1], **overrides))
+        first = emit_plots(manifest).read_bytes()
+        (tmp_path / "residuals.svg").unlink()
+        loaded = json.loads((tmp_path / "manifest.json").read_text())
+        assert loaded == manifest
+        assert emit_plots(loaded).read_bytes() == first
 
     def test_two_calls_write_identical_bytes(self, tmp_path):
         manifest = run_sweep(tiny_bp_config(tmp_path, seeds=[0, 1], betas=[2.0, 5.0]))
@@ -474,5 +504,5 @@ class TestEmitPlots:
         config = asdict(tiny_bp_config(tmp_path))
         runs = [{"id": "r", "csv": "r.csv", "seed": 0, "p": 1.0, "beta": 2.0, "eps_sub": 0.01,
                  "status": "failed: boom"}]
-        width, height, titles, lines = read_svg(emit_plots(RunManifest(config=config, runs=runs)))
+        width, height, titles, lines = read_svg(emit_plots({"config": config, "runs": runs}))
         assert (width, height, titles, lines) == (480, 360, [], [])

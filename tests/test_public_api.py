@@ -1,7 +1,8 @@
 """The package's public names: ``hoprox.__all__`` is the solver API.
 
 ``__all__`` must list exactly the public names ``hoprox`` binds, and every
-``hp.<name>`` that the benchmark harness or the README uses must be in it.
+``hp.<name>`` that the benchmark harness or the README uses must be in it;
+every ``hoprox.<name>...`` the README names must resolve.
 Every other module-level function or class, every method of a class,
 every dataclass field and every plain attribute set on ``self`` must serve
 the library or the benchmark, and every parameter must be read by its
@@ -11,6 +12,7 @@ that run once per solver iteration compute their products with
 """
 
 import ast
+import importlib
 import re
 import types
 from pathlib import Path
@@ -19,6 +21,7 @@ import hoprox
 
 REPO = Path(__file__).resolve().parent.parent
 HP_NAME = re.compile(r"\bhp\.([A-Za-z_]\w*)")
+DOTTED_NAME = re.compile(r"\bhoprox(?:\.[A-Za-z_]\w*)+")
 
 # module-level names outside __all__ that neither src/hoprox nor perfbench uses
 KEPT_WITHOUT_CALLER = {
@@ -30,14 +33,10 @@ KEPT_WITHOUT_CALLER = {
 METHODS_KEPT_WITHOUT_CALLER = {
     "MatrixMap.norm_estimate": "spectral norm of A; only perfbench/tracing.py:28 reads it, to forward it",
     "EntryMask.norm_estimate": "spectral norm of A; only perfbench/tracing.py:28 reads it, to forward it",
-    "RunManifest.load": "reader of the library's own manifest format (criterion 10 reruns a manifest)",
 }
 
 # dataclass fields, as Class.field, that nothing in src/hoprox or perfbench reads
 FIELDS_KEPT_WITHOUT_READER = {
-    "RunManifest.rng_algorithm": "serialized into manifest.json by asdict",
-    "RunManifest.created_utc": "serialized into manifest.json by asdict",
-    "RunManifest.total_wall_ms": "serialized into manifest.json by asdict",
     "SubsolverReport.final_grad_map_norm": "the solve's stopping quantity, checked by tests against the exact gradient map",
 }
 
@@ -78,6 +77,27 @@ def test_names_used_by_benchmark_and_readme_are_exported():
     used = {name for path in sources for name in HP_NAME.findall(path.read_text())}
     assert "run_alm" in used and "affine_operator" in used
     assert used <= set(hoprox.__all__), sorted(used - set(hoprox.__all__))
+
+
+def _resolves(dotted):
+    """Whether each part of ``dotted`` after ``hoprox`` is an attribute or a submodule of the one before."""
+    obj, parts = hoprox, dotted.split(".")
+    for i in range(1, len(parts)):
+        try:
+            obj = getattr(obj, parts[i])
+        except AttributeError:
+            try:
+                obj = importlib.import_module(".".join(parts[: i + 1]))
+            except ImportError:
+                return False
+    return True
+
+
+def test_dotted_names_in_readme_resolve():
+    names = set(DOTTED_NAME.findall((REPO / "README.md").read_text()))
+    assert "hoprox.bench" in names and "hoprox.emit_plots" in names
+    unresolved = sorted(name for name in names if not _resolves(name))
+    assert not unresolved, unresolved
 
 
 def _names_read(node):
