@@ -58,8 +58,12 @@ class ExperimentConfig:
         for name in ("seeds", "p_values", "betas", "eps_subs"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
-        # numpy's default_rng takes only non-negative integer seeds
-        if not all(isinstance(seed, (int, np.integer)) and seed >= 0 for seed in self.seeds):
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a str, as the manifest records it, got {type(self.out_dir).__name__}")
+        # numpy's default_rng takes only non-negative integer seeds; a bool
+        # would seed as 0 or 1 under an id of its own
+        if not all(isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0
+                   for seed in self.seeds):
             raise ValueError(f"seeds must be non-negative integers, got {self.seeds}")
         for name in ("n",) if self.kind == "vi-affine" else ("m", "n"):
             if getattr(self, name) < 1:

@@ -22,7 +22,7 @@ M = V diag(m) V^T, and the search works in eigen-coordinates: with
 l = lam*m and w = V^T lam*F(x), d(s) = V (w / (l + s)), and
 x_next = x - V (w / (l + s)). Otherwise
 x_next = (lam*M + s*I)^{-1} (s*x - lam*q) is formed from the inverse the
-search already holds at the root, refined by one step of iterative
+search returns with the root, refined by one step of iterative
 refinement.
 
 Once the computed F(x) is no larger than the rounding error bound of
@@ -60,10 +60,10 @@ def _symmetric_eigen(mat: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]
 class MonotoneOperator:
     """Evaluation oracle for the operator F of a monotone VI.
 
-    ``evaluate`` returns F(x) as a 1-d float64 array. ``affine_parts``
-    holds (M, q) when F(x) = M x + q; ``run_ppa`` needs it to solve each
-    step exactly. ``evaluate`` must then compute M x + q as ``M.dot(x) + q``
-    does, because the step takes F(x_k) from it. ``known_solution`` is a
+    ``evaluate`` returns F(x) as a 1-d float64 array, F(x) = M x + q with
+    (M, q) the ``affine_parts`` from which ``run_ppa`` solves each step
+    exactly. ``evaluate`` must compute M x + q as ``M.dot(x) + q`` does,
+    because the step takes F(x_k) from it. ``known_solution`` is a
     point with F(x*) = 0, used by tests that track distance to the solution.
 
     ``eigen`` is not an argument: every construction, ``dataclasses.replace``
@@ -74,13 +74,12 @@ class MonotoneOperator:
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
-    affine_parts: Optional[tuple[np.ndarray, np.ndarray]] = None
+    affine_parts: tuple[np.ndarray, np.ndarray]
     known_solution: Optional[np.ndarray] = None
     eigen: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        eigen = None if self.affine_parts is None else _symmetric_eigen(self.affine_parts[0])
-        object.__setattr__(self, "eigen", eigen)
+        object.__setattr__(self, "eigen", _symmetric_eigen(self.affine_parts[0]))
 
 
 def affine_operator(
@@ -92,12 +91,14 @@ def affine_operator(
 
     The operator eigendecomposes a symmetric matrix once, and the smallest
     eigenvalue is the monotonicity check. Other matrices are checked on the
-    eigenvalues of their symmetric part. ``known_solution``, when given,
-    must have the operator's length.
+    eigenvalues of their symmetric part. The operator needs at least one
+    dimension, and ``known_solution``, when given, its length.
     """
     mat = as_matrix(mat)
     offset = as_vector(offset)
     n = offset.shape[0]
+    if n == 0:
+        raise ValueError("affine operator needs at least one dimension")
     if mat.shape != (n, n):
         raise ValueError("affine operator needs a square matrix and matching offset")
     if known_solution is not None:
@@ -209,17 +210,19 @@ def _model_root(c: float, mu: float, p: float) -> float:
 def _secular_root(secular, p: float, s: float):
     """Root of g(s) = phi(s)^(p-1) - s by safeguarded rational-model steps.
 
-    ``secular(s)`` returns (phi(s), phi'(s)) and ``s`` is the starting
-    shift. Each step goes to the root of the model phi(t) ~ c / (mu + t)
-    that matches phi and phi' at s (Moré and Sorensen, 1983; Bunch, Nielsen
-    and Sorensen, "Rank-one modification of the symmetric eigenproblem",
-    1978): mu + s = -phi/phi' and c = phi (mu + s), with mu clipped at 0,
+    ``secular(s)`` returns (phi(s), phi'(s), state), where state is what
+    the caller forms x_next from at s, and ``s`` is the starting shift.
+    Each step goes to the root of the model phi(t) ~ c / (mu + t) that
+    matches phi and phi' at s (Moré and Sorensen, 1983; Bunch, Nielsen and
+    Sorensen, "Rank-one modification of the symmetric eigenproblem", 1978):
+    mu + s = -phi/phi' and c = phi (mu + s), with mu clipped at 0,
     which holds exactly for a monotone M. On symmetric operators 1/phi is
     concave, so the model lies below phi and its root below the root of g.
     A model root that is not finite and positive, or that leaves the
     bracket [lo, hi] known so far, and any step where phi' >= 0, is
     replaced by bisection, or by doubling while no upper end is known.
-    Returns (root, evaluations) for p > 1. A search ends in one of four ways:
+    Returns (root, state at the root, evaluations) for p > 1. A search ends
+    in one of four ways:
     - |g(s)| meets ``_root_tolerance(s)``, and s is returned;
     - the bracket is used up: bisection lands on an end, so lo and hi are
       adjacent doubles, or doubling overflows. The shift with the smallest
@@ -231,9 +234,9 @@ def _secular_root(secular, p: float, s: float):
       bracket can be built from it.
     """
     lo, hi = 0.0, np.inf
-    best_s, best_g = s, np.inf
+    best_s, best_state, best_g = s, None, np.inf
     for evaluations in range(1, _MAX_EVALUATIONS + 1):
-        phi, dphi = secular(s)
+        phi, dphi, state = secular(s)
         if not (math.isfinite(phi) and math.isfinite(dphi)):
             raise SubproblemError(f"secular function not finite at s = {s:.3e}: phi = {phi}, phi' = {dphi}")
         try:
@@ -243,9 +246,9 @@ def _secular_root(secular, p: float, s: float):
             raise SubproblemError(message) from None
         g = power - s
         if abs(g) <= _root_tolerance(s):
-            return s, evaluations
+            return s, state, evaluations
         if abs(g) < best_g:
-            best_s, best_g = s, abs(g)
+            best_s, best_state, best_g = s, state, abs(g)
         if g > 0.0:
             lo = s
         else:
@@ -264,7 +267,7 @@ def _secular_root(secular, p: float, s: float):
                 break
     if hi == np.inf:
         raise SubproblemError(f"subproblem bracketing failure: g(s) > 0 up to s = {lo:.3e}")
-    return best_s, evaluations
+    return best_s, best_state, evaluations
 
 
 def _make_affine_stepper(op: MonotoneOperator, cfg: PpaConfig):
@@ -279,25 +282,24 @@ def _make_affine_stepper(op: MonotoneOperator, cfg: PpaConfig):
     run takes l = lam*m and V from it and factorizes nothing. Each step
     forms w = V^T lam*F(x_k) once, and each secular evaluation forms the
     step vector in eigen-coordinates, d = w / (l + s): phi = sqrt(d.d) and
-    phi' = -d.(d / (l + s)) / phi, in O(n). The search keeps d for the last
-    shift it asked for, and x_next = x_k - V d; at p = 1, d = w / (l + 1).
+    phi' = -d.(d / (l + s)) / phi, in O(n). The search returns d at its
+    root, and x_next = x_k - V d; at p = 1, d = w / (l + 1).
     A step raises ``SubproblemError`` when l is not finite (lam*M
     overflows; an infinite l_i would zero d_i, and the search would run on
     a secular function that is not the step's), or at p > 1 when w is not
     (lam*F(x_k) overflows). A p = 1 step whose lam*F(x_k) overflows is
     formed as V ((V^T (x_k - lam*q)) / (l + 1)), which never forms it.
 
-    Other operators invert lam*M + s*I (one LU factorization) once per
-    distinct shift, which gives both d and phi' = -d^T (lam*M + s*I)^{-1} d
-    / phi. ``invert`` keeps lam*M + s*I and its inverse for the last shift
-    asked for, and ``x_of`` forms x_next from the inverse at the root:
-    x = inverse rhs with rhs = s*x_k - lam*q, then one step of iterative
-    refinement x - inverse ((lam*M + s*I) x - rhs). Without that step,
-    rank-deficient operators break lam*||F(x_next)|| = step^p by up to 1e-8
-    of the problem's scale. The root is usually the search's last shift, so
-    x_next costs no inversion, and the next step's first evaluation reuses
-    the same inverse; a search that ends on an earlier shift inverts once
-    more. At p = 1 the run inverts once.
+    Other operators invert lam*M + s*I (one LU factorization) at each shift
+    the search evaluates, which gives both d and phi' = -d^T (lam*M +
+    s*I)^{-1} d / phi. The search returns the pair (lam*M + s*I, inverse)
+    at its root, and x_next is formed from it: x = inverse rhs with rhs =
+    s*x_k - lam*q, then one step of iterative refinement x - inverse
+    ((lam*M + s*I) x - rhs). Without that step, rank-deficient operators
+    break lam*||F(x_next)|| = step^p by up to 1e-8 of the problem's scale.
+    The pair is kept, and the next search's first evaluation, at the same
+    shift, reuses it, so no step inverts a shift its search did not
+    evaluate. At p = 1 the run inverts once, at s = 1.
     """
     mat, offset = op.affine_parts
     lam, p = cfg.lambda_ppa, cfg.p
@@ -322,16 +324,13 @@ def _make_affine_stepper(op: MonotoneOperator, cfg: PpaConfig):
         eigvecs_t = eigvecs.T
         finite_eigvals = bool(np.isfinite(eigvals).all())
         eigvals_plus_one = eigvals + 1.0
-        # V^T lam*F(x_k) of the current step, and d for the last shift asked for
-        w, searched, d_searched = None, None, None
+        w = None  # V^T lam*F(x_k) of the current step
 
         def secular(s):
-            nonlocal searched, d_searched
             shifted = eigvals + s
             d = w / shifted
-            searched, d_searched = s, d
             phi = math.sqrt(d.dot(d))
-            return phi, -d.dot(d / shifted) / phi
+            return phi, -d.dot(d / shifted) / phi, d
 
         def step(x_k: np.ndarray, f_k: np.ndarray, f_norm: float):
             nonlocal w, root
@@ -351,48 +350,44 @@ def _make_affine_stepper(op: MonotoneOperator, cfg: PpaConfig):
             # ||w|| = ||lam*F(x_k)||, so w is finite when ||lam*F(x_k)||^2 is
             if not (lam_f_sq < math.inf or np.isfinite(w).all()):
                 raise SubproblemError(f"secular function not finite: lam*F(x_k) overflows (lam = {lam:.3e})")
-            root, evaluations = _secular_root(secular, p, root)
-            d = d_searched if root == searched else w / (eigvals + root)
+            root, d, evaluations = _secular_root(secular, p, root)
             return x_k - eigvecs.dot(d), evaluations
 
     else:
         lam_mat = lam * mat
         lam_offset = lam * offset
         eye = np.eye(offset.shape[0])
-        inverted_shift, shifted, inverse = None, None, None
+        # lam*F(x_k) of the current step, and (lam*M + s*I, inverse) at the last root
+        lam_f, kept = None, None
 
         def invert(s):
-            nonlocal inverted_shift, shifted, inverse
-            if s != inverted_shift:
-                inverted_shift, shifted = s, lam_mat + s * eye
-                inverse = np.linalg.inv(shifted)
-            return shifted, inverse
+            if s == root and kept is not None:
+                return kept
+            shifted = lam_mat + s * eye
+            return shifted, np.linalg.inv(shifted)
 
-        def secular_factory(lam_f):
-            def secular(s):
-                inverse = invert(s)[1]
-                d = inverse.dot(lam_f)
-                phi = math.sqrt(d.dot(d))
-                return phi, -d.dot(inverse.dot(d)) / phi
-
-            return secular
-
-        def x_of(rhs, s):
-            shifted, inverse = invert(s)
-            x = inverse.dot(rhs)
-            # one step of fixed-precision iterative refinement (Higham,
-            # Accuracy and Stability of Numerical Algorithms, chapter 12)
-            return x - inverse.dot(shifted.dot(x) - rhs)
+        def secular(s):
+            pair = invert(s)
+            d = pair[1].dot(lam_f)
+            phi = math.sqrt(d.dot(d))
+            return phi, -d.dot(pair[1].dot(d)) / phi, pair
 
         def step(x_k: np.ndarray, f_k: np.ndarray, f_norm: float):
-            nonlocal root
+            nonlocal lam_f, root, kept
             lam_f = lam * f_k
             if is_zero_step(x_k, (lam * f_norm) * (lam * f_norm), f_norm):
                 return x_k.copy(), 0
             if p == 1.0:
-                return x_of(x_k - lam_offset, 1.0), 1
-            root, evaluations = _secular_root(secular_factory(lam_f), p, root)
-            return x_of(root * x_k - lam_offset, root), evaluations
+                # root stays at its start, the known root s = 1
+                kept, evaluations = invert(root), 1
+            else:
+                root, kept, evaluations = _secular_root(secular, p, root)
+            shifted, inverse = kept
+            rhs = root * x_k - lam_offset
+            x = inverse.dot(rhs)
+            # one step of fixed-precision iterative refinement (Higham,
+            # Accuracy and Stability of Numerical Algorithms, chapter 12)
+            return x - inverse.dot(shifted.dot(x) - rhs), evaluations
 
     return step
 
@@ -400,8 +395,8 @@ def _make_affine_stepper(op: MonotoneOperator, cfg: PpaConfig):
 def run_ppa(op: MonotoneOperator, x0: np.ndarray, cfg: PpaConfig) -> PpaTrace:
     """Iterate the high-order proximal step from x0 for an affine operator.
 
-    The operator must carry ``affine_parts``: each step is solved exactly
-    by ``_make_affine_stepper``. Stops after ``cfg.max_iters`` steps or when
+    Each step is solved exactly from the operator's ``affine_parts`` by
+    ``_make_affine_stepper``. Stops after ``cfg.max_iters`` steps or when
     a step norm falls to ``cfg.step_tol``. Since ``step_tol >= 0``, a run
     also stops on the zero step, which the stepper takes once F(x_k) is
     within the rounding bound of computing M x_k + q.
@@ -412,8 +407,6 @@ def run_ppa(op: MonotoneOperator, x0: np.ndarray, cfg: PpaConfig) -> PpaTrace:
     ``x0`` is copied once, so the caller may reuse it; the steps are new
     arrays and are stored as returned.
     """
-    if op.affine_parts is None:
-        raise ValueError("run_ppa needs an operator with affine_parts")
     stepper = _make_affine_stepper(op, cfg)
     x = as_vector(x0)
     lam = cfg.lambda_ppa

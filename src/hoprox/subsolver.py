@@ -79,18 +79,9 @@ class PenaltyGradientOracle:
             return self.multiplier
         return self.multiplier + self._beta_root * (r * norm ** self._direction_power)
 
-    def gradient_at_residual(self, r: np.ndarray, norm: float) -> np.ndarray:
-        """The penalty gradient at ``r``, given its norm ``math.sqrt(r.dot(r))``."""
-        return self.a_map.adjoint(self.dual_at_residual(r, norm))
-
-    def value_and_gradient_at_residual(self, r: np.ndarray) -> tuple[float, np.ndarray]:
-        """Value and gradient for a 1-d float64 ``r``, from one norm of ``r``."""
-        norm = math.sqrt(r.dot(r))
-        return self.value_at_residual(r, norm), self.gradient_at_residual(r, norm)
-
     def gradient(self, x: np.ndarray) -> np.ndarray:
         r = self.residual(x)
-        return self.gradient_at_residual(r, math.sqrt(r.dot(r)))
+        return self.a_map.adjoint(self.dual_at_residual(r, math.sqrt(r.dot(r))))
 
 
 def holder_constant(p: float, beta: float, a_norm: float) -> float:
@@ -332,7 +323,10 @@ def minimize_composite(
                 y, psi_y, grad_y = x, psi_x, grad_x
             else:
                 y = tau * v + (1.0 - tau) * x
-                psi_y, grad_y = oracle.value_and_gradient_at_residual(oracle.residual(y))
+                r_y = oracle.residual(y)
+                y_norm = math.sqrt(r_y.dot(r_y))
+                psi_y = oracle.value_at_residual(r_y, y_norm)
+                grad_y = oracle.a_map.adjoint(oracle.dual_at_residual(r_y, y_norm))
             w = y - grad_y / L
             x_trial = f.prox(w, 1.0 / L)
             prox_calls += 1

@@ -241,10 +241,9 @@ class TestRunSweep:
         assert [run["id"] for run in manifest["runs"]] == ["bp_seed0_p1_beta2_esub0.01", "bp_seed1_p1_beta2_esub0.01"]
 
     def test_value_json_cannot_hold_leaves_no_manifest(self, tmp_path):
-        # a Path out_dir works for the CSVs, but the manifest holds only JSON values
-        cfg = tiny_bp_config(tmp_path, p_values=[1.0])
-        cfg.out_dir = tmp_path
-        with pytest.raises(TypeError, match=type(tmp_path).__name__):
+        # a set of orders works for the CSVs, but the manifest holds only JSON values
+        cfg = tiny_bp_config(tmp_path, p_values={1.0})
+        with pytest.raises(TypeError, match="'set' object"):
             run_sweep(cfg)
         assert (tmp_path / "bp_seed0_p1_beta2_esub0.01.csv").exists()
         assert not (tmp_path / "manifest.json").exists()
@@ -320,12 +319,23 @@ class TestRunSweep:
             (dict(seeds=[-1]), "seeds"),
             (dict(kind="vi-affine", eps=0.0, seeds=[0, -2]), "seeds"),
             (dict(seeds=[0.5]), "seeds"),
+            # True would seed as 1 under an id of its own, vi_seedTrue_p1
+            (dict(kind="vi-affine", eps=0.0, seeds=[True, 1]), "seeds"),
         ],
     )
     def test_bad_dimensions_rejected_before_output(self, tmp_path, overrides, field):
         out = tmp_path / "out"
         with pytest.raises(ValueError, match=f"^{field} must"):
             run_sweep(tiny_bp_config(out, **overrides))
+        assert not out.exists()
+
+    def test_non_str_out_dir_rejected_before_output(self, tmp_path):
+        # the manifest records out_dir as a JSON string
+        out = tmp_path / "out"
+        cfg = tiny_bp_config(out)
+        cfg.out_dir = out
+        with pytest.raises(ValueError, match="^out_dir must be a str, as the manifest records it, got PosixPath$"):
+            run_sweep(cfg)
         assert not out.exists()
 
     @pytest.mark.parametrize(

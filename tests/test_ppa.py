@@ -44,6 +44,18 @@ def skew_operator(n, seed):
     return affine_operator(mat, -mat @ solution, known_solution=solution), rng.standard_normal(n)
 
 
+def rank_deficient_skew_operator(seed):
+    # M = Q^T Q + (S - S^T) with a rank-5 Q: large and nearly singular, so
+    # its searches end on spent brackets, often on an earlier shift
+    rng = np.random.default_rng(seed)
+    q = 1e3 * rng.standard_normal((5, 20))
+    s = 1e-3 * rng.standard_normal((20, 20))
+    mat = q.T @ q + (s - s.T)
+    solution = rng.standard_normal(20)
+    x0 = rng.standard_normal(20)
+    return affine_operator(mat, -mat @ solution, known_solution=solution), x0
+
+
 def one_step(op, x_k, cfg):
     # one run_ppa step, checked against the step optimality equation
     # lam*F(x+) + ||x+ - x_k||^(p-1) (x+ - x_k) = 0
@@ -182,16 +194,20 @@ class TestStepRootSearch:
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_skew_search_reuses_last_inverse(self, monkeypatch, p):
-        # each search after the first starts at the previous root, which the
-        # previous search's last evaluation inverted
+        # each search after the first starts at the previous root, whose
+        # inverse the previous search returned, and x_next is formed from
+        # it: only the shifts a search evaluated are inverted, once each,
+        # also where a search ends on an earlier shift than its last
         inverted = []
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(1) or inv(a))
-        op, x0 = skew_operator(20, 0)
-        trace = run_ppa(op, x0, PpaConfig(p=p, lambda_ppa=1.0, max_iters=50))
-        searched = [c for c in trace.inner_solves if c > 0]
-        assert len(searched) > 1
-        assert len(inverted) == sum(searched) - len(searched) + 1
+        runs = [(skew_operator(20, 0), 50)] + [(rank_deficient_skew_operator(seed), 200) for seed in range(5)]
+        for (op, x0), max_iters in runs:
+            inverted.clear()
+            trace = run_ppa(op, x0, PpaConfig(p=p, lambda_ppa=1.0, max_iters=max_iters))
+            searched = [c for c in trace.inner_solves if c > 0]
+            assert len(searched) > 1
+            assert len(inverted) == sum(searched) - len(searched) + 1
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     def test_skew_step_calls_no_solve(self, monkeypatch, p):
@@ -259,9 +275,9 @@ class TestStepRootSearch:
         # g jumps from +1e-3 to -1e-3 between 1.5 and the next double, so no
         # shift meets the tolerance; the search ends once bisection of
         # [1.5, 1.5 + ulp] lands on an end, and returns the better end
-        secular = lambda s: (1.501 if s <= 1.5 else 1.499, 0.0)
-        root, evaluations = _secular_root(secular, 2.0, start)
-        assert root == 1.5
+        secular = lambda s: (1.501 if s <= 1.5 else 1.499, 0.0, s)
+        root, state, evaluations = _secular_root(secular, 2.0, start)
+        assert root == 1.5 and state == root
         assert evaluations < 100
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
@@ -270,9 +286,9 @@ class TestStepRootSearch:
         # phi(s) = 7/(3 + s) is its own rational model, so the first model
         # step lands on the root; from 1e40, where mu + s rounds to s, it
         # clips mu at 0 and needs one more
-        secular = lambda s: (7.0 / (3.0 + s), -7.0 / (3.0 + s) ** 2)
-        root, evaluations = _secular_root(secular, p, start)
-        assert evaluations <= 3
+        secular = lambda s: (7.0 / (3.0 + s), -7.0 / (3.0 + s) ** 2, s)
+        root, state, evaluations = _secular_root(secular, p, start)
+        assert evaluations <= 3 and state == root
         assert abs((7.0 / (3.0 + root)) ** (p - 1.0) - root) <= 1e-9 * root
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -286,9 +302,9 @@ class TestStepRootSearch:
         search = ppa._secular_root
 
         def recorded(secular, p, s):
-            root, evaluations = search(secular, p, s)
+            root, state, evaluations = search(secular, p, s)
             roots.append(root)
-            return root, evaluations
+            return root, state, evaluations
 
         monkeypatch.setattr(ppa, "_secular_root", recorded)
         op, x0 = gen_vi_affine(20, 0)
@@ -404,14 +420,14 @@ class TestEigenCoordinateStep:
 
         def recorded(secular, p, s):
             def traced(t):
-                phi, dphi = secular(t)
+                phi, dphi, state = secular(t)
                 evaluated[-1][1].append((t, phi, dphi))
-                return phi, dphi
+                return phi, dphi, state
 
             evaluated.append([None, []])
-            root, evaluations = search(traced, p, s)
+            root, state, evaluations = search(traced, p, s)
             evaluated[-1][0] = root
-            return root, evaluations
+            return root, state, evaluations
 
         monkeypatch.setattr(ppa, "_secular_root", recorded)
         op, x0 = make_op(n, 0)
@@ -445,19 +461,22 @@ class TestEigenCoordinateStep:
     def test_x_next_is_formed_at_the_root(self, monkeypatch, p):
         # a search that ends on a spent bracket returns its best shift, which
         # need not be the last one it evaluated; x_next must still be formed
-        # at the returned root
-        op, x0 = gen_vi_affine(20, 0)
+        # at the returned root, on both step paths
         cfg = PpaConfig(p=p, lambda_ppa=1.0, max_iters=5)
-        expected = run_ppa(op, x0, cfg).iterates
         search = ppa._secular_root
 
         def ends_on_earlier_shift(secular, p, s):
-            root, evaluations = search(secular, p, s)
+            root, state, evaluations = search(secular, p, s)
             secular(2.0 * root)
-            return root, evaluations + 1
+            return root, state, evaluations + 1
 
-        monkeypatch.setattr(ppa, "_secular_root", ends_on_earlier_shift)
-        assert all(np.array_equal(a, b) for a, b in zip(run_ppa(op, x0, cfg).iterates, expected))
+        for make_op in (gen_vi_affine, skew_operator):
+            op, x0 = make_op(20, 0)
+            expected = run_ppa(op, x0, cfg).iterates
+            with monkeypatch.context() as patched:
+                patched.setattr(ppa, "_secular_root", ends_on_earlier_shift)
+                iterates = run_ppa(op, x0, cfg).iterates
+            assert all(np.array_equal(a, b) for a, b in zip(iterates, expected))
 
     def test_each_operator_is_factorized_once(self, monkeypatch):
         # affine_operator eigendecomposes a symmetric M once; run_ppa then
@@ -496,7 +515,6 @@ class TestEigenCoordinateStep:
         assert np.array_equal(moved.eigen[1], symmetric.eigen[1])
         skew, _ = skew_operator(6, 0)
         assert dataclasses.replace(op, affine_parts=skew.affine_parts).eigen is None
-        assert MonotoneOperator(evaluate=op.evaluate).eigen is None
 
 
 def rounding_bound(op, x):
@@ -620,13 +638,7 @@ class TestRunPpa:
         # inverse without its refinement step breaks the identity by up to
         # 2e-8 * scale here
         for seed in range(5):
-            rng = np.random.default_rng(seed)
-            q = 1e3 * rng.standard_normal((5, 20))
-            s = 1e-3 * rng.standard_normal((20, 20))
-            mat = q.T @ q + (s - s.T)
-            solution = rng.standard_normal(20)
-            x0 = rng.standard_normal(20)
-            op = affine_operator(mat, -mat @ solution, known_solution=solution)
+            op, x0 = rank_deficient_skew_operator(seed)
             cfg = PpaConfig(p=p, lambda_ppa=1.0, max_iters=200)
             trace = run_ppa(op, x0, cfg)
             # a search whose bracket shrinks to adjacent doubles ends there,
@@ -668,9 +680,9 @@ class TestRunPpa:
         assert np.array_equal(trace.iterates[0], start)
 
     def test_non_affine_rejected(self):
-        op = MonotoneOperator(evaluate=lambda x: x)
-        with pytest.raises(ValueError, match="affine_parts"):
-            run_ppa(op, np.ones(3), PpaConfig(p=1.0, lambda_ppa=1.0, max_iters=5))
+        # run_ppa solves every step from (M, q), so an operator cannot be built without them
+        with pytest.raises(TypeError, match="affine_parts"):
+            MonotoneOperator(evaluate=lambda x: x)
 
 
 class TestNaturalResidual:
@@ -717,6 +729,13 @@ class TestValidation:
     def test_affine_operator_monotonicity_check(self):
         with pytest.raises(ValueError, match="monotone"):
             affine_operator(-np.eye(3), np.zeros(3))
+
+    def test_affine_operator_rejects_empty_operator(self):
+        # an empty M has no eigenvalue to check monotonicity on
+        with pytest.raises(ValueError, match="^affine operator needs at least one dimension$"):
+            affine_operator(np.zeros((0, 0)), np.zeros(0))
+        with pytest.raises(ValueError, match="^affine operator needs at least one dimension$"):
+            gen_vi_affine(0, 0)
 
     def test_affine_operator_rejects_known_solution_of_other_length(self):
         with pytest.raises(ValueError, match="known_solution has length 4, the operator 3"):

@@ -50,7 +50,7 @@ ATTRIBUTES_KEPT_WITHOUT_READER = {}
 PER_ITERATION = {
     "alm.py": ["run_alm"],
     "operators.py": ["MatrixMap.apply", "MatrixMap.adjoint"],
-    "ppa.py": ["affine_operator", "_make_affine_stepper", "run_ppa"],
+    "ppa.py": ["affine_operator", "_model_root", "_secular_root", "_make_affine_stepper", "run_ppa"],
     "prox.py": ["singular_value_threshold"],
     "subsolver.py": ["PenaltyGradientOracle", "minimize_composite"],
 }

@@ -85,7 +85,8 @@ class TestPenaltyGradient:
         x = rng.standard_normal(5)
         r = a @ x - b
         expected = lam @ r + 5.0 ** (1 / 3) / (4 / 3) * np.linalg.norm(r) ** (4 / 3)
-        assert np.isclose(oracle.value_and_gradient_at_residual(oracle.residual(x))[0], expected, rtol=1e-12)
+        r = oracle.residual(x)
+        assert np.isclose(oracle.value_at_residual(r, math.sqrt(r @ r)), expected, rtol=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     def test_holder_continuity(self, p):
@@ -124,11 +125,10 @@ class TestFusedOracle:
         rng = np.random.default_rng(11)
         for r in (rng.standard_normal(oracle.b.size), 1e-3 * rng.standard_normal(oracle.b.size),
                   np.zeros(oracle.b.size)):
-            value, grad = oracle.value_and_gradient_at_residual(r)
-            assert type(value) is float
             norm = math.sqrt(r @ r)
-            assert value == oracle.value_at_residual(r, norm)
-            assert grad.tobytes() == oracle.gradient_at_residual(r, norm).tobytes()
+            value = oracle.value_at_residual(r, norm)
+            assert type(value) is float
+            grad = oracle.a_map.adjoint(oracle.dual_at_residual(r, norm))
             reference_dual = oracle.multiplier + oracle._beta_root * norm_power_gradient(r, p)
             assert oracle.dual_at_residual(r, norm).tobytes() == reference_dual.tobytes()
             assert grad.tobytes() == oracle.a_map.adjoint(reference_dual).tobytes()
@@ -150,8 +150,7 @@ class TestFusedOracle:
         rng = np.random.default_rng(5)
         oracle = PenaltyGradientOracle(rng.standard_normal((6, 9)), rng.standard_normal(6),
                                        rng.standard_normal(6), 2.0, p)
-        grad = oracle.gradient_at_residual(r, math.sqrt(r @ r))
-        assert grad.tobytes() == oracle.value_and_gradient_at_residual(r)[1].tobytes()
+        grad = oracle.a_map.adjoint(oracle.dual_at_residual(r, math.sqrt(r @ r)))
         reference = oracle.a_map.adjoint(oracle.multiplier + oracle._beta_root * norm_power_gradient(r, p))
         assert grad.tobytes() == reference.tobytes()
 
@@ -211,7 +210,11 @@ class TestMinimizeComposite:
         report = minimize_composite(oracle, f, np.zeros(4), 1e-8, 100_000)
         assert report.converged
         x_ref = reference_prox_gradient(inst.a, inst.b, np.zeros(2), 1.0, p, np.zeros(4), 20_000)
-        obj = lambda x: oracle.value_and_gradient_at_residual(oracle.residual(x))[0] + f.value(x)
+
+        def obj(x):
+            r = oracle.residual(x)
+            return oracle.value_at_residual(r, math.sqrt(r @ r)) + f.value(x)
+
         assert abs(obj(report.solution) - obj(x_ref)) <= 1e-7
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
@@ -428,17 +431,19 @@ def counted_solve(oracle, f, z0, max_iters, curvature_hint=1.0):
     """Solve with eps_sub = 0.1, counting f.prox calls and curvature trials.
 
     Each trial evaluates the penalty at its trial point with
-    ``value_at_residual``. The solver's other calls of it are the entry
-    check's and the one inside each ``value_and_gradient_at_residual``, so
-    the trials are the calls of the first less those of the second, less 1.
+    ``value_at_residual``. The solver also evaluates it, and
+    ``dual_at_residual`` with it, at entry and at each trial's extrapolated
+    point y after iteration 1, and it calls ``dual_at_residual`` alone once
+    per accepted step. So the trials are the calls of the first, less those
+    of the second, plus the iterations.
     """
-    prox_calls, values, fused = [], [], []
+    prox_calls, values, duals = [], [], []
     counted = ProxFunction(f.value, lambda v, t: prox_calls.append(t) or f.prox(v, t))
-    value, value_and_gradient = oracle.value_at_residual, oracle.value_and_gradient_at_residual
+    value, dual = oracle.value_at_residual, oracle.dual_at_residual
     oracle.value_at_residual = lambda r, norm: values.append(r) or value(r, norm)
-    oracle.value_and_gradient_at_residual = lambda r: fused.append(r) or value_and_gradient(r)
+    oracle.dual_at_residual = lambda r, norm: duals.append(r) or dual(r, norm)
     report = minimize_composite(oracle, counted, z0, 0.1, max_iters, curvature_hint)
-    return report, len(prox_calls), len(values) - len(fused) - 1
+    return report, len(prox_calls), len(values) - len(duals) + report.iterations
 
 
 class TestReportCounts:
