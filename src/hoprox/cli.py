@@ -13,43 +13,33 @@ import copy
 from .bench import ExperimentConfig, emit_plots, run_sweep, sweep_failed
 
 # The config values that differ between problem kinds, set as each
-# subcommand's defaults, so an explicit flag always wins. A kind's values for
-# the fields its solver does not read (lambda_ppa for bp and mc; m, density,
-# betas, eps_subs, max_inner and dump_instances for vi) only fill the config
-# and so its manifest.
+# subcommand's defaults, so an explicit flag always wins.
 KIND_DEFAULTS = {
-    "bp": dict(m=100, n=500, density=0.2, betas=[2.0], eps=1e-4, max_outer=1000, lambda_ppa=1.0),
-    "mc": dict(m=50, n=50, density=0.1, betas=[5.0], eps=1e-4, max_outer=1000, lambda_ppa=1.0),
-    "vi-affine": dict(
-        m=20, n=20, density=1.0, betas=[2.0], eps_subs=[0.1], eps=0.0, max_outer=200,
-        max_inner=50_000, dump_instances=False,
-    ),
+    "bp": dict(m=100, n=500, density=0.2, betas=[2.0], eps=1e-4, max_outer=1000),
+    "mc": dict(m=50, n=50, density=0.1, betas=[5.0], eps=1e-4, max_outer=1000),
+    "vi-affine": dict(n=20, eps=0.0, max_outer=200),
 }
 
 
 def _add_options(parser, alm: bool) -> None:
     """Add the flags the ALM (``alm``) or the PPA reads; each dest is an ExperimentConfig field."""
     add = parser.add_argument
-    if alm:
-        add("--m", type=int, help="rows of A / matrix")
     add("--n", type=int, help="columns of A / matrix, or VI dimension")
-    if alm:
-        add("--density", type=float, help="nonzero density of the ground truth")
     add("--seed", dest="seeds", metavar="SEED", type=int, nargs="+", default=[0], help="instance seeds")
     add("--p", dest="p_values", metavar="P", type=float, nargs="+", default=[1.0, 2.0, 3.0], help="solver orders")
+    add("--eps", type=float, help="primal residual tolerance")
+    add("--max-outer", type=int)
+    add("--out", dest="out_dir", metavar="OUT", default="runs", help="output directory")
     if alm:
+        add("--m", type=int, help="rows of A / matrix")
+        add("--density", type=float, help="nonzero density of the ground truth")
         add("--beta", dest="betas", metavar="BETA", type=float, nargs="+", help="penalty parameters")
         add("--eps-sub", dest="eps_subs", metavar="EPS_SUB", type=float, nargs="+", default=[0.1],
             help="subproblem tolerances")
-    add("--eps", type=float, help="primal residual tolerance")
-    add("--max-outer", type=int)
-    if alm:
         add("--max-inner", type=int, default=50_000)
+        add("--dump-instance", dest="dump_instances", action="store_true", help="also write instance text files")
     else:
         add("--lam", dest="lambda_ppa", metavar="LAM", type=float, default=1.0, help="proximal parameter for VI runs")
-    add("--out", dest="out_dir", metavar="OUT", default="runs", help="output directory")
-    if alm:
-        add("--dump-instance", dest="dump_instances", action="store_true", help="also write instance text files")
 
 
 def build_parser() -> argparse.ArgumentParser:

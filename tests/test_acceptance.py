@@ -18,6 +18,7 @@ import pytest
 
 from hoprox.alm import AlmConfig, run_alm
 from hoprox.bench import ExperimentConfig, run_sweep
+from hoprox.operators import MatrixMap
 from hoprox.problems import bp_composite, gen_bp
 from hoprox.prox import l1_norm
 from hoprox.subsolver import PenaltyGradientOracle, gradient_map, holder_constant, minimize_composite
@@ -25,6 +26,7 @@ from hoprox.subsolver import PenaltyGradientOracle, gradient_map, holder_constan
 import grid
 from dual_oracle import dual_prox_oracle
 from ppa_bounds import worst_bound_values
+from prox_gradient import reference_prox_gradient
 from spectral_norm import spectral_norm_estimate
 
 P_ORDERS = (1.0, 2.0, 3.0)
@@ -153,7 +155,7 @@ def test_criterion_4_holder_bound():
     worst = -np.inf
     for p in P_ORDERS:
         for beta in (0.5, 2.0, 5.0, 10.0):
-            oracle = PenaltyGradientOracle(inst.a, inst.b, np.zeros(100), beta, p)
+            oracle = PenaltyGradientOracle(MatrixMap(inst.a), inst.b, np.zeros(100), beta, p)
             m_p = holder_constant(p, beta, a_norm)
             for _ in range(1000):
                 x = rng.standard_normal(500)
@@ -283,47 +285,18 @@ def test_mc_order_2_coarse_cells_converge(mc_battery):
     assert not bad, "; ".join(bad)
 
 
-def _reference_prox_gradient(a, b, multiplier, beta, p, x0, iters):
-    """Independent slow oracle: own gradient formula, own shrinkage."""
-    x = np.array(x0, dtype=float)
-    step = 1.0
-
-    def psi(pt):
-        r = a @ pt - b
-        return multiplier @ r + beta ** (1 / p) / (1 + 1 / p) * np.linalg.norm(r) ** (1 + 1 / p)
-
-    def grad(pt):
-        r = a @ pt - b
-        nr = np.linalg.norm(r)
-        inner = multiplier if nr == 0 else multiplier + beta ** (1 / p) * r * nr ** (1 / p - 1)
-        return a.T @ inner
-
-    for _ in range(iters):
-        g = grad(x)
-        while True:
-            w = x - step * g
-            z = np.sign(w) * np.maximum(np.abs(w) - step, 0.0)
-            dz = z - x
-            if psi(z) <= psi(x) + g @ dz + (dz @ dz) / (2 * step) + 1e-18:
-                break
-            step *= 0.5
-        x = z
-        step = min(step * 1.5, 1e6)
-    return x
-
-
 def test_criterion_9_subsolver_reference():
     f = l1_norm()
     worst_obj = -np.inf
     worst_exit = -np.inf
     for seed, p in ((0, 1.0), (3, 1.0), (3, 2.0)):
         inst = gen_bp(2, 4, 0.5, seed)
-        oracle = PenaltyGradientOracle(inst.a, inst.b, np.zeros(2), 1.0, p)
+        oracle = PenaltyGradientOracle(MatrixMap(inst.a), inst.b, np.zeros(2), 1.0, p)
         rep = minimize_composite(oracle, f, np.zeros(4), 1e-8, 300_000)
         assert rep.converged
         g_norm = float(np.linalg.norm(gradient_map(oracle, f, rep.solution)))
         worst_exit = max(worst_exit, g_norm)
-        x_ref = _reference_prox_gradient(inst.a, inst.b, np.zeros(2), 1.0, p, np.zeros(4), 50_000)
+        x_ref = reference_prox_gradient(inst.a, inst.b, np.zeros(2), 1.0, p, np.zeros(4), 50_000)
         objectives = []
         for x in (rep.solution, x_ref):
             r = oracle.residual(x)

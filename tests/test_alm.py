@@ -35,7 +35,7 @@ def base_config(p=1.0, **overrides):
 
 def next_multiplier(lam, z, p, beta):
     """The multiplier after the step on residual z: the penalty oracle's dual vector at z."""
-    oracle = PenaltyGradientOracle(np.eye(z.size), np.zeros(z.size), lam, beta, p)
+    oracle = PenaltyGradientOracle(MatrixMap(np.eye(z.size)), np.zeros(z.size), lam, beta, p)
     return oracle.dual_at_residual(z, math.sqrt(z @ z))
 
 

@@ -241,12 +241,13 @@ class TestRunSweep:
         assert [run["id"] for run in manifest["runs"]] == ["bp_seed0_p1_beta2_esub0.01", "bp_seed1_p1_beta2_esub0.01"]
 
     def test_value_json_cannot_hold_leaves_no_manifest(self, tmp_path):
-        # a set of orders works for the CSVs, but the manifest holds only JSON values
-        cfg = tiny_bp_config(tmp_path, p_values={1.0})
-        with pytest.raises(TypeError, match="'set' object"):
-            run_sweep(cfg)
-        assert (tmp_path / "bp_seed0_p1_beta2_esub0.01.csv").exists()
-        assert not (tmp_path / "manifest.json").exists()
+        # a set of orders or a range of seeds works for the CSVs, but the
+        # manifest, written after every cell has run, holds only JSON values
+        for field, value in (("p_values", {1.0}), ("seeds", range(2))):
+            out = tmp_path / field
+            with pytest.raises(ValueError, match=rf"^{field} must be a JSON value, as the manifest records it, got "):
+                run_sweep(tiny_bp_config(out, **{field: value}))
+            assert not out.exists()
 
     def test_instance_shared_across_p(self, tmp_path):
         cfg = tiny_bp_config(tmp_path, dump_instances=True)
@@ -387,6 +388,29 @@ class TestRunSweep:
 
     def test_vi_ignores_m_and_density(self, tmp_path):
         tiny_bp_config(tmp_path, kind="vi-affine", m=0, density=0.0, eps=0.0).validate()
+
+    def test_vi_sweep_from_the_fields_it_reads(self, tmp_path):
+        # m, density, betas, eps_subs and max_inner have defaults; an explicit value is accepted and ignored
+        read = dict(kind="vi-affine", n=6, seeds=[0, 1], p_values=[1.0, 2.0], eps=0.0, max_outer=15)
+        alm_only = dict(m=20, density=1.0, betas=[2.0], eps_subs=[0.1], max_inner=50_000)
+        first = run_sweep(ExperimentConfig(**read, out_dir=str(tmp_path / "a")))
+        second = run_sweep(ExperimentConfig(**read, **alm_only, out_dir=str(tmp_path / "b")))
+        assert [run["csv"] for run in first["runs"]] == [run["csv"] for run in second["runs"]]
+        assert len(first["runs"]) == 4
+        for run in first["runs"]:
+            assert (tmp_path / "a" / run["csv"]).read_bytes() == (tmp_path / "b" / run["csv"]).read_bytes()
+        defaults = dict(m=0, density=0.0, betas=[], eps_subs=[], max_inner=0)
+        assert {key: first["config"][key] for key in alm_only} == defaults
+
+    @pytest.mark.parametrize("kind", ["bp", "mc"])
+    @pytest.mark.parametrize("field", ["m", "density", "betas", "eps_subs", "max_inner"])
+    def test_alm_field_left_out_rejected_before_output(self, tmp_path, kind, field):
+        out = tmp_path / "out"
+        params = asdict(tiny_bp_config(out, kind=kind, m=4, n=5, density=0.5))
+        del params[field]
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            run_sweep(ExperimentConfig(**params))
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "overrides", [dict(), dict(kind="vi-affine", n=6, eps=0.0, max_outer=10)], ids=["bp", "vi"]

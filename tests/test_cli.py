@@ -1,6 +1,8 @@
+import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,13 +38,14 @@ class TestResolveConfig:
         assert cfg.eps == 0.0
         assert cfg.lambda_ppa == 1.0
 
-    @pytest.mark.parametrize("command", ["bp", "vi"])
-    def test_configs_share_no_default_list(self, command):
+    @pytest.mark.parametrize("command,lists", [("bp", ([2.0], [0.1])), ("vi", ([], []))], ids=["bp", "vi"])
+    def test_configs_share_no_default_list(self, command, lists):
+        # vi takes the dataclass's empty lists, since its solver reads neither
         first = resolve_config([command, "--out", "x"])
         first.betas.append(9.0)
         first.eps_subs.append(9.0)
         second = resolve_config([command, "--out", "x"])
-        assert (second.betas, second.eps_subs) == ([2.0], [0.1])
+        assert (second.betas, second.eps_subs) == lists
 
     def test_sweep_explicit_dims_kept(self):
         cfg = resolve_config(["mc", "--m", "8", "--n", "9", "--density", "0.3", "--out", "x"])
@@ -127,10 +130,14 @@ class TestResolveConfig:
 
     @pytest.mark.parametrize("command", ["bp", "mc", "vi"])
     def test_each_flag_and_default_sets_one_config_field(self, command):
-        # a config field with no flag or default, or a flag no field takes, fails here
+        # a flag no field takes, or a config field with neither a flag nor a
+        # default of its own, fails here
         parsed = vars(build_parser().parse_args([command]))
         del parsed["command"]
-        assert set(parsed) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        fields = dataclasses.fields(ExperimentConfig)
+        assert set(parsed) <= {f.name for f in fields}
+        required = {f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING}
+        assert required <= set(parsed)
 
     @pytest.mark.parametrize(
         "argv",
@@ -152,6 +159,15 @@ class TestResolveConfig:
         assert err.value.code == 2
         assert f"error: unrecognized arguments: {' '.join(argv[1:])}\n" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("label,commands", [("`bp` and `mc`", ["bp", "mc"]), ("`vi`", ["vi"])], ids=["bp-mc", "vi"])
+    def test_readme_flag_lists_match_the_parser(self, label, commands):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        listed = re.search(rf"^- {re.escape(label)}: `([^`]*)`", readme, re.MULTILINE).group(1).split()
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for command in commands:
+            actions = subparsers.choices[command]._actions
+            assert set(listed) == {s for a in actions for s in a.option_strings} - {"-h", "--help"}
 
     def test_missing_command_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

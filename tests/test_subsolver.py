@@ -7,7 +7,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hoprox.operators import EntryMask
+from hoprox.operators import EntryMask, MatrixMap
 from hoprox.alm import AlmConfig, CompositeProblem, run_alm
 from hoprox.problems import gen_bp, gen_mc, mc_composite, nuclear_norm_on_vectors
 from hoprox.prox import ProxFunction, l1_norm
@@ -21,39 +21,9 @@ from hoprox.subsolver import (
 )
 
 from norm_power import norm_power_gradient
+from prox_gradient import reference_prox_gradient
 from spectral_norm import spectral_norm_estimate
 from zero_function import zero_function
-
-
-def reference_prox_gradient(a, b, multiplier, beta, p, x0, iters):
-    """Slow independent oracle: own gradient formula, own shrinkage, Armijo halving."""
-    x = np.array(x0, dtype=float)
-    step = 1.0
-
-    def psi(pt):
-        r = a @ pt - b
-        return multiplier @ r + beta ** (1 / p) / (1 + 1 / p) * np.linalg.norm(r) ** (1 + 1 / p)
-
-    def grad(pt):
-        r = a @ pt - b
-        nr = np.linalg.norm(r)
-        inner = multiplier if nr == 0 else multiplier + beta ** (1 / p) * r * nr ** (1 / p - 1)
-        return a.T @ inner
-
-    def shrink(v, t):
-        return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-    for _ in range(iters):
-        g = grad(x)
-        while True:
-            z = shrink(x - step * g, step)
-            dz = z - x
-            if psi(z) <= psi(x) + g @ dz + (dz @ dz) / (2 * step) + 1e-18:
-                break
-            step *= 0.5
-        x = z
-        step = min(step * 1.5, 1e6)
-    return x
 
 
 class TestPenaltyGradient:
@@ -62,7 +32,7 @@ class TestPenaltyGradient:
         a = rng.standard_normal((3, 6))
         lam = rng.standard_normal(3)
         x_feasible, *_ = np.linalg.lstsq(a, a @ rng.standard_normal(6), rcond=None)
-        oracle = PenaltyGradientOracle(a, a @ x_feasible, lam, beta=2.0, p=2.0)
+        oracle = PenaltyGradientOracle(MatrixMap(a), a @ x_feasible, lam, beta=2.0, p=2.0)
         assert np.allclose(oracle.gradient(x_feasible), a.T @ lam, atol=1e-10)
 
     def test_first_order_is_classical(self):
@@ -71,7 +41,7 @@ class TestPenaltyGradient:
         b = rng.standard_normal(4)
         lam = rng.standard_normal(4)
         beta = 3.0
-        oracle = PenaltyGradientOracle(a, b, lam, beta, p=1.0)
+        oracle = PenaltyGradientOracle(MatrixMap(a), b, lam, beta, p=1.0)
         x = rng.standard_normal(7)
         expected = a.T @ lam + beta * a.T @ (a @ x - b)
         assert np.allclose(oracle.gradient(x), expected, rtol=1e-12)
@@ -81,7 +51,7 @@ class TestPenaltyGradient:
         a = rng.standard_normal((3, 5))
         b = rng.standard_normal(3)
         lam = rng.standard_normal(3)
-        oracle = PenaltyGradientOracle(a, b, lam, beta=5.0, p=3.0)
+        oracle = PenaltyGradientOracle(MatrixMap(a), b, lam, beta=5.0, p=3.0)
         x = rng.standard_normal(5)
         r = a @ x - b
         expected = lam @ r + 5.0 ** (1 / 3) / (4 / 3) * np.linalg.norm(r) ** (4 / 3)
@@ -94,7 +64,7 @@ class TestPenaltyGradient:
         a = rng.standard_normal((20, 50))
         b = rng.standard_normal(20)
         beta = 2.0
-        oracle = PenaltyGradientOracle(a, b, rng.standard_normal(20), beta, p)
+        oracle = PenaltyGradientOracle(MatrixMap(a), b, rng.standard_normal(20), beta, p)
         m_p = holder_constant(p, beta, spectral_norm_estimate(a, tol=1e-10))
         for _ in range(200):
             x, y = rng.standard_normal((2, 50))
@@ -103,7 +73,7 @@ class TestPenaltyGradient:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            PenaltyGradientOracle(np.eye(3), np.ones(3), np.ones(2), 1.0, 1.0)
+            PenaltyGradientOracle(MatrixMap(np.eye(3)), np.ones(3), np.ones(2), 1.0, 1.0)
 
     @pytest.mark.parametrize(
         "beta,p",
@@ -111,7 +81,7 @@ class TestPenaltyGradient:
     )
     def test_bad_beta_or_p_rejected(self, beta, p):
         with pytest.raises(ValueError, match="^(beta|p) must"):
-            PenaltyGradientOracle(np.eye(2), np.ones(2), np.ones(2), beta, p)
+            PenaltyGradientOracle(MatrixMap(np.eye(2)), np.ones(2), np.ones(2), beta, p)
 
     def test_holder_constant_first_order(self):
         assert np.isclose(holder_constant(1.0, 2.0, 10.0), 2.0 * 100.0)
@@ -148,7 +118,7 @@ class TestFusedOracle:
         # the subsolver forms an accepted iterate's gradient from the norm
         # math.sqrt(r @ r) that its trial took, without the penalty value
         rng = np.random.default_rng(5)
-        oracle = PenaltyGradientOracle(rng.standard_normal((6, 9)), rng.standard_normal(6),
+        oracle = PenaltyGradientOracle(MatrixMap(rng.standard_normal((6, 9))), rng.standard_normal(6),
                                        rng.standard_normal(6), 2.0, p)
         grad = oracle.a_map.adjoint(oracle.dual_at_residual(r, math.sqrt(r @ r)))
         reference = oracle.a_map.adjoint(oracle.multiplier + oracle._beta_root * norm_power_gradient(r, p))
@@ -165,7 +135,7 @@ class TestGradientMap:
     def test_zero_function_gives_gradient(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((3, 4))
-        oracle = PenaltyGradientOracle(a, rng.standard_normal(3), np.zeros(3), 1.0, 2.0)
+        oracle = PenaltyGradientOracle(MatrixMap(a), rng.standard_normal(3), np.zeros(3), 1.0, 2.0)
         z = rng.standard_normal(4)
         grad = oracle.gradient(z)
         # z - (z - grad) reorders the arithmetic, so compare to rounding noise
@@ -173,7 +143,7 @@ class TestGradientMap:
 
     def test_vanishes_at_minimizer(self):
         # psi = 0.5*x^2 (A=1, b=0, lam=0, beta=1, p=1); psi + |x| minimized at 0
-        oracle = PenaltyGradientOracle(np.eye(1), np.zeros(1), np.zeros(1), 1.0, 1.0)
+        oracle = PenaltyGradientOracle(MatrixMap(np.eye(1)), np.zeros(1), np.zeros(1), 1.0, 1.0)
         g = gradient_map(oracle, l1_norm(), np.zeros(1))
         assert np.linalg.norm(g) <= 1e-10
 
@@ -182,7 +152,7 @@ class TestGradientMap:
         inst = gen_bp(4, 9, 0.4, 0)
         beta, p = 2.0, 2.0
         lam = rng.standard_normal(4)
-        oracle = PenaltyGradientOracle(inst.a, inst.b, lam, beta, p)
+        oracle = PenaltyGradientOracle(MatrixMap(inst.a), inst.b, lam, beta, p)
         z = rng.standard_normal(9)
         # independent reimplementation at unit prox scale
         r = inst.a @ z - inst.b
@@ -196,7 +166,7 @@ class TestGradientMap:
 class TestMinimizeComposite:
     def test_quadratic_unconstrained(self):
         c = np.array([1.0, -2.0, 0.5])
-        oracle = PenaltyGradientOracle(np.eye(3), c, np.zeros(3), 1.0, 1.0)
+        oracle = PenaltyGradientOracle(MatrixMap(np.eye(3)), c, np.zeros(3), 1.0, 1.0)
         report = minimize_composite(oracle, zero_function(), np.zeros(3), 1e-10, 10_000)
         assert report.converged
         assert report.final_grad_map_norm <= 1e-10
@@ -205,7 +175,7 @@ class TestMinimizeComposite:
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_matches_slow_reference(self, p):
         inst = gen_bp(2, 4, 0.5, 3)
-        oracle = PenaltyGradientOracle(inst.a, inst.b, np.zeros(2), 1.0, p)
+        oracle = PenaltyGradientOracle(MatrixMap(inst.a), inst.b, np.zeros(2), 1.0, p)
         f = l1_norm()
         report = minimize_composite(oracle, f, np.zeros(4), 1e-8, 100_000)
         assert report.converged
@@ -220,7 +190,7 @@ class TestMinimizeComposite:
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     def test_experiment_scale_loose_tolerance(self, p):
         inst = gen_bp(100, 500, 0.2, 0)
-        oracle = PenaltyGradientOracle(inst.a, inst.b, np.zeros(100), 2.0, p)
+        oracle = PenaltyGradientOracle(MatrixMap(inst.a), inst.b, np.zeros(100), 2.0, p)
         report = minimize_composite(oracle, l1_norm(), np.zeros(500), 0.1, 20_000)
         assert report.converged
         assert report.final_grad_map_norm <= 0.1
@@ -232,7 +202,7 @@ class TestMinimizeComposite:
         a = rng.standard_normal((5, 8))
         b = rng.standard_normal(5)
         lam = rng.standard_normal(5)
-        oracle = PenaltyGradientOracle(a, b, lam, 4.0, 1.0)
+        oracle = PenaltyGradientOracle(MatrixMap(a), b, lam, 4.0, 1.0)
         report = minimize_composite(oracle, zero_function(), np.zeros(8), 1e-9, 50_000)
         assert report.converged
         # with f = 0 the gradient map is the penalty gradient itself
@@ -241,14 +211,14 @@ class TestMinimizeComposite:
 
     def test_nonconvergence_reported_not_raised(self):
         inst = gen_bp(10, 30, 0.3, 1)
-        oracle = PenaltyGradientOracle(inst.a, inst.b, np.zeros(10), 2.0, 1.0)
+        oracle = PenaltyGradientOracle(MatrixMap(inst.a), inst.b, np.zeros(10), 2.0, 1.0)
         report = minimize_composite(oracle, l1_norm(), np.zeros(30), 1e-12, 3)
         assert not report.converged
         assert report.iterations == 3
         assert report.final_grad_map_norm > 1e-12
 
     def test_invalid_arguments(self):
-        oracle = PenaltyGradientOracle(np.eye(2), np.ones(2), np.zeros(2), 1.0, 1.0)
+        oracle = PenaltyGradientOracle(MatrixMap(np.eye(2)), np.ones(2), np.zeros(2), 1.0, 1.0)
         for eps_sub in (0.0, np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="eps_sub"):
                 minimize_composite(oracle, zero_function(), np.zeros(2), eps_sub, 10)
@@ -261,7 +231,7 @@ class TestMinimizeComposite:
     @pytest.mark.parametrize("bad", [2.5, 3.0, np.float64(2.0), True, "3"])
     def test_non_integer_cap_rejected(self, bad):
         # a float cap would fail only later, inside range(), and True would run as 1
-        oracle = PenaltyGradientOracle(np.eye(2), np.ones(2), np.zeros(2), 1.0, 1.0)
+        oracle = PenaltyGradientOracle(MatrixMap(np.eye(2)), np.ones(2), np.zeros(2), 1.0, 1.0)
         with pytest.raises(ValueError, match="^max_iters must be an integer"):
             minimize_composite(oracle, zero_function(), np.zeros(2), 1e-6, bad)
         assert minimize_composite(oracle, zero_function(), np.zeros(2), 1e-6, np.int64(10)).converged
@@ -269,13 +239,13 @@ class TestMinimizeComposite:
     def test_start_without_entry_test_takes_a_step(self):
         # the start meets the tolerance, but without the entry test the solve
         # only learns it after one step, and spends no entry prox
-        oracle = PenaltyGradientOracle(np.eye(2), np.zeros(2), np.zeros(2), 1.0, 2.0)
+        oracle = PenaltyGradientOracle(MatrixMap(np.eye(2)), np.zeros(2), np.zeros(2), 1.0, 2.0)
         report = minimize_composite(oracle, zero_function(), np.zeros(2), 1e-8, 10, entry_test=False)
         assert report.converged and report.iterations == 1
         assert report.prox_calls == report.trials + report.iterations - report.certified
 
     def test_already_converged_start(self):
-        oracle = PenaltyGradientOracle(np.eye(2), np.zeros(2), np.zeros(2), 1.0, 2.0)
+        oracle = PenaltyGradientOracle(MatrixMap(np.eye(2)), np.zeros(2), np.zeros(2), 1.0, 2.0)
         report = minimize_composite(oracle, zero_function(), np.zeros(2), 1e-8, 10, curvature_hint=12.0)
         assert report.converged and report.iterations == 0
         # the hint, taken down to a power of two, passes on to the next solve
@@ -300,7 +270,7 @@ class TestEntryValidation:
             EntryMask(bad, (2, 2))
 
     def test_non_finite_start_rejected(self):
-        oracle = PenaltyGradientOracle(np.eye(2), np.ones(2), np.zeros(2), 1.0, 1.0)
+        oracle = PenaltyGradientOracle(MatrixMap(np.eye(2)), np.ones(2), np.zeros(2), 1.0, 1.0)
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError):
                 minimize_composite(oracle, l1_norm(), np.array([0.0, bad]), 1e-6, 10)
@@ -308,13 +278,13 @@ class TestEntryValidation:
                 minimize_composite(oracle, l1_norm(), np.zeros(2), 1e-6, 10, residual=np.array([bad, 0.0]))
 
     def test_residual_of_wrong_shape_rejected(self):
-        oracle = PenaltyGradientOracle(np.ones((2, 3)), np.ones(2), np.zeros(2), 1.0, 1.0)
+        oracle = PenaltyGradientOracle(MatrixMap(np.ones((2, 3))), np.ones(2), np.zeros(2), 1.0, 1.0)
         for bad in (np.zeros(3), np.zeros(1), np.zeros((2, 1))):
             with pytest.raises(ValueError):
                 minimize_composite(oracle, l1_norm(), np.zeros(3), 1e-6, 10, residual=bad)
 
     def test_subgradient_of_wrong_shape_rejected(self):
-        oracle = PenaltyGradientOracle(np.ones((2, 3)), np.ones(2), np.zeros(2), 1.0, 1.0)
+        oracle = PenaltyGradientOracle(MatrixMap(np.ones((2, 3))), np.ones(2), np.zeros(2), 1.0, 1.0)
         for bad in (np.zeros(2), np.zeros(1), np.zeros((3, 1))):
             with pytest.raises(ValueError, match="^subgradient shape"):
                 minimize_composite(oracle, l1_norm(), np.zeros(3), 1e-6, 10, subgradient=(bad, 0.0))
@@ -334,7 +304,7 @@ def hint_case(kind, p, bp_seed=0):
     rng = np.random.default_rng(7)
     if kind == "bp":
         inst = gen_bp(100, 500, 0.2, bp_seed)
-        oracle = PenaltyGradientOracle(inst.a, inst.b, rng.standard_normal(100), HINT_BETA[kind], p)
+        oracle = PenaltyGradientOracle(MatrixMap(inst.a), inst.b, rng.standard_normal(100), HINT_BETA[kind], p)
         return oracle, l1_norm(), np.zeros(500)
     prob = mc_composite(gen_mc(50, 50, 0.1, 0))
     oracle = PenaltyGradientOracle(prob.a_map, prob.b, rng.standard_normal(prob.b.size), HINT_BETA[kind], p)
@@ -418,7 +388,8 @@ class TestCurvatureHint:
         # the first search starts at the hint's power of two (1 at least) and
         # only doubles, so it accepts a power of two no smaller than that start
         rng = np.random.default_rng(seed)
-        oracle = PenaltyGradientOracle(rng.standard_normal((4, 8)), rng.standard_normal(4), np.zeros(4), 1.0, p)
+        a_map = MatrixMap(rng.standard_normal((4, 8)))
+        oracle = PenaltyGradientOracle(a_map, rng.standard_normal(4), np.zeros(4), 1.0, p)
         hint = 2.0 ** log2_hint
         start = _grid_start(hint)
         assert start <= max(hint, 1.0) < 2.0 * start
@@ -460,7 +431,7 @@ class TestReportCounts:
         assert trials + 1 + report.iterations - report.certified - prox_calls == 0
 
     def test_converged_start_counts_the_entry_prox(self):
-        oracle = PenaltyGradientOracle(np.eye(2), np.zeros(2), np.zeros(2), 1.0, 2.0)
+        oracle = PenaltyGradientOracle(MatrixMap(np.eye(2)), np.zeros(2), np.zeros(2), 1.0, 2.0)
         report, prox_calls, trials = counted_solve(oracle, zero_function(), np.zeros(2), 10)
         assert report.iterations == 0
         assert (report.prox_calls, report.trials) == (prox_calls, trials) == (1, 0)
@@ -490,7 +461,7 @@ class TestResidualHandoff:
 
     def test_capped_solve_residual(self):
         inst = gen_bp(10, 30, 0.3, 1)
-        oracle = PenaltyGradientOracle(inst.a, inst.b, np.zeros(10), 2.0, 1.0)
+        oracle = PenaltyGradientOracle(MatrixMap(inst.a), inst.b, np.zeros(10), 2.0, 1.0)
         report = minimize_composite(oracle, l1_norm(), np.zeros(30), 1e-12, 3)
         assert not report.converged
         assert report.residual.tobytes() == (inst.a @ report.solution - inst.b).tobytes()
@@ -550,7 +521,7 @@ def extreme_scale_case(seed, log_a, log_b, log_eps, kind):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((4, 8)) * 10.0 ** log_a
     b = rng.standard_normal(4) * 10.0 ** log_b
-    oracle = PenaltyGradientOracle(a, b, rng.standard_normal(4), 1.0, 2.0)
+    oracle = PenaltyGradientOracle(MatrixMap(a), b, rng.standard_normal(4), 1.0, 2.0)
     return oracle, l1_norm() if kind == "l1" else zero_function(), 10.0 ** log_eps
 
 
@@ -562,7 +533,7 @@ def rounded_step_case(seed, eps_sub, kind):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((4, 8)) * 10 ** rng.uniform(-1, 1)
     b = rng.standard_normal(4) * 10 ** rng.uniform(0, 3)
-    oracle = PenaltyGradientOracle(a, b, rng.standard_normal(4), 1.0, 2.0)
+    oracle = PenaltyGradientOracle(MatrixMap(a), b, rng.standard_normal(4), 1.0, 2.0)
     return oracle, l1_norm() if kind == "l1" else zero_function(), eps_sub
 
 
@@ -580,7 +551,7 @@ class TestStoppingCertificate:
         # ||G(x+)|| = ||prox_f(x+ + s) - prox_f(x+ - grad_psi(x+))|| <= ||u||
         rng = np.random.default_rng(5)
         a = rng.standard_normal((6, 12))
-        oracle = PenaltyGradientOracle(a, rng.standard_normal(6), multiplier, 2.0, p)
+        oracle = PenaltyGradientOracle(MatrixMap(a), rng.standard_normal(6), multiplier, 2.0, p)
         f = l1_norm() if kind == "l1" else nuclear_norm_on_vectors(3, 4)
         L = 10.0 ** log_l
         x_next, s = accepted_step(oracle, f, y, L)
@@ -643,7 +614,7 @@ class TestStoppingCertificate:
     def quadratic_case(self):
         # psi = ||0.1 x - b||^2 / 2 has curvature 0.01, so from x0 = 0 iteration
         # 1 accepts L = 1 whatever eps_sub is: x1 = x0 - grad_psi(x0)
-        oracle = PenaltyGradientOracle(0.1 * np.eye(3), np.array([1.0, -2.0, 0.5]), np.zeros(3), 1.0, 1.0)
+        oracle = PenaltyGradientOracle(MatrixMap(0.1 * np.eye(3)), np.array([1.0, -2.0, 0.5]), np.zeros(3), 1.0, 1.0)
         x0 = np.zeros(3)
         grad_0 = oracle.gradient(x0)
         x1 = x0 - grad_0
@@ -719,10 +690,11 @@ def entry_case(seed, log_a, log_b, log_eps, kind, log_d):
     eps_sub = 10.0 ** log_eps
     moved = multiplier + rng.standard_normal(4) * eps_sub * 10.0 ** log_d
     f = l1_norm() if kind == "l1" else zero_function()
-    first = minimize_composite(PenaltyGradientOracle(a, b, multiplier, 1.0, 2.0), f, np.zeros(8), eps_sub, 2000)
+    before = PenaltyGradientOracle(MatrixMap(a), b, multiplier, 1.0, 2.0)
+    first = minimize_composite(before, f, np.zeros(8), eps_sub, 2000)
     if first.subgradient is None:
         return None
-    after = PenaltyGradientOracle(a, b, moved, 1.0, 2.0)
+    after = PenaltyGradientOracle(MatrixMap(a), b, moved, 1.0, 2.0)
     u = after.gradient(first.solution) + first.subgradient[0]
     report = minimize_composite(after, f, first.solution, eps_sub, 1, subgradient=first.subgradient)
     exact = extended_gradient_map_norm(a, b, moved, 2.0, kind, first.solution)
@@ -747,9 +719,9 @@ class TestEntryCertificate:
         b = rng.standard_normal(6)
         f = l1_norm() if kind == "l1" else nuclear_norm_on_vectors(3, 4)
         L = 10.0 ** log_l
-        before = PenaltyGradientOracle(a, b, multiplier, 2.0, p)
+        before = PenaltyGradientOracle(MatrixMap(a), b, multiplier, 2.0, p)
         x_next, s = accepted_step(before, f, y, L)
-        after = PenaltyGradientOracle(a, b, multiplier + step, 2.0, p)
+        after = PenaltyGradientOracle(MatrixMap(a), b, multiplier + step, 2.0, p)
         u = after.gradient(x_next) + s
         exact = np.linalg.norm(gradient_map(after, f, x_next))
         rounding = 1e-12 * (1.0 + L * np.linalg.norm(y) + np.linalg.norm(before.gradient(y)) + np.linalg.norm(u))
@@ -805,7 +777,7 @@ class TestEntryCertificate:
         # with f = 0, s = 0 is a subgradient everywhere and u' = grad_psi(z0):
         # ||u'|| = (1 - margin) eps_sub certifies only below (1 - 1e-6) eps_sub,
         # and a scale that puts delta' above 1e-6 eps_sub refuses it
-        oracle = PenaltyGradientOracle(0.1 * np.eye(3), np.array([1.0, -2.0, 0.5]), np.zeros(3), 1.0, 1.0)
+        oracle = PenaltyGradientOracle(MatrixMap(0.1 * np.eye(3)), np.array([1.0, -2.0, 0.5]), np.zeros(3), 1.0, 1.0)
         z0 = np.array([3.0, -1.0, 2.0])
         grad = oracle.gradient(z0)
         u_norm = math.sqrt(grad @ grad)
