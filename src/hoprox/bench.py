@@ -4,9 +4,9 @@ Each sweep cell (seed, p, beta, eps_sub) produces one CSV with the fixed
 header ``iter,r_k,dual_step_norm,inner_iters,cum_inner,objective``.
 A JSON manifest written after all cells records the resolved config, the
 RNG algorithm, per-run artifact paths, each run's status (for VI runs
-``converged`` when the last step was within ``eps``, else ``max_outer``)
-and final residual and, for ALM runs, the cell's total
-inner iterations, prox calls, curvature trials and certified stops, and
+the ``PpaTrace.status`` that says why ``run_ppa`` stopped) and final
+residual and, for ALM runs, the cell's total inner iterations, prox calls,
+curvature trials, certified stops and stopping tests after a step, and
 suffices to regenerate every CSV byte-for-byte. Wall-clock timing is
 inherently non-reproducible, so the CSVs carry none; each cell's measured
 time lives in the manifest.
@@ -242,10 +242,9 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
                 entry["prox_calls"] = sum(rep.prox_calls for rep in trace.reports)
                 entry["trials"] = sum(rep.trials for rep in trace.reports)
                 entry["certified"] = sum(rep.certified for rep in trace.reports)
+                entry["stop_tests"] = sum(rep.stop_tests for rep in trace.reports)
             else:
-                # run_ppa stops early only on a step within step_tol (cfg.eps),
-                # the zero step at F's rounding floor included
-                entry["status"] = "converged" if trace.step_norms[-1] <= cfg.eps else "max_outer"
+                entry["status"] = trace.status
                 entry["outer_iterations"] = len(trace.step_norms)
                 entry["final_residual"] = trace.residual_norms[-1]
             write_csv(trace, out / csv_name, problem.f if isinstance(trace, AlmTrace) else None)

@@ -157,6 +157,9 @@ class PpaTrace:
     evaluations, not factorizations or inversions.
     ``wall_ms[k]`` times step k's solve alone; every evaluation of F falls
     outside it.
+    ``status`` says why the run stopped: ``rounding_floor`` on the zero
+    step, ``step_tol`` on any other step no longer than ``step_tol``, and
+    ``max_iters`` at the cap.
     """
 
     iterates: list = field(default_factory=list)
@@ -165,6 +168,7 @@ class PpaTrace:
     distances_to_solution: Optional[list] = None
     inner_solves: list = field(default_factory=list)
     wall_ms: list = field(default_factory=list)
+    status: str = "max_iters"
 
 
 def _root_tolerance(s: float) -> float:
@@ -399,7 +403,8 @@ def run_ppa(op: MonotoneOperator, x0: np.ndarray, cfg: PpaConfig) -> PpaTrace:
     ``_make_affine_stepper``. Stops after ``cfg.max_iters`` steps or when
     a step norm falls to ``cfg.step_tol``. Since ``step_tol >= 0``, a run
     also stops on the zero step, which the stepper takes once F(x_k) is
-    within the rounding bound of computing M x_k + q.
+    within the rounding bound of computing M x_k + q. The trace's
+    ``status`` names which of the three stops ended the run.
 
     F is evaluated and normed once per iterate, x0 included: F(x^{k+1})
     and its norm give the residual of step k and are handed to step k + 1.
@@ -437,5 +442,6 @@ def run_ppa(op: MonotoneOperator, x0: np.ndarray, cfg: PpaConfig) -> PpaTrace:
             trace.distances_to_solution.append(math.sqrt(error.dot(error)))
         x = x_next
         if step_norm <= cfg.step_tol:
+            trace.status = "step_tol" if solves else "rounding_floor"
             break
     return trace

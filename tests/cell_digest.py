@@ -31,6 +31,10 @@ prints each cell whose digest differs (with both counts, as in
 them), or that only one side has, and exits 1 if any does. An ALM cell
 whose results digests are equal prints as
 ``alm-mc/s0-p2-esub0.1: results equal, 1,247 → 747 prox calls``.
+It ends with one line per workload, as in
+``alm-bp: 0/15 equal, 15/15 equal in results, prox calls 38,131 → 29,718``;
+a PPA workload, or a file without results digests, gives the first count
+alone.
 
 Bitwise results depend on numpy, its BLAS, the BLAS thread count and the CPU
 features numpy dispatches on, so the file records them; digests from another
@@ -197,6 +201,31 @@ def compare(before: dict, after: dict, counts_before=None, counts_after=None,
     return lines
 
 
+def summary(before: dict, after: dict, results_before=None, results_after=None) -> list:
+    """One line per workload of ``before``: its cells equal, and for ALM cells equal in results and prox calls.
+
+    A cell is equal in results when its digests are equal, or when both
+    ``results_before`` and ``results_after`` hold it with equal results
+    digests. The prox-call totals are over the cells that both hold.
+    """
+    results_before, results_after = results_before or {}, results_after or {}
+    lines = []
+    for workload in sorted({name.split("/")[0] for name in before}):
+        names = [name for name in before if name.split("/")[0] == workload]
+        equal = sum(after.get(name) == before[name] for name in names)
+        line = f"{workload}: {equal}/{len(names)} equal"
+        held = {name for name in names if name in results_before and name in results_after}
+        if held:
+            in_results = sum(after.get(name) == before[name]
+                             or (name in held and results_before[name]["digest"] == results_after[name]["digest"])
+                             for name in names)
+            old = sum(results_before[name]["prox_calls"] for name in held)
+            new = sum(results_after[name]["prox_calls"] for name in held)
+            line += f", {in_results}/{len(names)} equal in results, prox calls {old:,} → {new:,}"
+        lines.append(line)
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workloads", nargs="+", choices=grid.WORKLOADS, default=list(grid.WORKLOADS),
@@ -224,13 +253,8 @@ def main(argv=None) -> int:
     # files written before counts, evaluation totals or results digests were recorded have none
     differing = compare(recorded["cells"], digests, recorded.get("counts"), counts,
                         recorded.get("evaluations"), evaluations, recorded.get("results"), results)
-    for line in differing:
+    for line in differing + summary(recorded["cells"], digests, recorded.get("results"), results):
         print(line)
-    equal = sum(recorded["cells"].get(name) == value for name, value in digests.items())
-    print(f"{equal} of {len(recorded['cells'])} cells equal")
-    if "results" in recorded:
-        in_results = equal + sum(": results equal, " in line for line in differing)
-        print(f"{in_results} of {len(recorded['cells'])} cells equal in results")
     return 1 if differing else 0
 
 

@@ -223,7 +223,7 @@ class TestCurvatureHintInAlm:
         counted = ProxFunction(prob.f.value, lambda v, t: calls.append(t) or prob.f.prox(v, t))
         trace = run_alm(CompositeProblem(counted, prob.a_map, prob.b), np.zeros(2500), np.zeros(250), cfg)
         assert trace.converged and trace.outer_iterations == 6
-        assert len(calls) == 175 <= 0.75 * 656
+        assert len(calls) == 160 <= 0.75 * 656
 
 
 class TestMultiplierFromReport:

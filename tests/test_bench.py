@@ -263,7 +263,7 @@ class TestRunSweep:
         manifest = run_sweep(cfg)
         assert len(manifest["runs"]) == 2
         for run in manifest["runs"]:
-            assert run["status"] == "max_outer"
+            assert run["status"] == "max_iters"
             rows, _ = read_csv(tmp_path / run["csv"])
             assert len(rows) == 20
             assert run["final_residual"] == rows[-1].primal_residual > 0.0
@@ -275,8 +275,8 @@ class TestRunSweep:
             tmp_path, kind="vi-affine", n=10, p_values=[1.0, 2.0], eps=0.0, max_outer=100
         )
         first, second = run_sweep(cfg)["runs"]
-        assert (first["status"], first["outer_iterations"]) == ("max_outer", 100)
-        assert second["status"] == "converged"
+        assert (first["status"], first["outer_iterations"]) == ("max_iters", 100)
+        assert second["status"] == "rounding_floor"
         assert second["outer_iterations"] < 100
         rows, _ = read_csv(tmp_path / second["csv"])
         assert rows[-1].multiplier_step_norm == 0.0
@@ -439,10 +439,10 @@ class TestRunSweep:
             assert run["status"] == "converged" and inner > 0
             assert inner == sum(rec.inner_iterations for rec in read_csv(tmp_path / run["csv"])[0])
             # each x-update calls the prox at entry (at p = 1 only) and once
-            # per iteration to stop, bar a certified stop; the other calls are
-            # trials
+            # per stopping test after a step, bar a certified stop; the other
+            # calls are trials
             entry_tests = outer if run["p"] == 1 else 0
-            assert run["trials"] == run["prox_calls"] - entry_tests - inner + run["certified"]
+            assert run["trials"] == run["prox_calls"] - entry_tests - run["stop_tests"] + run["certified"]
 
     def test_cell_failure_recorded_and_sweep_continues(self, tmp_path, monkeypatch):
         calls = {"n": 0}

@@ -5,7 +5,7 @@ from hoprox.ppa import PpaConfig, run_ppa
 from hoprox.problems import bp_composite, gen_bp, gen_vi_affine
 from hoprox.prox import l1_norm
 
-from cell_digest import cell_digests, compare, digest
+from cell_digest import cell_digests, compare, digest, summary
 
 
 def ppa_cell():
@@ -121,3 +121,22 @@ def test_cell_digests_record_each_alm_results_digest_and_prox_total():
     ppa_results = {}
     cell_digests(["ppa-skew"], seeds=[0], results=ppa_results)
     assert ppa_results == {}
+
+
+def test_summary_gives_one_line_per_workload():
+    before = {"alm-bp/s0-p1": "0" * 64, "alm-bp/s0-p2": "1" * 64, "alm-bp/s0-p3": "2" * 64,
+              "ppa-sym/s0-p1": "3" * 64, "ppa-sym/s0-p2": "4" * 64}
+    after = {"alm-bp/s0-p1": "0" * 64, "alm-bp/s0-p2": "5" * 64, "alm-bp/s0-p3": "6" * 64,
+             "ppa-sym/s0-p1": "3" * 64, "ppa-sym/s0-p2": "7" * 64}
+    results_before = {"alm-bp/s0-p1": {"digest": "8" * 64, "prox_calls": 2_245},
+                      "alm-bp/s0-p2": {"digest": "9" * 64, "prox_calls": 2_365},
+                      "alm-bp/s0-p3": {"digest": "a" * 64, "prox_calls": 3_668}}
+    results_after = {"alm-bp/s0-p1": {"digest": "8" * 64, "prox_calls": 2_245},
+                     "alm-bp/s0-p2": {"digest": "9" * 64, "prox_calls": 1_766},
+                     "alm-bp/s0-p3": {"digest": "b" * 64, "prox_calls": 2_865}}
+    assert summary(before, after, results_before, results_after) == [
+        "alm-bp: 1/3 equal, 2/3 equal in results, prox calls 8,278 → 6,876",
+        "ppa-sym: 1/2 equal",
+    ]
+    # a file written without results digests gives the digest count alone
+    assert summary(before, after, None, results_after)[0] == "alm-bp: 1/3 equal"

@@ -217,7 +217,7 @@ class TestMain:
         assert code == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         # p = 2 stops at the rounding floor of F, p = 1 runs to the cap
-        assert [r["status"] for r in manifest["runs"]] == ["max_outer", "converged"]
+        assert [r["status"] for r in manifest["runs"]] == ["max_iters", "rounding_floor"]
 
     def test_vi_non_finite_step_fails_the_cell(self, tmp_path):
         # lam*M's eigenvalues overflow, so the step has no finite secular function

@@ -166,6 +166,7 @@ class TestStepRootSearch:
         trace = run_ppa(op, op.known_solution, PpaConfig(p=2.0, lambda_ppa=1.0, max_iters=5))
         assert trace.step_norms == [0.0]
         assert trace.inner_solves == [0]
+        assert trace.status == "rounding_floor"
 
     @pytest.mark.parametrize("make_op", [gen_vi_affine, skew_operator], ids=["symmetric", "skew"])
     def test_search_starts_at_previous_root(self, make_op):
@@ -579,6 +580,7 @@ class TestRunPpa:
         trace = run_ppa(scalar_identity_op(), np.array([1.0]), cfg)
         values = [float(x[0]) for x in trace.iterates]
         assert np.allclose(values, [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125], rtol=1e-12)
+        assert trace.status == "max_iters"
 
     def test_trace_lengths_consistent(self):
         op, x0 = gen_vi_affine(5, 2)
@@ -596,6 +598,7 @@ class TestRunPpa:
         trace = run_ppa(op, x0, cfg)
         assert len(trace.step_norms) < 500
         assert trace.step_norms[-1] <= 1e-3
+        assert trace.status == "step_tol" and trace.inner_solves[-1] == 1
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     def test_fejer_and_step_monotonicity(self, p):

@@ -343,11 +343,11 @@ class TestCurvatureHint:
     @pytest.mark.parametrize(
         "kind,p,iterations,prox_calls,trials,first_l",
         [
-            ("bp", 1.0, 557, 1681, 1123, 2048.0),
-            ("bp", 2.0, 136, 414, 277, 128.0),
-            ("bp", 3.0, 67, 204, 136, 64.0),
-            ("mc", 1.0, 40, 122, 81, 8.0),
-            ("mc", 2.0, 14, 41, 26, 1.0),
+            ("bp", 1.0, 557, 1234, 1123, 2048.0),
+            ("bp", 2.0, 136, 313, 277, 128.0),
+            ("bp", 3.0, 67, 152, 136, 64.0),
+            ("mc", 1.0, 40, 99, 81, 8.0),
+            ("mc", 2.0, 14, 33, 26, 1.0),
         ],
     )
     def test_cold_search_unchanged(self, kind, p, iterations, prox_calls, trials, first_l):
@@ -399,22 +399,31 @@ class TestCurvatureHint:
 
 
 def counted_solve(oracle, f, z0, max_iters, curvature_hint=1.0):
-    """Solve with eps_sub = 0.1, counting f.prox calls and curvature trials.
+    """Solve with eps_sub = 0.1, counting f.prox calls, curvature trials and stopping tests after a step.
 
-    Each trial evaluates the penalty at its trial point with
-    ``value_at_residual``. The solver also evaluates it, and
-    ``dual_at_residual`` with it, at entry and at each trial's extrapolated
-    point y after iteration 1, and it calls ``dual_at_residual`` alone once
-    per accepted step. So the trials are the calls of the first, less those
-    of the second, plus the iterations.
+    Each trial computes the residual of the prox's output, and no other
+    residual is of a prox output: the solver also computes one at entry and
+    at each trial's extrapolated point y after iteration 1. It calls
+    ``dual_at_residual`` at entry, at each such y, and once per stopping
+    test after a step. So the trials are the residuals of prox outputs, and
+    the stopping tests after a step are the ``dual_at_residual`` calls less
+    the other residuals.
     """
-    prox_calls, values, duals = [], [], []
-    counted = ProxFunction(f.value, lambda v, t: prox_calls.append(t) or f.prox(v, t))
-    value, dual = oracle.value_at_residual, oracle.dual_at_residual
-    oracle.value_at_residual = lambda r, norm: values.append(r) or value(r, norm)
+    # the prox outputs by id, held so that no other array takes over an id
+    outputs, prox_calls, trial_residuals, other_residuals, duals = {}, [], [], [], []
+
+    def prox(v, t):
+        out = f.prox(v, t)
+        prox_calls.append(t)
+        outputs[id(out)] = out
+        return out
+
+    counted = ProxFunction(f.value, prox)
+    residual, dual = oracle.residual, oracle.dual_at_residual
+    oracle.residual = lambda x: (trial_residuals if id(x) in outputs else other_residuals).append(x) or residual(x)
     oracle.dual_at_residual = lambda r, norm: duals.append(r) or dual(r, norm)
     report = minimize_composite(oracle, counted, z0, 0.1, max_iters, curvature_hint)
-    return report, len(prox_calls), len(values) - len(duals) + report.iterations
+    return report, len(prox_calls), len(trial_residuals), len(duals) - len(other_residuals)
 
 
 class TestReportCounts:
@@ -423,18 +432,48 @@ class TestReportCounts:
     )
     def test_counts_match_counting_wrappers(self, kind, p, hint):
         oracle, f, z0 = hint_case(kind, p)
-        report, prox_calls, trials = counted_solve(oracle, f, z0, 20_000, hint)
+        report, prox_calls, trials, stop_tests = counted_solve(oracle, f, z0, 20_000, hint)
         assert report.converged and report.iterations >= 2
-        assert (report.prox_calls, report.trials) == (prox_calls, trials)
-        # one prox per trial, plus the entry and one stopping test per
-        # iteration, bar a certified stop
-        assert trials + 1 + report.iterations - report.certified - prox_calls == 0
+        assert (report.prox_calls, report.trials, report.stop_tests) == (prox_calls, trials, stop_tests)
+        # one prox per trial, plus the entry test and each stopping test
+        # after a step, bar a certified stop
+        assert trials + 1 + stop_tests - report.certified - prox_calls == 0
+        assert 1 <= stop_tests <= report.iterations
 
     def test_converged_start_counts_the_entry_prox(self):
         oracle = PenaltyGradientOracle(MatrixMap(np.eye(2)), np.zeros(2), np.zeros(2), 1.0, 2.0)
-        report, prox_calls, trials = counted_solve(oracle, zero_function(), np.zeros(2), 10)
+        report, prox_calls, trials, stop_tests = counted_solve(oracle, zero_function(), np.zeros(2), 10)
         assert report.iterations == 0
-        assert (report.prox_calls, report.trials) == (prox_calls, trials) == (1, 0)
+        assert (report.prox_calls, report.trials, report.stop_tests) == (prox_calls, trials, stop_tests) == (1, 0, 0)
+
+
+class TestStopScreen:
+    @pytest.mark.parametrize("kind,p", [("bp", 1.0), ("bp", 2.0), ("mc", 1.0), ("mc", 2.0)])
+    def test_capped_solve_reports_exact_gradient_map_after_long_step(self, kind, p):
+        # a solve takes the same steps whatever its cap: the 4-step solve
+        # tests only its step 4, so steps 1 to 3 are long, yet the 3-step
+        # solve tests its step 3, the last its cap allows
+        oracle, f, z0 = hint_case(kind, p)
+        capped = minimize_composite(oracle, f, z0, 0.1, 3)
+        longer = minimize_composite(oracle, f, z0, 0.1, 4)
+        assert not capped.converged and capped.iterations == 3
+        assert (capped.stop_tests, longer.stop_tests) == (1, 1)
+        g = gradient_map(oracle, f, capped.solution)
+        assert capped.final_grad_map_norm == math.sqrt(g.dot(g)) > 0.1
+        r = oracle.residual(capped.solution)
+        assert capped.residual.tobytes() == r.tobytes()
+        multiplier = oracle.dual_at_residual(r, math.sqrt(r.dot(r)))
+        assert capped.multiplier.tobytes() == multiplier.tobytes()
+
+    def test_screened_solve_still_stops_within_eps_sub(self):
+        oracle, f, z0 = hint_case("bp", 1.0)
+        report, prox_calls, _, _ = counted_solve(oracle, f, z0, 20_000)
+        assert report.converged and not report.certified
+        # a prox call fewer for each step not tested
+        assert prox_calls < report.trials + 1 + report.iterations
+        assert report.stop_tests < report.iterations
+        g = gradient_map(oracle, f, report.solution)
+        assert math.sqrt(g.dot(g)) == report.final_grad_map_norm <= 0.1
 
 
 class TestResidualHandoff:
