@@ -141,11 +141,13 @@ def run_alm(
     way stored reports hold None in place of the subgradient, so the trace
     keeps no extra vector per outer step.
 
-    ``x0`` and ``multiplier0`` are copied once; every later iterate and
-    multiplier is stored as computed, shared with the reports (see
-    ``AlmTrace``).
+    ``x0``, which must have A's column count (else ``ValueError``), and
+    ``multiplier0`` are copied once; every later iterate and multiplier is
+    stored as computed, shared with the reports (see ``AlmTrace``).
     """
     x = as_vector(x0).copy()
+    if x.shape[0] != prob.a_map.shape[1]:
+        raise ValueError(f"x0 has length {x.shape[0]}, A has {prob.a_map.shape[1]} columns")
     multiplier = as_vector(multiplier0).copy()
     trace = AlmTrace(iterates=[x], multipliers=[multiplier])
 

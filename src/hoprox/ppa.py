@@ -29,6 +29,8 @@ Once the computed F(x) is no larger than the rounding error bound of
 evaluating M x + q, gamma_{n+1} (||M||_F ||x|| + ||q||) with
 gamma_k = k u / (1 - k u) and u = 2^-53, it carries no correct digit: the
 step is then the zero step, with no root search, and the run stops on it.
+At p > 1 the run also stops after a step whose exact length s^(1/(p-1))
+at the root is at most gamma_{n+1} ||x||, which x_next cannot resolve.
 """
 
 import math
@@ -147,19 +149,18 @@ class PpaTrace:
     lam * ||F(x^{k+1})||. ``distances_to_solution`` covers every iterate
     (including x^0) when the operator carries a known solution.
     ``inner_solves[k]`` is the number of secular-function evaluations in
-    step k's root search: 0 for a zero step (F(x^k) = 0 to working
-    precision: within the rounding bound of M x^k + q), 1 for p = 1 (the
-    root s = 1 is known). None of them is a factorization on a symmetric
-    operator: each is O(n) work on the eigendecomposition the operator
-    stores. On the nonsymmetric path each search's
-    first evaluation reuses the inverse at the previous search's root. The
-    benchmark's ``ppa.shifted_solves`` sums this list, so it counts
-    evaluations, not factorizations or inversions.
+    step k's root search: 0 for the zero step, 1 for p = 1 (the root s = 1
+    is known). None of them is a factorization on a symmetric operator:
+    each is O(n) work on the eigendecomposition the operator stores. On the
+    nonsymmetric path each search's first evaluation reuses the inverse at
+    the previous search's root. The benchmark's ``ppa.shifted_solves`` sums
+    this list, so it counts evaluations, not factorizations or inversions.
     ``wall_ms[k]`` times step k's solve alone; every evaluation of F falls
     outside it.
-    ``status`` says why the run stopped: ``rounding_floor`` on the zero
-    step, ``step_tol`` on any other step no longer than ``step_tol``, and
-    ``max_iters`` at the cap.
+    ``status`` says why the run stopped, as ``run_ppa`` decides it:
+    ``rounding_floor`` on the zero step, ``unresolved_step`` after a step
+    at p > 1 too short for x^k to resolve, ``step_tol`` on any other step
+    no longer than ``step_tol``, and ``max_iters`` at the cap.
     """
 
     iterates: list = field(default_factory=list)
@@ -275,12 +276,13 @@ def _secular_root(secular, p: float, s: float):
 
 
 def _make_affine_stepper(op: MonotoneOperator, cfg: PpaConfig):
-    """Per-run step function for an affine operator: (x_k, F(x_k), ||F(x_k)||) -> (x_next, evaluations).
+    """Per-run step function for an affine operator: (x_k, lam*F(x_k), ||lam*F(x_k)||^2) -> (x_next, evaluations, root).
 
-    The caller hands over ||F(x_k)||, which it has already computed, for the
-    rounding-floor test. Each search starts from the previous step's root,
-    which the shrinking steps keep close; at p = 1 the root s = 1 is known
-    and counted as one evaluation.
+    ``run_ppa`` takes the zero step itself. x_next is formed at the shift
+    ``root``. Each search starts from the previous step's root, which the
+    shrinking steps keep close; at p = 1 the root s = 1 is known and counted
+    as one evaluation. At p > 1 an overflowed lam*F(x_k) raises
+    ``SubproblemError``.
 
     On a symmetric operator, whose ``eigen`` holds M = V diag(m) V^T, the
     run takes l = lam*m and V from it and factorizes nothing. Each step
@@ -290,9 +292,8 @@ def _make_affine_stepper(op: MonotoneOperator, cfg: PpaConfig):
     root, and x_next = x_k - V d; at p = 1, d = w / (l + 1).
     A step raises ``SubproblemError`` when l is not finite (lam*M
     overflows; an infinite l_i would zero d_i, and the search would run on
-    a secular function that is not the step's), or at p > 1 when w is not
-    (lam*F(x_k) overflows). A p = 1 step whose lam*F(x_k) overflows is
-    formed as V ((V^T (x_k - lam*q)) / (l + 1)), which never forms it.
+    a secular function that is not the step's). A p = 1 step whose
+    lam*F(x_k) overflows is formed as V ((V^T (x_k - lam*q)) / (l + 1)).
 
     Other operators invert lam*M + s*I (one LU factorization) at each shift
     the search evaluates, which gives both d and phi' = -d^T (lam*M +
@@ -308,20 +309,11 @@ def _make_affine_stepper(op: MonotoneOperator, cfg: PpaConfig):
     mat, offset = op.affine_parts
     lam, p = cfg.lambda_ppa, cfg.p
     root = 1.0
-    # |fl(M x + q) - (M x + q)| <= gamma_{n+1} (|M||x| + |q|) componentwise
-    # (Higham, Accuracy and Stability of Numerical Algorithms, section 3.5),
-    # and || |M||x| || <= ||M||_F ||x||
-    unit = (offset.shape[0] + 1) * 2.0 ** -53
-    gamma = unit / (1.0 - unit)
-    mat_norm, offset_norm = float(np.linalg.norm(mat)), float(np.linalg.norm(offset))
 
-    def is_zero_step(x_k, lam_f_sq, f_norm):
-        # a computed F(x_k) no larger than the rounding bound of M x_k + q
-        # carries no correct digit, so the exact step is indistinguishable
-        # from zero; NaN fails the comparison, and an overflowed bound
-        # (which an overflowed ||F|| could meet) fails `< inf`
-        bound = gamma * (mat_norm * math.sqrt(x_k.dot(x_k)) + offset_norm)
-        return lam_f_sq == 0.0 or f_norm <= bound < math.inf
+    def check_finite(lam_f_sq, v):
+        # ||v|| = ||lam*F(x_k)||, so v is finite when ||lam*F(x_k)||^2 is
+        if not (lam_f_sq < math.inf or np.isfinite(v).all()):
+            raise SubproblemError(f"secular function not finite: lam*F(x_k) overflows (lam = {lam:.3e})")
 
     if op.eigen is not None:
         eigvals, eigvecs = lam * op.eigen[0], op.eigen[1]
@@ -336,33 +328,26 @@ def _make_affine_stepper(op: MonotoneOperator, cfg: PpaConfig):
             phi = math.sqrt(d.dot(d))
             return phi, -d.dot(d / shifted) / phi, d
 
-        def step(x_k: np.ndarray, f_k: np.ndarray, f_norm: float):
+        def step(x_k: np.ndarray, lam_f: np.ndarray, lam_f_sq: float):
             nonlocal w, root
-            lam_f = lam * f_k
-            # ||lam*F(x_k)||^2 as a Python float: 0 on underflow, inf on overflow, no warning
-            lam_f_sq = (lam * f_norm) * (lam * f_norm)
-            if is_zero_step(x_k, lam_f_sq, f_norm):
-                return x_k.copy(), 0
             if not finite_eigvals:
                 raise SubproblemError(f"secular function not finite: lam*M overflows in eigen-coordinates (lam = {lam:.3e})")
             if p == 1.0:
                 if lam_f_sq < math.inf:
-                    return x_k - eigvecs.dot(eigvecs_t.dot(lam_f) / eigvals_plus_one), 1
+                    return x_k - eigvecs.dot(eigvecs_t.dot(lam_f) / eigvals_plus_one), 1, root
                 # lam*F(x_k) overflows, but (lam*M + I)^{-1} (x_k - lam*q) need not
-                return eigvecs.dot(eigvecs_t.dot(x_k - lam * offset) / eigvals_plus_one), 1
+                return eigvecs.dot(eigvecs_t.dot(x_k - lam * offset) / eigvals_plus_one), 1, root
             w = eigvecs_t.dot(lam_f)
-            # ||w|| = ||lam*F(x_k)||, so w is finite when ||lam*F(x_k)||^2 is
-            if not (lam_f_sq < math.inf or np.isfinite(w).all()):
-                raise SubproblemError(f"secular function not finite: lam*F(x_k) overflows (lam = {lam:.3e})")
+            check_finite(lam_f_sq, w)
             root, d, evaluations = _secular_root(secular, p, root)
-            return x_k - eigvecs.dot(d), evaluations
+            return x_k - eigvecs.dot(d), evaluations, root
 
     else:
         lam_mat = lam * mat
         lam_offset = lam * offset
         eye = np.eye(offset.shape[0])
         # lam*F(x_k) of the current step, and (lam*M + s*I, inverse) at the last root
-        lam_f, kept = None, None
+        lam_f_k, kept = None, None
 
         def invert(s):
             if s == root and kept is not None:
@@ -372,26 +357,25 @@ def _make_affine_stepper(op: MonotoneOperator, cfg: PpaConfig):
 
         def secular(s):
             pair = invert(s)
-            d = pair[1].dot(lam_f)
+            d = pair[1].dot(lam_f_k)
             phi = math.sqrt(d.dot(d))
             return phi, -d.dot(pair[1].dot(d)) / phi, pair
 
-        def step(x_k: np.ndarray, f_k: np.ndarray, f_norm: float):
-            nonlocal lam_f, root, kept
-            lam_f = lam * f_k
-            if is_zero_step(x_k, (lam * f_norm) * (lam * f_norm), f_norm):
-                return x_k.copy(), 0
+        def step(x_k: np.ndarray, lam_f: np.ndarray, lam_f_sq: float):
+            nonlocal lam_f_k, root, kept
+            lam_f_k = lam_f
             if p == 1.0:
                 # root stays at its start, the known root s = 1
                 kept, evaluations = invert(root), 1
             else:
+                check_finite(lam_f_sq, lam_f)
                 root, kept, evaluations = _secular_root(secular, p, root)
             shifted, inverse = kept
             rhs = root * x_k - lam_offset
             x = inverse.dot(rhs)
             # one step of fixed-precision iterative refinement (Higham,
             # Accuracy and Stability of Numerical Algorithms, chapter 12)
-            return x - inverse.dot(shifted.dot(x) - rhs), evaluations
+            return x - inverse.dot(shifted.dot(x) - rhs), evaluations, root
 
     return step
 
@@ -399,22 +383,33 @@ def _make_affine_stepper(op: MonotoneOperator, cfg: PpaConfig):
 def run_ppa(op: MonotoneOperator, x0: np.ndarray, cfg: PpaConfig) -> PpaTrace:
     """Iterate the high-order proximal step from x0 for an affine operator.
 
-    Each step is solved exactly from the operator's ``affine_parts`` by
-    ``_make_affine_stepper``. Stops after ``cfg.max_iters`` steps or when
-    a step norm falls to ``cfg.step_tol``. Since ``step_tol >= 0``, a run
-    also stops on the zero step, which the stepper takes once F(x_k) is
-    within the rounding bound of computing M x_k + q. The trace's
-    ``status`` names which of the three stops ended the run.
+    ``run_ppa`` decides every stop, records its step, and names it in
+    ``status``: ``rounding_floor`` on the zero step, which it takes itself,
+    with 0 evaluations, once F(x_k) is within the rounding bound of
+    M x_k + q; ``unresolved_step`` at p > 1 after a step too short for
+    x_next to resolve (see the module docstring); ``step_tol`` after any
+    other step no longer than ``cfg.step_tol``; ``max_iters`` after
+    ``cfg.max_iters`` steps. ``_make_affine_stepper`` solves the others.
 
     F is evaluated and normed once per iterate, x0 included: F(x^{k+1})
     and its norm give the residual of step k and are handed to step k + 1.
 
-    ``x0`` is copied once, so the caller may reuse it; the steps are new
-    arrays and are stored as returned.
+    ``x0`` must have the operator's length, else ``ValueError`` is raised
+    before any step. It is copied once, so the caller may reuse it; the
+    steps are new arrays and are stored as returned.
     """
-    stepper = _make_affine_stepper(op, cfg)
+    mat, offset = op.affine_parts
     x = as_vector(x0)
-    lam = cfg.lambda_ppa
+    if x.shape != offset.shape:
+        raise ValueError(f"x0 has length {x.size}, the operator {offset.size}")
+    stepper = _make_affine_stepper(op, cfg)
+    lam, p = cfg.lambda_ppa, cfg.p
+    # |fl(M x + q) - (M x + q)| <= gamma_{n+1} (|M||x| + |q|) componentwise
+    # (Higham, Accuracy and Stability of Numerical Algorithms, section 3.5),
+    # and || |M||x| || <= ||M||_F ||x||
+    unit = (x.size + 1) * 2.0 ** -53
+    gamma = unit / (1.0 - unit)
+    mat_norm, offset_norm = float(np.linalg.norm(mat)), float(np.linalg.norm(offset))
     x_star = op.known_solution
     trace = PpaTrace(iterates=[x.copy()])
     if x_star is not None:
@@ -425,7 +420,19 @@ def run_ppa(op: MonotoneOperator, x0: np.ndarray, cfg: PpaConfig) -> PpaTrace:
     f_norm = math.sqrt(f.dot(f))
     for _ in range(cfg.max_iters):
         t0 = time.perf_counter()
-        x_next, solves = stepper(x, f, f_norm)
+        # ||lam*F(x_k)||^2 as a Python float: 0 on underflow, inf on overflow, no warning
+        lam_f_sq = (lam * f_norm) * (lam * f_norm)
+        x_norm = math.sqrt(x.dot(x))
+        # an F(x_k) within the rounding bound of M x_k + q has no correct digit,
+        # so the exact step is indistinguishable from zero; NaN fails the test,
+        # and so does an overflowed bound, which an overflowed ||F|| could meet
+        if lam_f_sq == 0.0 or f_norm <= gamma * (mat_norm * x_norm + offset_norm) < math.inf:
+            x_next, solves, stop = x.copy(), 0, "rounding_floor"
+        else:
+            x_next, solves, root = stepper(x, lam * f, lam_f_sq)
+            # phi(root) = root^(1/(p-1)) <= gamma ||x_k||, in logs since the power can overflow
+            bound = gamma * x_norm
+            stop = "unresolved_step" if p > 1.0 and 0.0 < bound and math.log(root) <= (p - 1) * math.log(bound) else None
         elapsed_ms = (time.perf_counter() - t0) * 1e3
 
         f = op.evaluate(x_next)
@@ -441,7 +448,7 @@ def run_ppa(op: MonotoneOperator, x0: np.ndarray, cfg: PpaConfig) -> PpaTrace:
             error = x_next - x_star
             trace.distances_to_solution.append(math.sqrt(error.dot(error)))
         x = x_next
-        if step_norm <= cfg.step_tol:
-            trace.status = "step_tol" if solves else "rounding_floor"
+        if stop or step_norm <= cfg.step_tol:
+            trace.status = stop or "step_tol"
             break
     return trace

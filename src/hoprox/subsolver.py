@@ -11,14 +11,10 @@ of length 1/L passes when psi stays below its quadratic model plus the slack
 eps_sub^2 tau / (16 L), tau the step's share of the accumulated coefficient.
 The slack keeps the test passable for a gradient that is only Hölder
 continuous, and the 1/L keeps it below the decrease of every step whose
-gradient map the stop still has to shrink (the derivation is in
-``minimize_composite``). Termination
-uses the unit-scale gradient map G(x) = x - prox_f(x - grad_psi(x)), bounded
-first by a certificate that needs no prox, at entry too when the entry
-test runs and the caller hands in a subgradient of f at the start (see
-``minimize_composite``). The test runs only after a step whose own gradient
-map L ||dx|| is at most 4 eps_sub, and after the last allowed step: a screen
-that leaves every stop exact but can delay one, not a bound on ||G||.
+gradient map the stop still has to shrink. The solve stops once the
+unit-scale gradient map G(x) = x - prox_f(x - grad_psi(x)) is at most
+eps_sub, bounded first by a certificate that needs no prox; its test runs
+at entry and after short steps. ``minimize_composite`` derives all of it.
 """
 
 import math
@@ -34,9 +30,7 @@ _L_CEIL = 1e60
 # a certified stop needs ||u|| <= (1 - _MARGIN) eps_sub and a rounding bound
 # on u of at most _MARGIN eps_sub (see minimize_composite)
 _MARGIN = 1e-6
-# the stopping test runs after a step only when L ||dx|| <= _SCREEN eps_sub
-# (see minimize_composite); the largest L ||dx|| / eps_sub at which a test
-# passed on the benchmark's ALM cells and on wider BP and MC sweeps was 2.86
+# the stopping test runs after a step only when L ||dx|| <= _SCREEN eps_sub (see minimize_composite)
 _SCREEN = 4.0
 # Inner products call ndarray.dot, not @: the same BLAS call and bits on
 # contiguous float64, and @ takes nearly twice as long (a 500-vector inner
@@ -189,8 +183,9 @@ def minimize_composite(
         psi(x+) <= psi(y) + <grad_psi(y), dx> + (L/2) ||dx||^2 + eps_sub^2 tau / (16 L),
 
     and halves once per accepted iterate; tau = a/A is the step's share of
-    the accumulated coefficient. Non-convergence within ``max_iters`` is
-    reported via the ``converged`` flag, not raised.
+    the accumulated coefficient. The solve has one exit, with one report,
+    whether it stops at entry, after a step or at ``max_iters``; not
+    converging is reported via the ``converged`` flag, not raised.
 
     The slack is delta/2 with delta = eps_acc tau / L and eps_acc =
     eps_sub^2 / 8. grad_psi is Hölder continuous with exponent nu = 1/p and
@@ -249,11 +244,16 @@ def minimize_composite(
     delta = 2^-52 (scale + ||grad_psi(x)||) on u is at most 1e-6 eps_sub;
     otherwise, or with no s, it computes ||G(x)|| with one prox.
 
-    After a step, s is the accepted trial's: x = prox_{f/L}(y - grad_psi(y)/L)
-    puts s = -(L (x - y) + grad_psi(y)) in the subdifferential of f at x,
-    and scale = L ||y - grad_psi(y)/L|| + ||grad_psi(y)||. delta is chiefly
-    L times the ulp of the prox input: without it, a step that rounds to
-    nothing at large L certifies on rounding alone.
+    At entry, s is ``subgradient``, when given: the ``(s, scale)`` of a
+    report whose solution is ``z0``, from a solve with the same f. psi may
+    differ, as after a multiplier step; s is still a subgradient of f at
+    z0, and a certificate stops the solve with 0 iterations and 0 prox
+    calls. After a step, s is the accepted trial's: x = prox_{f/L}(y -
+    grad_psi(y)/L) puts s = -(L (x - y) + grad_psi(y)) in the
+    subdifferential of f at x, and scale = L ||y - grad_psi(y)/L|| +
+    ||grad_psi(y)||. delta is chiefly L times the ulp of the prox input:
+    without it, a step that rounds to nothing at large L certifies on
+    rounding alone.
 
     The test after a step, with its A^T, s and prox, runs only when the
     step's own gradient map is short, L ||x - y|| <= 4 eps_sub with L as
@@ -267,15 +267,8 @@ def minimize_composite(
     L ||x - y|| - ||grad_psi(x) - grad_psi(y)||, a long step rarely passes:
     on the benchmark's ALM cells, on their held-out seeds and on wider BP
     and MC sweeps (88,097 tests after a step with L ||x - y|| > 2 eps_sub)
-    no test passed above L ||x - y|| = 2.86 eps_sub. The screen delayed no
-    stop there, and it skips 8,413 of ``alm-bp``'s 12,645 tests and 887 of
-    ``alm-mc``'s 2,095.
-
-    At an entry test, s is ``subgradient``, when given: the ``(s, scale)``
-    of a report whose solution is ``z0``, from a solve with the same f. psi may
-    differ, as it does after a multiplier step; s is still a subgradient of
-    f at z0. A certificate there stops the solve with 0 iterations and 0
-    prox calls.
+    no test passed above L ||x - y|| = 2.86 eps_sub, and the screen delayed
+    no stop.
 
     ``residual``, when given, must be ``A z0 - b`` (``oracle.residual(z0)``);
     the entry check then uses it instead of applying A again. Inputs are
@@ -300,7 +293,8 @@ def minimize_composite(
     prox_calls = trials = stop_tests = 0
 
     def stopping_test(z, grad_z, subgradient):
-        """(g_norm, certified): the certificate from ``(s, scale)`` if it holds, else ||G(z)|| from one prox."""
+        """(g_norm, certified): the certificate from ``(s, scale)`` if it holds, else ||G(z)|| from one counted prox."""
+        nonlocal prox_calls
         if subgradient is not None:
             s, scale = subgradient
             u = grad_z + s
@@ -308,12 +302,9 @@ def minimize_composite(
             delta = 2.0 ** -52 * (scale + math.sqrt(grad_z.dot(grad_z)))
             if g_norm <= (1.0 - _MARGIN) * eps_sub and delta <= _MARGIN * eps_sub:
                 return g_norm, True
+        prox_calls += 1
         d = z - f.prox(z - grad_z, 1.0)
         return math.sqrt(d.dot(d)), False
-
-    def step_subgradient(L, w, dx, grad_y):
-        """(s, scale) of the accepted step y + dx = prox_{f/L}(w), w = y - grad_y/L."""
-        return -(grad_y + L * dx), L * math.sqrt(w.dot(w)) + math.sqrt(grad_y.dot(grad_y))
 
     if residual is None:
         r_x = oracle.residual(x)
@@ -327,13 +318,13 @@ def minimize_composite(
     psi_x = oracle.value_at_residual(r_x, r_norm)
     dual = oracle.dual_at_residual(r_x, r_norm)
     grad_x = oracle.a_map.adjoint(dual)
+    it, first_L, converged = 0, L, False
     if entry_test:
         g_norm, certified = stopping_test(x, grad_x, subgradient)
-        prox_calls += not certified
-        if g_norm <= eps_sub:
-            return SubsolverReport(x, 0, g_norm, True, L, r_x, prox_calls, trials, certified, subgradient, dual, 0)
+        converged = g_norm <= eps_sub
 
-    for it in range(1, max_iters + 1):
+    while not converged and it < max_iters:
+        it += 1
         # the curvature search: each trial step from the current (x, v, big_a)
         while True:
             trials += 1
@@ -371,12 +362,11 @@ def minimize_composite(
         if L * math.sqrt(dx_sq) <= _SCREEN * eps_sub or it == max_iters:
             stop_tests += 1
             dual = oracle.dual_at_residual(r_x, r_norm)
-            subgradient = step_subgradient(L, w, dx, grad_y)
+            # (s, scale) of the accepted step y + dx = prox_{f/L}(w), w = y - grad_y/L
+            subgradient = -(grad_y + L * dx), L * math.sqrt(w.dot(w)) + math.sqrt(grad_y.dot(grad_y))
             g_norm, certified = stopping_test(x, oracle.a_map.adjoint(dual), subgradient)
-            prox_calls += not certified
-            if g_norm <= eps_sub:
-                return SubsolverReport(x, it, g_norm, True, first_L, r_x, prox_calls, trials, certified,
-                                       subgradient, dual, stop_tests)
+            converged = g_norm <= eps_sub
         L = max(0.5 * L, _L_FLOOR)
 
-    return SubsolverReport(x, max_iters, g_norm, False, first_L, r_x, prox_calls, trials, False, None, dual, stop_tests)
+    return SubsolverReport(x, it, g_norm, converged, first_L, r_x, prox_calls, trials, certified,
+                           subgradient if converged else None, dual, stop_tests)

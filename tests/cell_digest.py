@@ -1,8 +1,8 @@
 """One sha256 per benchmark cell over the solver output a bitwise-identity claim covers.
 
 A cell's digest covers:
-- PPA: the iterate bytes; the step, residual and distance lists as float
-  hex; and ``inner_solves``.
+- PPA: the status; the iterate bytes; the step, residual and distance
+  lists as float hex; and ``inner_solves``.
 - ALM: the status; each record with its index k and the running sum of
   inner iterations, floats as hex, and with the objective
   f(``iterates[k + 1]``) that the CSV writes; the iterate and multiplier
@@ -10,12 +10,13 @@ A cell's digest covers:
   ``prox_calls``, ``trials``, ``certified``, ``converged`` and
   ``final_grad_map_norm``.
 
-The file also records each cell's step count (PPA) or outer-step count
-(ALM), and each PPA cell's evaluation total (the sum of ``inner_solves``),
-so that a differing cell shows how its run length and root-search work
-moved. For each ALM cell it records a results-only digest, the full one
-without the reports' ``prox_calls``, and the cell's prox-call total, so
-that a change which only saves prox calls shows as such.
+The file also records each cell's status, its step count (PPA) or
+outer-step count (ALM), and each PPA cell's evaluation total (the sum of
+``inner_solves``), so that a differing cell shows how its stop, run length
+and root-search work moved. For each ALM cell it records a results-only
+digest, the full one without the reports' ``prox_calls``, and the cell's
+prox-call total, so that a change which only saves prox calls shows as
+such.
 
 Run from the repository root, once on each of two checkouts:
 
@@ -28,7 +29,8 @@ solved by ``grid.solve``) on its default seeds, or on ``--seeds`` for every
 workload named. ``--compare`` reruns the workloads and seeds the file names,
 prints each cell whose digest differs (with both counts, as in
 ``ppa-sym/s0-p2: 14 → 14 steps, 52 → 37 evaluations``, when the file has
-them), or that only one side has, and exits 1 if any does. An ALM cell
+them, and with ``status step_tol → unresolved_step`` when its status
+moved), or that only one side has, and exits 1 if any does. An ALM cell
 whose results digests are equal prints as
 ``alm-mc/s0-p2-esub0.1: results equal, 1,247 → 747 prox calls``.
 It ends with one line per workload, as in
@@ -93,6 +95,7 @@ def digest(kind: str, trace, f=None, prox_calls=True) -> str:
     h = hashlib.sha256()
     _update(h, kind)
     if kind == "ppa":
+        _update(h, trace.status)
         _arrays(h, trace.iterates)
         _update(h, _hex(trace.step_norms), _hex(trace.residual_norms), _hex(trace.distances_to_solution))
         _update(h, trace.inner_solves)
@@ -137,11 +140,12 @@ def environment() -> dict:
     }
 
 
-def cell_digests(workloads, seeds=None, evaluations=None, results=None) -> tuple[dict, dict]:
+def cell_digests(workloads, seeds=None, evaluations=None, results=None, statuses=None) -> tuple[dict, dict]:
     """({"workload/cell": digest}, {"workload/cell": count}) over ``perfbench/grid.py``'s cells.
 
     The cells are those of the grid's default seeds or of ``seeds``; a
     cell's count is its run's steps (PPA) or outer steps (ALM). When
+    ``statuses`` is a dict, each cell's ``status`` is stored in it. When
     ``evaluations`` is a dict, each PPA cell's evaluation total is stored
     in it under the cell's name. When ``results`` is a dict, each ALM cell's
     ``{"digest": results-only digest, "prox_calls": total}`` is.
@@ -154,6 +158,8 @@ def cell_digests(workloads, seeds=None, evaluations=None, results=None) -> tuple
             name = f"{workload}/{cell.name}"
             digests[name] = digest(cell.kind, trace, f)
             counts[name] = len(trace.step_norms) if cell.kind == "ppa" else trace.outer_iterations
+            if statuses is not None:
+                statuses[name] = trace.status
             if cell.kind == "ppa" and evaluations is not None:
                 evaluations[name] = int(sum(trace.inner_solves))
             if cell.kind == "alm" and results is not None:
@@ -163,7 +169,8 @@ def cell_digests(workloads, seeds=None, evaluations=None, results=None) -> tuple
 
 
 def compare(before: dict, after: dict, counts_before=None, counts_after=None,
-            evaluations_before=None, evaluations_after=None, results_before=None, results_after=None) -> list:
+            evaluations_before=None, evaluations_after=None, results_before=None, results_after=None,
+            statuses_before=None, statuses_after=None) -> list:
     """Lines naming each cell whose digest differs, or that only one side has.
 
     A differing cell that both ``results_before`` and ``results_after`` hold
@@ -172,10 +179,13 @@ def compare(before: dict, after: dict, counts_before=None, counts_after=None,
     and ``counts_after`` hold is named with both its counts, with both its
     evaluation totals when ``evaluations_before`` and ``evaluations_after``
     hold it too, and with both its prox-call totals when the results do.
+    A differing cell whose status differs between ``statuses_before`` and
+    ``statuses_after`` ends with both statuses.
     """
     counts_before, counts_after = counts_before or {}, counts_after or {}
     evaluations_before, evaluations_after = evaluations_before or {}, evaluations_after or {}
     results_before, results_after = results_before or {}, results_after or {}
+    statuses_before, statuses_after = statuses_before or {}, statuses_after or {}
     lines = []
     for name in sorted(before.keys() | after.keys()):
         if name not in after or name not in before:
@@ -198,6 +208,9 @@ def compare(before: dict, after: dict, counts_before=None, counts_after=None,
                 lines.append(line)
             else:
                 lines.append(f"{name}: {before[name][:12]} != {after[name][:12]}")
+            old, new = statuses_before.get(name), statuses_after.get(name)
+            if old is not None and new is not None and old != new:
+                lines[-1] += f", status {old} → {new}"
     return lines
 
 
@@ -237,11 +250,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     env = environment()
-    evaluations, results = {}, {}
+    evaluations, results, statuses = {}, {}, {}
     if args.write:
-        digests, counts = cell_digests(args.workloads, args.seeds, evaluations, results)
-        record = {"environment": env, "workloads": args.workloads, "seeds": args.seeds,
-                  "cells": digests, "counts": counts, "evaluations": evaluations, "results": results}
+        digests, counts = cell_digests(args.workloads, args.seeds, evaluations, results, statuses)
+        record = {"environment": env, "workloads": args.workloads, "seeds": args.seeds, "cells": digests,
+                  "counts": counts, "evaluations": evaluations, "results": results, "statuses": statuses}
         Path(args.write).write_text(json.dumps(record, indent=2) + "\n")
         print(f"wrote {len(digests)} cell digests to {args.write}")
         return 0
@@ -249,10 +262,10 @@ def main(argv=None) -> int:
     if recorded["environment"] != env:
         print(f"not comparable: {args.compare} comes from {recorded['environment']}, this run from {env}")
         return 2
-    digests, counts = cell_digests(recorded["workloads"], recorded["seeds"], evaluations, results)
-    # files written before counts, evaluation totals or results digests were recorded have none
-    differing = compare(recorded["cells"], digests, recorded.get("counts"), counts,
-                        recorded.get("evaluations"), evaluations, recorded.get("results"), results)
+    digests, counts = cell_digests(recorded["workloads"], recorded["seeds"], evaluations, results, statuses)
+    # files written before counts, evaluation totals, results digests or statuses were recorded have none
+    differing = compare(recorded["cells"], digests, recorded.get("counts"), counts, recorded.get("evaluations"),
+                        evaluations, recorded.get("results"), results, recorded.get("statuses"), statuses)
     for line in differing + summary(recorded["cells"], digests, recorded.get("results"), results):
         print(line)
     return 1 if differing else 0

@@ -444,6 +444,15 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             base_config(**{field: bad})
 
+    def test_start_of_other_length_rejected(self):
+        # numpy would fail inside the first apply, on unaligned shapes
+        prob = bp_composite(gen_bp(5, 20, 0.2, 0))
+        with pytest.raises(ValueError, match="^x0 has length 19, A has 20 columns$"):
+            run_alm(prob, np.zeros(19), np.zeros(5), base_config())
+        prob, cfg = mc_cell(1.0, 5)
+        with pytest.raises(ValueError, match="^x0 has length 2499, A has 2500 columns$"):
+            run_alm(prob, np.zeros(2499), np.zeros(250), cfg)
+
     def test_config_accepts_numpy_integer_caps(self):
         cfg = base_config(max_outer=np.int64(200), max_inner=np.int32(100_000))
         assert run_alm(tiny_bp_problem(), np.zeros(2), np.zeros(1), cfg).converged

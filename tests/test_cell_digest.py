@@ -32,6 +32,27 @@ def test_one_ulp_in_one_iterate_changes_the_digest():
         assert digest(kind, trace, f) != before
 
 
+def test_status_alone_changes_the_digest():
+    for kind, trace, f in (("ppa", ppa_cell(), None), ("alm", alm_cell(), l1_norm())):
+        before = digest(kind, trace, f)
+        trace.status = "unresolved_step" if kind == "ppa" else "max_outer"
+        assert digest(kind, trace, f) != before
+
+
+def test_compare_names_both_statuses_of_a_cell_whose_status_moved():
+    before = {"ppa-sym/s0-p2": "0" * 64, "ppa-sym/s0-p3": "1" * 64, "ppa-sym/s1-p2": "2" * 64}
+    after = {"ppa-sym/s0-p2": "3" * 64, "ppa-sym/s0-p3": "4" * 64, "ppa-sym/s1-p2": "2" * 64}
+    counts = {"ppa-sym/s0-p2": 1, "ppa-sym/s0-p3": 11, "ppa-sym/s1-p2": 14}
+    statuses_before = {"ppa-sym/s0-p2": "step_tol", "ppa-sym/s0-p3": "rounding_floor", "ppa-sym/s1-p2": "step_tol"}
+    statuses_after = {**statuses_before, "ppa-sym/s0-p2": "unresolved_step"}
+    assert compare(before, after, counts, counts, statuses_before=statuses_before, statuses_after=statuses_after) == [
+        "ppa-sym/s0-p2: 1 → 1 steps, status step_tol → unresolved_step",
+        "ppa-sym/s0-p3: 11 → 11 steps",
+    ]
+    # a file written without statuses compares as before
+    assert compare(before, after, counts, counts, statuses_after=statuses_after)[0] == "ppa-sym/s0-p2: 1 → 1 steps"
+
+
 def test_compare_names_differing_and_one_sided_cells():
     lines = compare({"a": "0" * 64, "b": "1" * 64, "c": "2" * 64}, {"a": "0" * 64, "b": "3" * 64, "d": "4" * 64})
     assert [line.split(":")[0] for line in lines] == ["b", "c", "d"]
@@ -54,10 +75,12 @@ def test_compare_names_both_counts_of_a_differing_cell():
 
 
 def test_cell_digests_record_each_run_length():
-    digests, counts = cell_digests(["ppa-skew"], seeds=[0])
-    assert sorted(digests) == sorted(counts) == ["ppa-skew/s0-p1", "ppa-skew/s0-p2", "ppa-skew/s0-p3"]
+    statuses = {}
+    digests, counts = cell_digests(["ppa-skew"], seeds=[0], statuses=statuses)
+    assert sorted(digests) == sorted(counts) == sorted(statuses) == ["ppa-skew/s0-p1", "ppa-skew/s0-p2", "ppa-skew/s0-p3"]
     # every skew cell stops at its zero step well inside the 200-step cap
     assert counts == {"ppa-skew/s0-p1": 49, "ppa-skew/s0-p2": 8, "ppa-skew/s0-p3": 7}
+    assert set(statuses.values()) == {"rounding_floor"}
 
 
 def test_compare_names_both_evaluation_totals_of_a_differing_ppa_cell():

@@ -174,10 +174,10 @@ class TestStepRootSearch:
         mat, offset = op.affine_parts
         step = _make_affine_stepper(op, PpaConfig(p=3.0, lambda_ppa=1.0, max_iters=1))
         f0 = mat @ x0 + offset
-        x1, first = step(x0, f0, np.linalg.norm(f0))
+        x1, first, root = step(x0, f0, f0 @ f0)
         # the second search from the same point starts at the first one's root
-        x1_again, second = step(x0, f0, np.linalg.norm(f0))
-        assert first > 1 and second == 1
+        x1_again, second, root_again = step(x0, f0, f0 @ f0)
+        assert first > 1 and second == 1 and root_again == root
         assert np.array_equal(x1, x1_again)
 
     @pytest.mark.parametrize("make_op", [gen_vi_affine, skew_operator], ids=["symmetric", "skew"])
@@ -187,11 +187,19 @@ class TestStepRootSearch:
         f0 = mat @ x0 + offset
         for p in (1.0, 2.0, 3.0):
             cfg = PpaConfig(p=p, lambda_ppa=1.0, max_iters=1)
-            # a zero F is a zero step whatever x0 is, so the handed value is used
-            x_same, evaluations = _make_affine_stepper(op, cfg)(x0, np.zeros_like(x0), 0.0)
-            assert np.array_equal(x_same, x0) and evaluations == 0
-            x1, _ = _make_affine_stepper(op, cfg)(x0, f0, np.linalg.norm(f0))
+            x1, _, _ = _make_affine_stepper(op, cfg)(x0, f0, f0 @ f0)
             assert np.array_equal(x1, one_step(op, x0, cfg))
+
+    @pytest.mark.parametrize("make_op", [gen_vi_affine, skew_operator], ids=["symmetric", "skew"])
+    def test_zero_f_is_one_zero_step(self, make_op):
+        # a zero F is a zero step whatever x0 is, so run_ppa steps on the F
+        # that evaluate hands it, and takes that step without the stepper
+        op, x0 = make_op(20, 0)
+        zero_f = dataclasses.replace(op, evaluate=np.zeros_like)
+        for p in (1.0, 2.0, 3.0):
+            trace = run_ppa(zero_f, x0, PpaConfig(p=p, lambda_ppa=1.0, max_iters=5))
+            assert trace.step_norms == [0.0] and trace.inner_solves == [0]
+            assert trace.status == "rounding_floor" and np.array_equal(trace.iterates[-1], x0)
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_skew_search_reuses_last_inverse(self, monkeypatch, p):
@@ -246,7 +254,7 @@ class TestStepRootSearch:
 
             def advance_one(x):
                 f = mat @ x + offset
-                return step(x, f, np.linalg.norm(f))
+                return step(x, f, f @ f)[:2]
 
             return advance_one
 
@@ -573,6 +581,20 @@ class TestRoundingFloorStop:
         assert trace.inner_solves == [0]
         assert np.array_equal(trace.iterates[-1], start)
 
+    @pytest.mark.parametrize("make_op", [gen_vi_affine, skew_operator], ids=["symmetric", "skew"])
+    @pytest.mark.parametrize("scale, p", [(1e100, 2.0), (1e140, 3.0), (1e60, 2.0)])
+    def test_far_start_stops_on_unresolved_step(self, make_op, scale, p):
+        # the exact step, about 1e-49 of ||x0|| at 1e100, is far below the
+        # rounding of x0 - d, so x_next rounds back to x0 while lam*||F||
+        # is still huge: the run records that step and stops by its name
+        op, x0 = make_op(20, 0)
+        x0 = scale * x0
+        trace = run_ppa(op, x0, PpaConfig(p=p, lambda_ppa=1.0, max_iters=200))
+        assert trace.status == "unresolved_step"
+        assert len(trace.step_norms) == 1 and trace.inner_solves[0] > 0
+        assert trace.step_norms[0] <= 1e-15 * np.linalg.norm(x0)
+        assert trace.residual_norms[0] > 1e10 * rounding_bound(op, x0)
+
 
 class TestRunPpa:
     def test_first_order_halving(self):
@@ -743,6 +765,12 @@ class TestValidation:
     def test_affine_operator_rejects_known_solution_of_other_length(self):
         with pytest.raises(ValueError, match="known_solution has length 4, the operator 3"):
             affine_operator(np.eye(3), np.zeros(3), known_solution=np.zeros(4))
+
+    def test_run_rejects_start_of_other_length(self):
+        # numpy would fail inside the first evaluation, on broadcast shapes
+        op, _ = gen_vi_affine(5, 0)
+        with pytest.raises(ValueError, match="^x0 has length 4, the operator 5$"):
+            run_ppa(op, np.zeros(4), PpaConfig(p=2.0, lambda_ppa=1.0, max_iters=5))
 
     def test_monotonicity_probe(self):
         op, _ = gen_vi_affine(7, 9)

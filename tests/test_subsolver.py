@@ -458,6 +458,9 @@ class TestStopScreen:
         longer = minimize_composite(oracle, f, z0, 0.1, 4)
         assert not capped.converged and capped.iterations == 3
         assert (capped.stop_tests, longer.stop_tests) == (1, 1)
+        # the cap's report hands on no subgradient, and its one test took a prox
+        assert capped.subgradient is None and not capped.certified
+        assert capped.prox_calls == capped.trials + 1 + capped.stop_tests
         g = gradient_map(oracle, f, capped.solution)
         assert capped.final_grad_map_norm == math.sqrt(g.dot(g)) > 0.1
         r = oracle.residual(capped.solution)
