@@ -141,14 +141,17 @@ def run_alm(
     way stored reports hold None in place of the subgradient, so the trace
     keeps no extra vector per outer step.
 
-    ``x0``, which must have A's column count (else ``ValueError``), and
-    ``multiplier0`` are copied once; every later iterate and multiplier is
-    stored as computed, shared with the reports (see ``AlmTrace``).
+    ``x0``, which must have A's column count, and ``multiplier0``, which
+    must have b's length (else ``ValueError``), are copied once; every
+    later iterate and multiplier is stored as computed, shared with the
+    reports (see ``AlmTrace``).
     """
     x = as_vector(x0).copy()
     if x.shape[0] != prob.a_map.shape[1]:
         raise ValueError(f"x0 has length {x.shape[0]}, A has {prob.a_map.shape[1]} columns")
     multiplier = as_vector(multiplier0).copy()
+    if multiplier.shape[0] != len(prob.b):
+        raise ValueError(f"multiplier0 has length {multiplier.shape[0]}, b has {len(prob.b)}")
     trace = AlmTrace(iterates=[x], multipliers=[multiplier])
 
     # math.sqrt(v.dot(v)) is how np.linalg.norm computes a real vector's norm,

@@ -24,8 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .alm import AlmConfig, AlmTrace, OuterRecord, run_alm
+from .linalg import check_cap
 from .ppa import PpaConfig, PpaTrace, run_ppa
-from .problems import bp_composite, dump_instance, gen_bp, gen_mc, gen_vi_affine, mc_composite
+from .problems import bp_composite, dump_instance, gen_bp, gen_mc, gen_vi_affine, mc_composite, sample_count
 
 CSV_HEADER = "iter,r_k,dual_step_norm,inner_iters,cum_inner,objective"
 RNG_ALGORITHM = "numpy default_rng / PCG64"
@@ -40,6 +41,8 @@ class ExperimentConfig:
     bp and mc read every field but lambda_ppa; vi-affine reads kind, n, seeds,
     p_values, eps, max_outer, out_dir and lambda_ppa. The defaults of m,
     density, betas, eps_subs and max_inner are values validate rejects for bp and mc.
+    validate checks n and m as ``linalg.check_cap`` checks an iteration cap, and
+    the density with the generators' own ``problems.sample_count``.
     """
 
     kind: str
@@ -76,15 +79,10 @@ class ExperimentConfig:
                    for seed in self.seeds):
             raise ValueError(f"seeds must be non-negative integers, got {self.seeds}")
         for name in ("n",) if self.kind == "vi-affine" else ("m", "n"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+            check_cap(name, getattr(self, name))
         if self.kind != "vi-affine":
-            if not 0 < self.density <= 1:
-                raise ValueError(f"density must be in (0, 1], got {self.density}")
-            # the generators' sample count: nonzeros (bp) or observed entries (mc)
-            size = self.n if self.kind == "bp" else self.m * self.n
-            if int(round(self.density * size)) < 1:
-                raise ValueError(f"density must leave at least one sample, but round({self.density} * {size}) = 0")
+            # the generator's own check: nonzeros of n (bp) or observed entries of m * n (mc)
+            sample_count(self.density, self.n if self.kind == "bp" else self.m * self.n)
         if self.kind == "vi-affine" and self.dump_instances:
             raise ValueError("--dump-instance writes bp and mc instances only, not vi-affine")
         # _cells builds every solver config, which checks p, beta, eps_sub, eps,
@@ -181,14 +179,6 @@ def run_cell(problem, solver_cfg):
     return run_alm(problem, np.zeros(cols), np.zeros(rows), solver_cfg)
 
 
-def _make_instance(cfg: ExperimentConfig, seed):
-    if cfg.kind == "bp":
-        return gen_bp(cfg.m, cfg.n, cfg.density, seed)
-    if cfg.kind == "mc":
-        return gen_mc(cfg.m, cfg.n, cfg.density, seed)
-    return gen_vi_affine(cfg.n, seed)
-
-
 def run_sweep(cfg: ExperimentConfig) -> dict:
     """Run the Cartesian grid of (seed, p, beta, eps_sub), persist artifacts, and return the manifest.
 
@@ -205,12 +195,14 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     sweep_start = time.perf_counter()
 
     for seed in cfg.seeds:
-        instance = _make_instance(cfg, seed)
-        if cfg.dump_instances:
-            dump_instance(instance, out / f"{cfg.kind}_seed{seed}.instance.txt")
-        problem = instance
-        if cfg.kind != "vi-affine":
-            problem = bp_composite(instance) if cfg.kind == "bp" else mc_composite(instance)
+        if cfg.kind == "vi-affine":
+            problem = gen_vi_affine(cfg.n, seed)
+        else:
+            generate, compose = (gen_bp, bp_composite) if cfg.kind == "bp" else (gen_mc, mc_composite)
+            instance = generate(cfg.m, cfg.n, cfg.density, seed)
+            problem = compose(instance)
+            if cfg.dump_instances:
+                dump_instance(instance, out / f"{cfg.kind}_seed{seed}.instance.txt")
 
         for run_id, p, beta, eps_sub, solver_cfg in _cells(cfg, seed):
             csv_name = f"{run_id}.csv"

@@ -11,7 +11,7 @@ import numpy as np
 
 
 def check_cap(name: str, value) -> None:
-    """Raise ValueError unless the iteration cap ``value`` is an integer >= 1.
+    """Raise ValueError unless ``value``, an iteration cap or a dimension, is an integer >= 1.
 
     A bool is rejected although Python counts it an integer; numpy integers
     are accepted.

@@ -33,6 +33,7 @@ At p > 1 the run also stops after a step whose exact length s^(1/(p-1))
 at the root is at most gamma_{n+1} ||x||, which x_next cannot resolve.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -51,13 +52,6 @@ class SubproblemError(RuntimeError):
     """A proximal subproblem could not be solved to its contract."""
 
 
-def _symmetric_eigen(mat: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """``np.linalg.eigh(mat)`` for a matrix symmetric to 1e-12 of its largest entry, else None."""
-    if abs(mat - mat.T).max() <= 1e-12 * max(1.0, abs(mat).max()):
-        return np.linalg.eigh(mat)
-    return None
-
-
 @dataclass(frozen=True)
 class MonotoneOperator:
     """Evaluation oracle for the operator F of a monotone VI.
@@ -68,20 +62,24 @@ class MonotoneOperator:
     because the step takes F(x_k) from it. ``known_solution`` is a
     point with F(x*) = 0, used by tests that track distance to the solution.
 
-    ``eigen`` is not an argument: every construction, ``dataclasses.replace``
-    included, works it out from ``affine_parts``, as ``np.linalg.eigh(M)``
-    when M is symmetric to 1e-12 of its largest entry and None otherwise.
-    ``run_ppa`` solves every step of a symmetric operator on it, in
-    eigen-coordinates.
+    ``eigen`` is not an argument but a cached property of ``affine_parts``:
+    ``np.linalg.eigh(M)`` when M is symmetric to 1e-12 of its largest entry
+    and None otherwise, worked out on first read and kept by the operator
+    (``affine_operator`` reads it as it builds one; ``dataclasses.replace``
+    builds a new operator, which works it out again). ``run_ppa`` solves
+    every step of a symmetric operator on it, in eigen-coordinates.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     affine_parts: tuple[np.ndarray, np.ndarray]
     known_solution: Optional[np.ndarray] = None
-    eigen: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "eigen", _symmetric_eigen(self.affine_parts[0]))
+    @functools.cached_property
+    def eigen(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        mat = self.affine_parts[0]
+        if abs(mat - mat.T).max() <= 1e-12 * max(1.0, abs(mat).max()):
+            return np.linalg.eigh(mat)
+        return None
 
 
 def affine_operator(

@@ -44,13 +44,20 @@ class McInstance:
     seed: int
 
 
+def sample_count(density: float, size: int) -> int:
+    """``round(density * size)``, the samples drawn from ``size`` entries; raises
+    ValueError unless ``density`` is in (0, 1] and leaves at least one."""
+    if not 0 < density <= 1:
+        raise ValueError(f"density must be in (0, 1], got {density}")
+    count = int(round(density * size))
+    if count < 1:
+        raise ValueError(f"density must leave at least one sample, but round({density} * {size}) = 0")
+    return count
+
+
 def gen_bp(m: int, n: int, density: float, seed: int) -> BpInstance:
-    """Generate a basis-pursuit instance with ``round(density * n)`` nonzeros."""
-    if not 0.0 < density <= 1.0:
-        raise ValueError("density must be in (0, 1]")
-    nnz = int(round(density * n))
-    if nnz < 1:
-        raise ValueError(f"density {density} on n={n} leaves an empty ground truth")
+    """Generate a basis-pursuit instance whose ground truth has ``sample_count(density, n)`` nonzeros."""
+    nnz = sample_count(density, n)
     if m >= n:
         warnings.warn(f"m={m} >= n={n}: system is not underdetermined", stacklevel=2)
     rng = np.random.default_rng(seed)
@@ -62,12 +69,8 @@ def gen_bp(m: int, n: int, density: float, seed: int) -> BpInstance:
 
 
 def gen_mc(m: int, n: int, density: float, seed: int) -> McInstance:
-    """Generate a matrix-completion instance with ``round(density * m * n)`` observations."""
-    if not 0.0 < density <= 1.0:
-        raise ValueError("density must be in (0, 1]")
-    nnz = int(round(density * m * n))
-    if nnz < 1:
-        raise ValueError(f"density {density} on {m}x{n} leaves an empty observation set")
+    """Generate a matrix-completion instance with ``sample_count(density, m * n)`` observations."""
+    nnz = sample_count(density, m * n)
     rng = np.random.default_rng(seed)
     support = rng.choice(m * n, size=nnz, replace=False)
     values = rng.standard_normal(nnz)

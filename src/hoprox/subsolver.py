@@ -40,7 +40,8 @@ _SCREEN = 4.0
 class PenaltyGradientOracle:
     """Value/gradient oracle for the shifted power penalty of ``Ax - b``.
 
-    ``a_map`` is a linear map such as ``MatrixMap``; the ``*_at_residual``
+    ``a_map`` is a linear map such as ``MatrixMap`` whose row count, like the
+    multiplier's length, is b's (else ``ValueError``); the ``*_at_residual``
     methods take ``r = Ax - b`` as a 1-d float64 array, as ``residual`` returns it.
     """
 
@@ -53,7 +54,9 @@ class PenaltyGradientOracle:
         self.b = as_vector(b)
         self.multiplier = as_vector(multiplier)
         if self.multiplier.shape != self.b.shape:
-            raise ValueError("multiplier and right-hand side dimensions differ")
+            raise ValueError(f"multiplier has length {self.multiplier.shape[0]}, b has {self.b.shape[0]}")
+        if a_map.shape[0] != self.b.shape[0]:
+            raise ValueError(f"A has {a_map.shape[0]} rows, b has length {self.b.shape[0]}")
         self._beta_root = beta ** (1.0 / p)
         self._power = 1.0 + 1.0 / p
         self._value_coef = self._beta_root / self._power

@@ -34,9 +34,9 @@ moved), or that only one side has, and exits 1 if any does. An ALM cell
 whose results digests are equal prints as
 ``alm-mc/s0-p2-esub0.1: results equal, 1,247 → 747 prox calls``.
 It ends with one line per workload, as in
-``alm-bp: 0/15 equal, 15/15 equal in results, prox calls 38,131 → 29,718``;
-a PPA workload, or a file without results digests, gives the first count
-alone.
+``alm-bp: 0/15 equal, 15/15 equal in results, prox calls 38,131 → 29,718``
+or ``ppa-sym: 30/30 equal, evaluations 3,944 → 3,944``; a file without
+results digests or evaluation totals gives the first count alone.
 
 Bitwise results depend on numpy, its BLAS, the BLAS thread count and the CPU
 features numpy dispatches on, so the file records them; digests from another
@@ -214,14 +214,18 @@ def compare(before: dict, after: dict, counts_before=None, counts_after=None,
     return lines
 
 
-def summary(before: dict, after: dict, results_before=None, results_after=None) -> list:
-    """One line per workload of ``before``: its cells equal, and for ALM cells equal in results and prox calls.
+def summary(before: dict, after: dict, results_before=None, results_after=None,
+            evaluations_before=None, evaluations_after=None) -> list:
+    """One line per workload of ``before``: its cells equal, then ALM cells equal in results and prox calls, or PPA evaluations.
 
     A cell is equal in results when its digests are equal, or when both
     ``results_before`` and ``results_after`` hold it with equal results
-    digests. The prox-call totals are over the cells that both hold.
+    digests. The prox-call totals are over the cells that both hold, and
+    the evaluation totals over the cells that both ``evaluations_before``
+    and ``evaluations_after`` hold.
     """
     results_before, results_after = results_before or {}, results_after or {}
+    evaluations_before, evaluations_after = evaluations_before or {}, evaluations_after or {}
     lines = []
     for workload in sorted({name.split("/")[0] for name in before}):
         names = [name for name in before if name.split("/")[0] == workload]
@@ -235,6 +239,11 @@ def summary(before: dict, after: dict, results_before=None, results_after=None) 
             old = sum(results_before[name]["prox_calls"] for name in held)
             new = sum(results_after[name]["prox_calls"] for name in held)
             line += f", {in_results}/{len(names)} equal in results, prox calls {old:,} → {new:,}"
+        counted = [name for name in names if name in evaluations_before and name in evaluations_after]
+        if counted:
+            old = sum(evaluations_before[name] for name in counted)
+            new = sum(evaluations_after[name] for name in counted)
+            line += f", evaluations {old:,} → {new:,}"
         lines.append(line)
     return lines
 
@@ -266,7 +275,8 @@ def main(argv=None) -> int:
     # files written before counts, evaluation totals, results digests or statuses were recorded have none
     differing = compare(recorded["cells"], digests, recorded.get("counts"), counts, recorded.get("evaluations"),
                         evaluations, recorded.get("results"), results, recorded.get("statuses"), statuses)
-    for line in differing + summary(recorded["cells"], digests, recorded.get("results"), results):
+    for line in differing + summary(recorded["cells"], digests, recorded.get("results"), results,
+                                    recorded.get("evaluations"), evaluations):
         print(line)
     return 1 if differing else 0
 

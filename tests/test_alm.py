@@ -452,6 +452,18 @@ class TestValidation:
         prob, cfg = mc_cell(1.0, 5)
         with pytest.raises(ValueError, match="^x0 has length 2499, A has 2500 columns$"):
             run_alm(prob, np.zeros(2499), np.zeros(250), cfg)
+        with pytest.raises(ValueError, match="^multiplier0 has length 251, b has 250$"):
+            run_alm(prob, np.zeros(2500), np.zeros(251), cfg)
+        # a short multiplier would pass the tolerance test at entry, or fail
+        # inside the first x-update without naming a length
+        prob = bp_composite(gen_bp(5, 20, 0.2, 0))
+        for eps in (1e6, 1e-3):
+            with pytest.raises(ValueError, match="^multiplier0 has length 3, b has 5$"):
+                run_alm(prob, np.zeros(20), np.zeros(3), base_config(eps=eps))
+        # b of another length than A's rows reaches the x-update's oracle
+        prob = CompositeProblem(f=l1_norm(), a_map=MatrixMap(np.ones((1, 5))), b=np.ones(5))
+        with pytest.raises(ValueError, match="^A has 1 rows, b has length 5$"):
+            run_alm(prob, np.zeros(5), np.zeros(5), base_config())
 
     def test_config_accepts_numpy_integer_caps(self):
         cfg = base_config(max_outer=np.int64(200), max_inner=np.int32(100_000))

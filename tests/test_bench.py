@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import asdict, replace
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hoprox.bench as bench
 from hoprox.alm import AlmConfig, AlmTrace, OuterRecord, run_alm
@@ -21,7 +24,7 @@ from hoprox.bench import (
     write_csv,
 )
 from hoprox.ppa import PpaConfig, run_ppa
-from hoprox.problems import bp_composite, gen_bp, gen_vi_affine
+from hoprox.problems import bp_composite, gen_bp, gen_mc, gen_vi_affine
 from hoprox.prox import ProxFunction, l1_norm
 
 # the l1 norms of make_trace's iterates 1, 2 and 3
@@ -57,6 +60,20 @@ def count_reads(monkeypatch):
     original = bench.read_csv
     monkeypatch.setattr(bench, "read_csv", lambda path: reads.update([path]) or original(path))
     return reads
+
+
+# the m and n values the generated configs draw from: bad ones, good ones, and
+# a float, a bool and a numpy integer standing for an integer
+DIMENSIONS = [-1, 0, 1, 2, 3, 2.5, 4.0, True, np.int64(3)]
+
+
+def generate(cfg, seed=0):
+    """The instance run_sweep generates for ``cfg`` on ``seed``."""
+    if cfg.kind == "bp":
+        return gen_bp(cfg.m, cfg.n, cfg.density, seed)
+    if cfg.kind == "mc":
+        return gen_mc(cfg.m, cfg.n, cfg.density, seed)
+    return gen_vi_affine(cfg.n, seed)
 
 
 def tiny_bp_config(out_dir, **overrides):
@@ -322,6 +339,10 @@ class TestRunSweep:
             (dict(seeds=[0.5]), "seeds"),
             # True would seed as 1 under an id of its own, vi_seedTrue_p1
             (dict(kind="vi-affine", eps=0.0, seeds=[True, 1]), "seeds"),
+            # a float or bool dimension would pass a comparison and fail inside numpy
+            (dict(n=20.5), "n"),
+            (dict(kind="vi-affine", n=True, eps=0.0), "n"),
+            (dict(kind="mc", m=4.0), "m"),
         ],
     )
     def test_bad_dimensions_rejected_before_output(self, tmp_path, overrides, field):
@@ -384,7 +405,28 @@ class TestRunSweep:
         # 0.03 * 20 and 0.15 * 4 round to one sample (0.025 * 20 rounds to 0)
         cfg = tiny_bp_config(tmp_path, **overrides)
         cfg.validate()
-        bench._make_instance(cfg, 0)
+        instance = generate(cfg)
+        assert (np.count_nonzero(instance.ground_truth) if cfg.kind == "bp" else instance.observed_indices.size) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(bench.KINDS),
+        m=st.sampled_from(DIMENSIONS),
+        n=st.sampled_from(DIMENSIONS),
+        density=st.sampled_from([0, 1e-3, 0.025, 0.03, 0.5, 1, 1.5, float("nan")]),
+    )
+    @example(kind="bp", m=5, n=20, density=0.03)
+    @example(kind="mc", m=2, n=2, density=0.15)
+    def test_every_accepted_config_generates(self, kind, m, n, density):
+        # validate holds the generators' rules, so nothing it accepts fails to generate
+        cfg = tiny_bp_config("unused", kind=kind, m=m, n=n, density=density)
+        try:
+            cfg.validate()
+        except ValueError:
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # gen_bp warns when m >= n
+            generate(cfg)
 
     def test_vi_ignores_m_and_density(self, tmp_path):
         tiny_bp_config(tmp_path, kind="vi-affine", m=0, density=0.0, eps=0.0).validate()

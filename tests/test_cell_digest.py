@@ -157,9 +157,14 @@ def test_summary_gives_one_line_per_workload():
     results_after = {"alm-bp/s0-p1": {"digest": "8" * 64, "prox_calls": 2_245},
                      "alm-bp/s0-p2": {"digest": "9" * 64, "prox_calls": 1_766},
                      "alm-bp/s0-p3": {"digest": "b" * 64, "prox_calls": 2_865}}
-    assert summary(before, after, results_before, results_after) == [
+    evaluations_before = {"ppa-sym/s0-p1": 1_200, "ppa-sym/s0-p2": 2_744}
+    evaluations_after = {"ppa-sym/s0-p1": 1_200, "ppa-sym/s0-p2": 2_107}
+    assert summary(before, after, results_before, results_after, evaluations_before, evaluations_after) == [
         "alm-bp: 1/3 equal, 2/3 equal in results, prox calls 8,278 → 6,876",
+        "ppa-sym: 1/2 equal, evaluations 3,944 → 3,307",
+    ]
+    # a file written without results digests or evaluation totals gives the digest count alone
+    assert summary(before, after, None, results_after, None, evaluations_after) == [
+        "alm-bp: 1/3 equal",
         "ppa-sym: 1/2 equal",
     ]
-    # a file written without results digests gives the digest count alone
-    assert summary(before, after, None, results_after)[0] == "alm-bp: 1/3 equal"

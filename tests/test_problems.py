@@ -73,7 +73,7 @@ class TestGenBp:
             gen_bp(8, 5, 0.5, seed=0)
 
     def test_empty_ground_truth_rejected(self):
-        with pytest.raises(ValueError, match="empty ground truth"):
+        with pytest.raises(ValueError, match=r"^density must leave at least one sample, but round\(0.01 \* 10\) = 0$"):
             gen_bp(5, 10, 0.01, seed=0)
 
     def test_bad_density_rejected(self):
@@ -94,7 +94,7 @@ class TestGenMc:
         assert inst.observed_indices.size == 1
 
     def test_empty_support_rejected(self):
-        with pytest.raises(ValueError, match="empty observation"):
+        with pytest.raises(ValueError, match=r"^density must leave at least one sample, but round\(0.01 \* 20\) = 0$"):
             gen_mc(5, 4, 0.01, seed=0)
 
     def test_row_major_order_and_values(self):

@@ -72,8 +72,13 @@ class TestPenaltyGradient:
             assert lhs <= m_p * np.linalg.norm(x - y) ** (1.0 / p) + 1e-10
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^multiplier has length 2, b has 3$"):
             PenaltyGradientOracle(MatrixMap(np.eye(3)), np.ones(3), np.ones(2), 1.0, 1.0)
+        # numpy would fail at the first gradient, on unaligned shapes
+        with pytest.raises(ValueError, match="^A has 1 rows, b has length 5$"):
+            PenaltyGradientOracle(MatrixMap(np.ones((1, 5))), np.ones(5), np.zeros(5), 1.0, 1.0)
+        with pytest.raises(ValueError, match="^A has 3 rows, b has length 2$"):
+            PenaltyGradientOracle(MatrixMap(np.eye(3)), np.ones(2), np.ones(2), 1.0, 1.0)
 
     @pytest.mark.parametrize(
         "beta,p",
